@@ -87,15 +87,17 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
   manifest.payload_crc32 = crc32(payload.data(), payload.size());
   const std::string manifest_json = manifest_to_json(manifest);
 
+  // Everything before the payload; the payload itself goes to the file
+  // straight from the caller's buffer, with the file CRC chained over both.
   Writer w;
   w.bytes(kMagic, 4);
   w.u32(kFormatVersion);
   w.u64(manifest_json.size());
   w.bytes(manifest_json.data(), manifest_json.size());
   w.u64(payload.size());
-  w.bytes(payload.data(), payload.size());
-  const std::string& body = w.data();
-  const std::uint32_t file_crc = crc32(body.data(), body.size());
+  const std::string& header = w.data();
+  const std::uint32_t file_crc =
+      crc32(payload.data(), payload.size(), crc32(header.data(), header.size()));
 
   // Scratch name unique per (process, thread): campaigns running in
   // parallel processes may checkpoint adjacent paths in one directory, and
@@ -118,7 +120,8 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
       size -= static_cast<std::size_t>(n);
     }
   };
-  write_all(body.data(), body.size());
+  write_all(header.data(), header.size());
+  write_all(payload.data(), payload.size());
   char crc_bytes[4];
   for (int i = 0; i < 4; ++i) crc_bytes[i] = static_cast<char>((file_crc >> (8 * i)) & 0xffU);
   write_all(crc_bytes, 4);

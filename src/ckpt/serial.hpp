@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace greencap::ckpt {
@@ -42,6 +43,20 @@ class Writer {
   void f64(double v);
   void str(const std::string& v);
   void bytes(const void* data, std::size_t size);
+
+  /// Writes what `encode(*this)` appends behind a u64 length prefix —
+  /// the same bytes as str() of a separately built encoding, without
+  /// building and copying it.
+  template <typename Encode>
+  void framed(Encode&& encode) {
+    const std::size_t at = buf_.size();
+    u64(0);
+    std::forward<Encode>(encode)(*this);
+    const std::uint64_t size = buf_.size() - at - 8;
+    for (int i = 0; i < 8; ++i) {
+      buf_[at + static_cast<std::size_t>(i)] = static_cast<char>((size >> (8 * i)) & 0xffU);
+    }
+  }
 
   /// Writes a 4-character section tag. Sections carry no length — they
   /// only let the Reader fail fast with the name of the first section

@@ -116,9 +116,7 @@ void CheckpointSession::write_run_checkpoint(const char* reason, const Experimen
   append_campaign_section(w);
   w.boolean(true);
   w.str(ckpt_io::config_bytes(config));
-  ck::Writer rs;
-  ckpt_io::encode_run_state(rs, state);
-  w.str(rs.take());
+  w.framed([&state](ck::Writer& rs) { ckpt_io::encode_run_state(rs, state); });
 
   ck::Manifest manifest;
   manifest.kind = "run";

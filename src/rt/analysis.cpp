@@ -14,6 +14,8 @@ const char* color_for(hw::KernelClass klass) {
     case hw::KernelClass::kTrsm: return "#bebada";
     case hw::KernelClass::kPotrf: return "#fb8072";
     case hw::KernelClass::kGetrf: return "#fdb462";
+    case hw::KernelClass::kQrPanel: return "#80b1d3";
+    case hw::KernelClass::kQrApply: return "#b3de69";
     case hw::KernelClass::kGeneric: return "#d9d9d9";
   }
   return "#d9d9d9";

@@ -8,13 +8,18 @@
 // the paper relies on: "the performance models are calibrated following
 // each modification to the power capping settings. Thus, the scheduler is
 // implicitly informed of the changes."
+//
+// Both models live in one slot per (codelet id, worker, precision).
+// dm-family schedulers look the model up for every ready task on every
+// worker, so the hot path indexes vectors by integers and never builds a
+// string key (StarPU likewise keys its history by a 32-bit footprint).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
-#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hw/kernel_work.hpp"
@@ -34,18 +39,39 @@ struct PerfStats {
 
 class HistoryPerfModel {
  public:
+  /// Dense id for `codelet`, assigned on first sight. Ids are stable for
+  /// the model's lifetime: invalidate() and import_state() keep them.
+  CodeletId intern(const std::string& codelet);
+
+  /// Id of an already-interned name, kNoCodelet when unknown.
+  [[nodiscard]] CodeletId id_of(const std::string& codelet) const;
+
   /// Records an observed execution time.
-  void record(const std::string& codelet, WorkerId worker, const hw::KernelWork& work,
+  void record(CodeletId codelet, WorkerId worker, const hw::KernelWork& work,
               sim::SimTime duration);
 
   /// Expected execution time, or nullopt when the model has no information
   /// for this (codelet, worker, size) and no regression fallback yet.
-  [[nodiscard]] std::optional<sim::SimTime> expected(const std::string& codelet, WorkerId worker,
+  [[nodiscard]] std::optional<sim::SimTime> expected(CodeletId codelet, WorkerId worker,
                                                      const hw::KernelWork& work) const;
 
   /// True when an exact-size history entry exists.
-  [[nodiscard]] bool calibrated(const std::string& codelet, WorkerId worker,
+  [[nodiscard]] bool calibrated(CodeletId codelet, WorkerId worker,
                                 const hw::KernelWork& work) const;
+
+  // By-name forms (calibration replay, tests).
+  void record(const std::string& codelet, WorkerId worker, const hw::KernelWork& work,
+              sim::SimTime duration) {
+    record(intern(codelet), worker, work, duration);
+  }
+  [[nodiscard]] std::optional<sim::SimTime> expected(const std::string& codelet, WorkerId worker,
+                                                     const hw::KernelWork& work) const {
+    return expected(id_of(codelet), worker, work);
+  }
+  [[nodiscard]] bool calibrated(const std::string& codelet, WorkerId worker,
+                                const hw::KernelWork& work) const {
+    return calibrated(id_of(codelet), worker, work);
+  }
 
   /// Forgets everything — the paper's protocol invalidates the models after
   /// every power-cap change, then recalibrates.
@@ -57,10 +83,12 @@ class HistoryPerfModel {
   /// (stale samples would mislead dm-family placement until they wash out).
   void invalidate_worker(WorkerId worker);
 
-  [[nodiscard]] std::size_t entry_count() const { return history_.size(); }
+  /// Number of (codelet, worker, precision, size) history entries.
+  [[nodiscard]] std::size_t entry_count() const;
 
   // -- checkpoint support -------------------------------------------------
-  // Both maps flattened to plain tuples, in deterministic (map) order.
+  // Both tables flattened to plain tuples, sorted by (codelet name, worker,
+  // precision[, size]) whatever the recording order — the .gckp layout.
 
   struct HistoryEntry {
     std::string codelet;
@@ -87,24 +115,34 @@ class HistoryPerfModel {
                     const std::vector<RegressionEntry>& regression);
 
  private:
-  // (codelet, worker, precision, size-key) -> stats
-  using HistKey = std::tuple<std::string, WorkerId, std::uint8_t, std::int64_t>;
-  // (codelet, worker, precision) -> regression accumulators
-  using RegKey = std::tuple<std::string, WorkerId, std::uint8_t>;
   struct Regression {
     double sum_xt = 0.0;  ///< sum(flops * time)
     double sum_xx = 0.0;  ///< sum(flops^2)
     std::uint64_t samples = 0;
     [[nodiscard]] double slope() const { return sum_xx > 0 ? sum_xt / sum_xx : 0.0; }
   };
+  /// State of one (codelet, worker, precision): per-size history, searched
+  /// linearly (a codelet sees a handful of tile sizes), plus the regression
+  /// (present once it has samples).
+  struct Slot {
+    std::vector<std::pair<std::int64_t, PerfStats>> sizes;
+    Regression regression;
 
-  [[nodiscard]] static HistKey hist_key(const std::string& codelet, WorkerId worker,
-                                        const hw::KernelWork& work);
-  [[nodiscard]] static RegKey reg_key(const std::string& codelet, WorkerId worker,
-                                      const hw::KernelWork& work);
+    [[nodiscard]] const PerfStats* history(std::int64_t size) const;
+    /// The size's history entry, appended empty on first sight.
+    PerfStats& history_entry(std::int64_t size);
+  };
 
-  std::map<HistKey, PerfStats> history_;
-  std::map<RegKey, Regression> regression_;
+  /// hw::Precision values (kDouble is the last).
+  static constexpr std::size_t kPrecisions = static_cast<std::size_t>(hw::Precision::kDouble) + 1;
+
+  [[nodiscard]] const Slot* find(CodeletId codelet, WorkerId worker, std::uint8_t precision) const;
+  Slot& slot(CodeletId codelet, WorkerId worker, std::uint8_t precision);
+
+  std::vector<std::string> names_;  // indexed by CodeletId
+  std::unordered_map<std::string, CodeletId> ids_;
+  // slots_[codelet][worker * kPrecisions + precision], grown on demand.
+  std::vector<std::vector<Slot>> slots_;
 };
 
 }  // namespace greencap::rt

@@ -97,7 +97,8 @@ TaskId Runtime::submit(TaskDesc desc) {
                                 "' can run nowhere");
   }
   const TaskId id = static_cast<TaskId>(tasks_.size());
-  auto task = std::make_unique<Task>(id, desc.codelet, desc.work);
+  auto task = std::make_unique<Task>(id, desc.codelet, desc.work,
+                                     perf_model_.intern(desc.codelet->name));
   task->priority = desc.priority;
   task->label = desc.label.empty() ? desc.codelet->name + "#" + std::to_string(id)
                                    : std::move(desc.label);
@@ -246,6 +247,7 @@ void Runtime::record_decision(Task& task, Worker& worker) {
   decision.queue_wait_s = (sim_.now() - task.ready_at).sec();
   decision.expected_exec_s = estimate_exec(task, worker).sec();
   decision.alternatives.reserve(workers_.size());
+  TransferEstimates transfer{*this, task};
   for (Worker& candidate : workers_) {
     if (!worker_can_run(task, candidate)) {
       continue;
@@ -253,7 +255,7 @@ void Runtime::record_decision(Task& task, Worker& worker) {
     obs::DecisionAlternative alt;
     alt.worker = candidate.id();
     alt.expected_exec_s = estimate_exec(task, candidate).sec();
-    alt.expected_transfer_s = estimate_transfer(task, candidate).sec();
+    alt.expected_transfer_s = transfer(candidate).sec();
     alt.expected_energy_j = estimate_energy(task, candidate);
     decision.alternatives.push_back(alt);
   }
@@ -313,17 +315,25 @@ void Runtime::try_start(Worker& worker) {
   task->start_time = start;
   task->end_time = end;
 
-  Task* task_ptr = task;
-  Worker* worker_ptr = &worker;
-  worker.inflight = task_ptr;
-  worker.begin_event = sim_.at(start, [this, task_ptr, worker_ptr, start, end] {
-    begin_execution(*task_ptr, *worker_ptr, start, end);
-  });
-  worker.end_event =
-      sim_.at(end, [this, task_ptr, worker_ptr] { finish_task(*task_ptr, *worker_ptr); });
+  worker.inflight = task;
+  worker.begin_event = schedule_begin(worker);
+  worker.end_event = schedule_end(worker);
 }
 
-void Runtime::begin_execution(Task& task, Worker& worker, sim::SimTime start, sim::SimTime end) {
+// Both task events capture only `this` and the worker: the task and its
+// start/end times are reachable through worker.inflight, and two pointers
+// fit std::function's inline buffer, so scheduling a task allocates nothing.
+sim::EventId Runtime::schedule_begin(Worker& worker) {
+  return sim_.at(worker.inflight->start_time,
+                 [this, w = &worker] { begin_execution(*w->inflight, *w); });
+}
+
+sim::EventId Runtime::schedule_end(Worker& worker) {
+  return sim_.at(worker.inflight->end_time,
+                 [this, w = &worker] { finish_task(*w->inflight, *w); });
+}
+
+void Runtime::begin_execution(Task& task, Worker& worker) {
   hw::KernelWork w = task.work();
   w.klass = task.codelet().klass;
   if (worker.arch() == WorkerArch::kCuda) {
@@ -352,7 +362,8 @@ void Runtime::begin_execution(Task& task, Worker& worker, sim::SimTime start, si
   // Timing is unaffected — data dependencies already serialize conflicting
   // accesses, so observable results are identical either way.
   if (trace_.enabled()) {
-    trace_.add_span({sim::SpanKind::kTask, worker.id(), task.id(), task.label, start, end});
+    trace_.add_span({sim::SpanKind::kTask, worker.id(), task.id(), task.label, task.start_time,
+                     task.end_time});
   }
 }
 
@@ -381,7 +392,7 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   // Feed the observation back into the history model (StarPU updates its
   // models from every real execution, not only calibration runs).
   if (options_.update_perf_model) {
-    perf_model_.record(task.codelet().name, worker.id(), task.work(),
+    perf_model_.record(task.codelet_id(), worker.id(), task.work(),
                        task.end_time - task.start_time);
   }
 
@@ -399,10 +410,9 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
   if (m_tasks_completed_ != nullptr) {
     m_tasks_completed_->inc();
-    obs::MetricsRegistry& reg = *options_.metrics;
-    reg.histogram("rt.exec_s." + task.codelet().name).observe(exec_s);
-    reg.histogram("rt.queue_wait_s." + task.codelet().name)
-        .observe((task.start_time - task.ready_at).sec());
+    const CodeletHistograms& h = codelet_histograms(task);
+    h.exec_s->observe(exec_s);
+    h.queue_wait_s->observe((task.start_time - task.ready_at).sec());
   }
 
   for (TaskId succ_id : task.successors) {
@@ -436,6 +446,20 @@ void Runtime::finish_task(Task& task, Worker& worker) {
       hook();
     }
   }
+}
+
+const Runtime::CodeletHistograms& Runtime::codelet_histograms(const Task& task) {
+  const CodeletId id = task.codelet_id();
+  if (id >= m_codelet_histograms_.size()) {
+    m_codelet_histograms_.resize(id + 1);
+  }
+  CodeletHistograms& h = m_codelet_histograms_[id];
+  if (h.exec_s == nullptr) {
+    obs::MetricsRegistry& reg = *options_.metrics;
+    h.exec_s = &reg.histogram("rt.exec_s." + task.codelet().name);
+    h.queue_wait_s = &reg.histogram("rt.queue_wait_s." + task.codelet().name);
+  }
+  return h;
 }
 
 void Runtime::wait_all() {
@@ -487,7 +511,7 @@ sim::SimTime Runtime::flush_to_host() {
 }
 
 sim::SimTime Runtime::estimate_exec(const Task& task, const Worker& worker) {
-  if (const auto t = perf_model_.expected(task.codelet().name, worker.id(), task.work())) {
+  if (const auto t = perf_model_.expected(task.codelet_id(), worker.id(), task.work())) {
     return *t;
   }
   return oracle_exec_time(task.codelet(), task.work(), worker);
@@ -929,12 +953,7 @@ void Runtime::reschedule_begin(WorkerId worker_id) {
   if (task_ptr == nullptr) {
     throw std::logic_error("Runtime::reschedule_begin: worker has no in-flight task");
   }
-  Worker* worker_ptr = &w;
-  const sim::SimTime start = task_ptr->start_time;
-  const sim::SimTime end = task_ptr->end_time;
-  w.begin_event = sim_.at(start, [this, task_ptr, worker_ptr, start, end] {
-    begin_execution(*task_ptr, *worker_ptr, start, end);
-  });
+  w.begin_event = schedule_begin(w);
 }
 
 void Runtime::reschedule_end(WorkerId worker_id, bool begin_pending) {
@@ -943,9 +962,7 @@ void Runtime::reschedule_end(WorkerId worker_id, bool begin_pending) {
   if (task_ptr == nullptr) {
     throw std::logic_error("Runtime::reschedule_end: worker has no in-flight task");
   }
-  Worker* worker_ptr = &w;
-  w.end_event = sim_.at(task_ptr->end_time,
-                        [this, task_ptr, worker_ptr] { finish_task(*task_ptr, *worker_ptr); });
+  w.end_event = schedule_end(w);
   if (!begin_pending) {
     // The begin already fired before the checkpoint. Alias its handle to
     // the end event so handle_dropout's unconditional cancel of both stays

@@ -324,10 +324,22 @@ class Runtime final : public SchedulerContext {
   /// Books the transfers needed by `task` on `worker`, returning the
   /// virtual time at which all inputs are resident.
   sim::SimTime stage_data(Task& task, Worker& worker);
-  void begin_execution(Task& task, Worker& worker, sim::SimTime start, sim::SimTime end);
+  /// Schedules the begin/end event of `worker`'s in-flight task.
+  sim::EventId schedule_begin(Worker& worker);
+  sim::EventId schedule_end(Worker& worker);
+  void begin_execution(Task& task, Worker& worker);
   void finish_task(Task& task, Worker& worker);
   [[nodiscard]] sim::SimTime actual_exec_time(Task& task, const Worker& worker);
   void record_decision(Task& task, Worker& worker);
+
+  /// Per-codelet execution-time and queue-wait histograms, registered at
+  /// the codelet's first completion and cached by codelet id so later
+  /// completions skip the name lookups.
+  struct CodeletHistograms {
+    obs::Histogram* exec_s = nullptr;
+    obs::Histogram* queue_wait_s = nullptr;
+  };
+  [[nodiscard]] const CodeletHistograms& codelet_histograms(const Task& task);
 
   hw::Platform& platform_;
   sim::Simulator& sim_;
@@ -358,6 +370,8 @@ class Runtime final : public SchedulerContext {
   obs::Counter* m_tasks_completed_ = nullptr;
   obs::Counter* m_transfers_ = nullptr;
   obs::Counter* m_bytes_transferred_ = nullptr;
+  /// Indexed by CodeletId; filled at each codelet's first completion.
+  std::vector<CodeletHistograms> m_codelet_histograms_;
   /// Sampler to close out when the last task retires; set by
   /// register_telemetry, never owned.
   obs::TelemetrySampler* telemetry_ = nullptr;

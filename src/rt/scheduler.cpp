@@ -19,6 +19,19 @@ bool worker_can_run(const Task& task, const Worker& worker) {
   return true;
 }
 
+sim::SimTime TransferEstimates::operator()(const Worker& worker) {
+  const auto node = static_cast<std::size_t>(worker.node());
+  if (node >= kNodes) {
+    return ctx_.estimate_transfer(task_, worker);
+  }
+  const std::uint32_t bit = std::uint32_t{1} << node;
+  if ((known_ & bit) == 0) {
+    by_node_[node] = ctx_.estimate_transfer(task_, worker);
+    known_ |= bit;
+  }
+  return by_node_[node];
+}
+
 std::vector<Task*> Scheduler::evict(Worker& worker) {
   std::vector<Task*> evicted{worker.queue.begin(), worker.queue.end()};
   worker.queue.clear();
@@ -211,24 +224,20 @@ WorkerId DmScheduler::push_ready(Task& task) {
   auto& workers = ctx().workers();
   const sim::SimTime now = ctx().now();
 
-  struct Candidate {
-    Worker* worker;
-    sim::SimTime finish;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(workers.size());
+  candidates_.clear();
   sim::SimTime best_finish = sim::SimTime::infinity();
+  TransferEstimates transfer{ctx(), task};
   for (Worker& w : workers) {
     if (!eligible(task, w)) continue;
     sim::SimTime penalty = ctx().estimate_exec(task, w);
     if (data_aware()) {
-      penalty += ctx().estimate_transfer(task, w);
+      penalty += transfer(w);
     }
     const sim::SimTime finish = std::max(now, w.expected_free) + penalty;
-    candidates.push_back(Candidate{&w, finish});
+    candidates_.push_back(Candidate{&w, finish});
     best_finish = std::min(best_finish, finish);
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     throw std::runtime_error("dm scheduler: no eligible worker for task " + task.label);
   }
 
@@ -239,7 +248,7 @@ WorkerId DmScheduler::push_ready(Task& task) {
     // the earliest completion, minimize expected joules.
     const sim::SimTime budget = now + (best_finish - now) * (1.0 + energy_slack());
     double best_energy = std::numeric_limits<double>::infinity();
-    for (const Candidate& c : candidates) {
+    for (const Candidate& c : candidates_) {
       if (c.finish > budget) continue;
       const double energy = ctx().estimate_energy(task, *c.worker);
       if (energy < best_energy ||
@@ -251,7 +260,7 @@ WorkerId DmScheduler::push_ready(Task& task) {
     }
   }
   if (best == nullptr) {
-    for (const Candidate& c : candidates) {
+    for (const Candidate& c : candidates_) {
       if (c.finish == best_finish) {
         best = c.worker;
         chosen_finish = c.finish;

@@ -8,6 +8,7 @@
 // data-locality tie-break (paper section III-B).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,6 +39,8 @@ class SchedulerContext {
   [[nodiscard]] virtual sim::SimTime estimate_exec(const Task& task, const Worker& worker) = 0;
 
   /// Expected time to stage `task`'s missing inputs onto `worker`'s node.
+  /// Depends on `worker` only through its memory node, so callers may
+  /// share one estimate among the workers of a node (TransferEstimates).
   [[nodiscard]] virtual sim::SimTime estimate_transfer(const Task& task,
                                                        const Worker& worker) = 0;
 
@@ -47,6 +50,24 @@ class SchedulerContext {
   /// Expected energy (joules) `task` would draw on `worker` — device
   /// dynamic power during execution, on top of the node's static floor.
   [[nodiscard]] virtual double estimate_energy(const Task& task, const Worker& worker) = 0;
+};
+
+/// SchedulerContext::estimate_transfer for one task at one instant,
+/// computed once per memory node: every CPU worker shares the host node, so
+/// a node with 32 CPU workers and 4 GPUs needs 5 estimates, not 36.
+class TransferEstimates {
+ public:
+  TransferEstimates(SchedulerContext& ctx, const Task& task) : ctx_{ctx}, task_{task} {}
+
+  [[nodiscard]] sim::SimTime operator()(const Worker& worker);
+
+ private:
+  static constexpr std::size_t kNodes = 32;
+
+  SchedulerContext& ctx_;
+  const Task& task_;
+  std::uint32_t known_ = 0;  ///< bit n set once by_node_[n] holds node n's estimate
+  std::array<sim::SimTime, kNodes> by_node_{};
 };
 
 /// Policy-agnostic checkpoint of a scheduler's queue state. Shared-queue
@@ -249,7 +270,14 @@ class DmScheduler : public Scheduler {
   void note_evicted(std::size_t count) override { pending_ -= count; }
 
  private:
+  struct Candidate {
+    Worker* worker;
+    sim::SimTime finish;
+  };
+
   std::size_t pending_ = 0;
+  /// push_ready's per-call scratch, kept to avoid an allocation per task.
+  std::vector<Candidate> candidates_;
 };
 
 /// "dmda" (heft-tmdp): dm plus data-transfer penalty in the objective.

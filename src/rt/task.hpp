@@ -30,11 +30,14 @@ struct TaskAccess {
 
 class Task {
  public:
-  Task(TaskId id, const Codelet* codelet, hw::KernelWork work)
-      : id_{id}, codelet_{codelet}, work_{work} {}
+  Task(TaskId id, const Codelet* codelet, hw::KernelWork work,
+       CodeletId codelet_id = kNoCodelet)
+      : id_{id}, codelet_{codelet}, codelet_id_{codelet_id}, work_{work} {}
 
   [[nodiscard]] TaskId id() const { return id_; }
   [[nodiscard]] const Codelet& codelet() const { return *codelet_; }
+  /// The codelet's interned name (Runtime::submit), the perf-model key.
+  [[nodiscard]] CodeletId codelet_id() const { return codelet_id_; }
   [[nodiscard]] const hw::KernelWork& work() const { return work_; }
 
   [[nodiscard]] const std::vector<TaskAccess>& accesses() const { return accesses_; }
@@ -75,6 +78,7 @@ class Task {
  private:
   TaskId id_;
   const Codelet* codelet_;
+  CodeletId codelet_id_;
   hw::KernelWork work_;
   std::vector<TaskAccess> accesses_;
 };

@@ -10,9 +10,12 @@ using TaskId = std::int64_t;
 using HandleId = std::int64_t;
 using WorkerId = std::int32_t;
 using MemoryNode = std::int32_t;  ///< 0 = host RAM, 1+i = GPU i device memory
+/// Dense id of an interned codelet name (HistoryPerfModel::intern).
+using CodeletId = std::uint32_t;
 
 inline constexpr MemoryNode kHostNode = 0;
 inline constexpr TaskId kInvalidTask = -1;
+inline constexpr CodeletId kNoCodelet = UINT32_MAX;
 
 /// Data access modes, with StarPU's implicit sequential-consistency
 /// semantics: the dependency tracker serializes conflicting accesses in

@@ -2,6 +2,7 @@
 // and version-skewed files — the CRC/atomic-write half of the crash
 // consistency story (docs/CHECKPOINTING.md).
 #include "ckpt/file.hpp"
+#include "ckpt/serial.hpp"
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,30 @@ TEST_F(FileTest, RoundTripPreservesManifestAndPayload) {
   EXPECT_EQ(file.manifest.t_virtual_s, 1.25);
   EXPECT_EQ(file.manifest.payload_bytes, payload_.size());
   EXPECT_EQ(file.payload, payload_);
+}
+
+TEST_F(FileTest, BytesEqualHeaderPayloadAndWholeFileCrc) {
+  // The writer streams the payload without copying it into the header
+  // buffer; the file must still be the documented one-buffer layout.
+  write_default();
+  ckpt::Manifest m;
+  m.kind = "run";
+  m.reason = "periodic";
+  m.signature = 0x1122334455667788ULL;
+  m.completed = 3;
+  m.t_virtual_s = 1.25;
+  m.payload_bytes = payload_.size();
+  m.payload_crc32 = ckpt::crc32(payload_.data(), payload_.size());
+  const std::string manifest_json = ckpt::manifest_to_json(m);
+  ckpt::Writer w;
+  w.bytes(ckpt::kMagic, 4);
+  w.u32(ckpt::kFormatVersion);
+  w.u64(manifest_json.size());
+  w.bytes(manifest_json.data(), manifest_json.size());
+  w.u64(payload_.size());
+  w.bytes(payload_.data(), payload_.size());
+  w.u32(ckpt::crc32(w.data().data(), w.data().size()));
+  EXPECT_EQ(read_raw(), w.data());
 }
 
 TEST_F(FileTest, RewriteIsAtomicReplacement) {

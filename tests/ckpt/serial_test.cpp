@@ -125,6 +125,25 @@ TEST(Serial, VectorHelpersRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(Serial, FramedEqualsStrOfSeparateEncoding) {
+  auto encode = [](ckpt::Writer& w) {
+    w.section("TEST");
+    w.u64(42);
+    w.str("nested");
+    w.f64(0.5);
+  };
+  ckpt::Writer inner;
+  encode(inner);
+  ckpt::Writer copied;
+  copied.u8(7);
+  copied.str(inner.data());
+
+  ckpt::Writer framed;
+  framed.u8(7);
+  framed.framed(encode);
+  EXPECT_EQ(framed.data(), copied.data());
+}
+
 TEST(Serial, Crc32MatchesKnownVector) {
   // zlib's crc32("123456789") == 0xCBF43926 — the IEEE check value.
   EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);

@@ -7,6 +7,7 @@
 #include "hw/presets.hpp"
 #include "la/codelets.hpp"
 #include "la/operations.hpp"
+#include "la/qr.hpp"
 #include "la/tile_matrix.hpp"
 
 namespace greencap::rt {
@@ -34,6 +35,25 @@ TEST(Analysis, DotContainsNodesAndEdges) {
   EXPECT_NE(dot.find("->"), std::string::npos);
   // Executed tasks carry their worker id.
   EXPECT_NE(dot.find("\\nw"), std::string::npos);
+}
+
+TEST(Analysis, DotColoursQrKernelsByClass) {
+  Fixture f;
+  la::QrCodelets<double> qr;
+  la::TileMatrix<double> a{24, 8, false};
+  a.register_with(f.runtime);
+  la::QrWorkspace<double> workspace{f.runtime, a};
+  la::submit_geqrf<double>(f.runtime, qr, a, workspace);
+
+  std::ostringstream oss;
+  write_dot(f.runtime, oss);
+  const std::string dot = oss.str();
+  // Panel (geqrt/tsqrt) and update (unmqr/tsmqr) tasks get their own
+  // colours, not the generic grey.
+  EXPECT_NE(dot.find("geqrt"), std::string::npos);
+  EXPECT_NE(dot.find("fillcolor=\"#80b1d3\""), std::string::npos);
+  EXPECT_NE(dot.find("fillcolor=\"#b3de69\""), std::string::npos);
+  EXPECT_EQ(dot.find("fillcolor=\"#d9d9d9\""), std::string::npos);
 }
 
 TEST(Analysis, ChainCriticalPathIsWholeChain) {

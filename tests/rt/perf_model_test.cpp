@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 namespace greencap::rt {
 namespace {
 
@@ -102,6 +106,99 @@ TEST(HistoryPerfModel, EntryCountTracksDistinctKeys) {
   model.record("gemm", 1, work_of(512), SimTime::seconds(1.0));
   model.record("trsm", 0, work_of(512), SimTime::seconds(1.0));
   EXPECT_EQ(model.entry_count(), 3u);
+}
+
+TEST(HistoryPerfModel, ExportIsSortedByNameWorkerPrecisionSize) {
+  // Record in an order that differs from the sorted one on every key
+  // component; checkpoints rely on the sorted export.
+  HistoryPerfModel model;
+  hw::KernelWork single = work_of(512);
+  single.precision = hw::Precision::kSingle;
+  model.record("trsm", 1, work_of(512), SimTime::seconds(1.0));
+  model.record("gemm", 1, work_of(1024), SimTime::seconds(2.0));
+  model.record("gemm", 1, work_of(512), SimTime::seconds(3.0));
+  model.record("gemm", 0, work_of(512), SimTime::seconds(4.0));
+  model.record("gemm", 1, single, SimTime::seconds(5.0));
+  model.record("geqrt", 2, work_of(512), SimTime::seconds(6.0));
+
+  const auto history = model.export_history();
+  ASSERT_EQ(history.size(), 6u);
+  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t, std::int64_t>> keys{
+      {"gemm", 0, 1, 512}, {"gemm", 1, 0, 512},  {"gemm", 1, 1, 512},
+      {"gemm", 1, 1, 1024}, {"geqrt", 2, 1, 512}, {"trsm", 1, 1, 512}};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto& e = history[i];
+    EXPECT_EQ(std::tie(e.codelet, e.worker, e.precision, e.size_key), keys[i]) << "entry " << i;
+  }
+  EXPECT_DOUBLE_EQ(history[0].mean_s, 4.0);
+  EXPECT_DOUBLE_EQ(history[2].mean_s, 3.0);
+
+  const auto regression = model.export_regression();
+  ASSERT_EQ(regression.size(), 5u);
+  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t>> reg_keys{
+      {"gemm", 0, 1}, {"gemm", 1, 0}, {"gemm", 1, 1}, {"geqrt", 2, 1}, {"trsm", 1, 1}};
+  for (std::size_t i = 0; i < reg_keys.size(); ++i) {
+    const auto& e = regression[i];
+    EXPECT_EQ(std::tie(e.codelet, e.worker, e.precision), reg_keys[i]) << "entry " << i;
+  }
+  EXPECT_EQ(regression[2].samples, 2u);
+}
+
+TEST(HistoryPerfModel, IdAndNameApisAgree) {
+  HistoryPerfModel model;
+  const CodeletId gemm = model.intern("gemm");
+  EXPECT_EQ(model.intern("gemm"), gemm);
+  EXPECT_EQ(model.id_of("gemm"), gemm);
+  EXPECT_EQ(model.id_of("trsm"), kNoCodelet);
+  const CodeletId trsm = model.intern("trsm");
+  EXPECT_NE(trsm, gemm);
+
+  model.record(gemm, 0, work_of(512), SimTime::seconds(1.0));
+  model.record("trsm", 0, work_of(512), SimTime::seconds(2.0));
+  EXPECT_EQ(model.expected("gemm", 0, work_of(512)), model.expected(gemm, 0, work_of(512)));
+  EXPECT_EQ(model.expected(trsm, 0, work_of(512)), model.expected("trsm", 0, work_of(512)));
+  EXPECT_DOUBLE_EQ(model.expected(trsm, 0, work_of(512))->sec(), 2.0);
+  EXPECT_TRUE(model.calibrated(gemm, 0, work_of(512)));
+  EXPECT_FALSE(model.calibrated(gemm, 1, work_of(512)));
+  EXPECT_FALSE(model.expected(kNoCodelet, 0, work_of(512)).has_value());
+  EXPECT_FALSE(model.expected("potrf", 0, work_of(512)).has_value());
+}
+
+TEST(HistoryPerfModel, IdsSurviveInvalidateAndImport) {
+  HistoryPerfModel model;
+  const CodeletId gemm = model.intern("gemm");
+  const CodeletId trsm = model.intern("trsm");
+  model.record(trsm, 1, work_of(512), SimTime::seconds(2.0));
+  const auto history = model.export_history();
+  const auto regression = model.export_regression();
+
+  model.invalidate();
+  EXPECT_EQ(model.id_of("gemm"), gemm);
+  EXPECT_EQ(model.id_of("trsm"), trsm);
+  EXPECT_FALSE(model.expected(trsm, 1, work_of(512)).has_value());
+
+  model.import_state(history, regression);
+  EXPECT_EQ(model.id_of("gemm"), gemm);
+  EXPECT_EQ(model.id_of("trsm"), trsm);
+  EXPECT_DOUBLE_EQ(model.expected(trsm, 1, work_of(512))->sec(), 2.0);
+  EXPECT_EQ(model.export_history().size(), 1u);
+  EXPECT_EQ(model.export_regression().size(), 1u);
+
+  // Importing into a fresh model interns the checkpointed names.
+  HistoryPerfModel restored;
+  restored.import_state(history, regression);
+  EXPECT_NE(restored.id_of("trsm"), kNoCodelet);
+  EXPECT_DOUBLE_EQ(restored.expected("trsm", 1, work_of(512))->sec(), 2.0);
+}
+
+TEST(HistoryPerfModel, InvalidateWorkerKeepsOtherWorkers) {
+  HistoryPerfModel model;
+  model.record("gemm", 0, work_of(512), SimTime::seconds(1.0));
+  model.record("gemm", 1, work_of(512), SimTime::seconds(2.0));
+  model.invalidate_worker(0);
+  EXPECT_FALSE(model.expected("gemm", 0, work_of(512)).has_value());
+  EXPECT_DOUBLE_EQ(model.expected("gemm", 1, work_of(512))->sec(), 2.0);
+  EXPECT_EQ(model.export_regression().size(), 1u);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ class FakeContext final : public SchedulerContext {
     return it != exec_.end() ? it->second : sim::SimTime::seconds(1.0);
   }
   sim::SimTime estimate_transfer(const Task& task, const Worker& worker) override {
+    ++transfer_calls;
     const auto it = xfer_.find({task.id(), worker.id()});
     return it != xfer_.end() ? it->second : sim::SimTime::zero();
   }
@@ -49,6 +50,7 @@ class FakeContext final : public SchedulerContext {
   void set_locality(TaskId t, WorkerId w, double f) { locality_[{t, w}] = f; }
   void set_energy(TaskId t, WorkerId w, double joules) { energy_[{t, w}] = joules; }
 
+  int transfer_calls = 0;
   sim::SimTime now_;
   hw::CpuModel cpu_;
   hw::GpuModel gpu_;
@@ -297,6 +299,38 @@ TEST_F(SchedulerTest, DmIgnoresTransferCostButDmdaDoesNot) {
   auto dmda = make_scheduler("dmda");
   dmda->attach(ctx_);
   EXPECT_NE(dmda->push_ready(t), 0);  // dmda accounts for it
+}
+
+TEST_F(SchedulerTest, DmdaEstimatesTransferOncePerMemoryNode) {
+  // Two more CPU workers: five workers on two memory nodes (host + GPU).
+  ctx_.workers_.emplace_back(3, &ctx_.cpu_);
+  ctx_.workers_.emplace_back(4, &ctx_.cpu_);
+  for (const char* policy : {"dmda", "dmdas", "dmdae"}) {
+    auto sched = make_scheduler(policy);
+    sched->attach(ctx_);
+    Task& t = make_task(any_);
+    ctx_.set_xfer(t.id(), 0, 0.5);
+    ctx_.transfer_calls = 0;
+    sched->push_ready(t);
+    EXPECT_EQ(ctx_.transfer_calls, 2) << policy;
+  }
+}
+
+TEST_F(SchedulerTest, DmdaEqualFinishTimesPickLowestIndexWorker) {
+  auto sched = make_scheduler("dmda");
+  sched->attach(ctx_);
+  Task& any = make_task(any_);
+  for (WorkerId w = 0; w < 3; ++w) ctx_.set_exec(any.id(), w, 1.0);
+  EXPECT_EQ(sched->push_ready(any), 0);
+
+  Task& cpu = make_task(cpu_only_);
+  EXPECT_EQ(sched->push_ready(cpu), 1);  // workers 1 and 2 both finish at 1.0
+
+  // Worker 1 finishes at 1.0 + 2.0, worker 2 at 0 + 3.0: still a tie.
+  Task& next = make_task(cpu_only_);
+  ctx_.set_exec(next.id(), 1, 2.0);
+  ctx_.set_exec(next.id(), 2, 3.0);
+  EXPECT_EQ(sched->push_ready(next), 1);
 }
 
 TEST_F(SchedulerTest, DmdasPopsByPriority) {
