@@ -82,22 +82,28 @@ std::string manifest_to_json(const Manifest& manifest) {
 }
 
 void write_checkpoint_file(const std::string& path, Manifest manifest,
-                           const std::string& payload) {
-  manifest.payload_bytes = payload.size();
-  manifest.payload_crc32 = crc32(payload.data(), payload.size());
+                           std::initializer_list<std::string_view> payload) {
+  manifest.payload_bytes = 0;
+  manifest.payload_crc32 = 0;
+  for (const std::string_view piece : payload) {
+    manifest.payload_bytes += piece.size();
+    manifest.payload_crc32 = crc32(piece.data(), piece.size(), manifest.payload_crc32);
+  }
   const std::string manifest_json = manifest_to_json(manifest);
 
   // Everything before the payload; the payload itself goes to the file
-  // straight from the caller's buffer, with the file CRC chained over both.
+  // straight from the callers' buffers, with the file CRC chained over all.
   Writer w;
   w.bytes(kMagic, 4);
   w.u32(kFormatVersion);
   w.u64(manifest_json.size());
   w.bytes(manifest_json.data(), manifest_json.size());
-  w.u64(payload.size());
+  w.u64(manifest.payload_bytes);
   const std::string& header = w.data();
-  const std::uint32_t file_crc =
-      crc32(payload.data(), payload.size(), crc32(header.data(), header.size()));
+  std::uint32_t file_crc = crc32(header.data(), header.size());
+  for (const std::string_view piece : payload) {
+    file_crc = crc32(piece.data(), piece.size(), file_crc);
+  }
 
   // Scratch name unique per (process, thread): campaigns running in
   // parallel processes may checkpoint adjacent paths in one directory, and
@@ -121,7 +127,9 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
     }
   };
   write_all(header.data(), header.size());
-  write_all(payload.data(), payload.size());
+  for (const std::string_view piece : payload) {
+    write_all(piece.data(), piece.size());
+  }
   char crc_bytes[4];
   for (int i = 0; i < 4; ++i) crc_bytes[i] = static_cast<char>((file_crc >> (8 * i)) & 0xffU);
   write_all(crc_bytes, 4);

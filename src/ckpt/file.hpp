@@ -25,8 +25,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace greencap::ckpt {
 
@@ -62,11 +64,13 @@ struct CheckpointFile {
 /// Serializes the manifest to its canonical one-line JSON form.
 [[nodiscard]] std::string manifest_to_json(const Manifest& manifest);
 
-/// Atomically writes `payload` under `manifest` to `path` (tmp + fsync +
-/// rename). The manifest's payload_bytes/payload_crc32 are computed here.
-/// Throws CheckpointError on any I/O failure.
+/// Atomically writes a payload under `manifest` to `path` (tmp + fsync +
+/// rename). The payload is the concatenation of `payload`'s pieces, written
+/// in order straight from the callers' buffers. The manifest's
+/// payload_bytes/payload_crc32 are computed here. Throws CheckpointError on
+/// any I/O failure.
 void write_checkpoint_file(const std::string& path, Manifest manifest,
-                           const std::string& payload);
+                           std::initializer_list<std::string_view> payload);
 
 /// Reads and fully validates a checkpoint: magic, version, section lengths
 /// against the file size, whole-file CRC, and the manifest's embedded

@@ -32,7 +32,8 @@ void CheckpointSession::load_resume_file() {
   }
   if (r.boolean()) {
     pending_run_config_ = r.str();
-    pending_run_state_ = r.str();
+    pending_run_.bytes = r.str();
+    pending_run_.t_virtual_s = file.manifest.t_virtual_s;
   }
   if (!r.at_end()) {
     throw ck::CheckpointError{"checkpoint payload has " + std::to_string(r.remaining()) +
@@ -75,7 +76,7 @@ void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentR
   cursor_ = completed_.size();
   // The just-finished run's mid-run state (if any) is obsolete now.
   pending_run_config_.clear();
-  pending_run_state_.clear();
+  pending_run_ = {};
   if (writes_enabled()) {
     write_campaign("boundary");
   }
@@ -94,7 +95,7 @@ void CheckpointSession::check_interrupt() {
 
 std::optional<ckpt_io::RunState> CheckpointSession::take_pending_run(
     const ExperimentConfig& config) {
-  if (pending_run_state_.empty()) {
+  if (pending_run_.bytes.empty()) {
     return std::nullopt;
   }
   if (ckpt_io::config_bytes(config) != pending_run_config_) {
@@ -103,20 +104,21 @@ std::optional<ckpt_io::RunState> CheckpointSession::take_pending_run(
         "than '" +
         config.describe() + "' — resume with the identical command line"};
   }
-  ck::Reader r{pending_run_state_};
-  ckpt_io::RunState state = ckpt_io::decode_run_state(r);
+  ckpt_io::RunState state = std::move(pending_run_);
   pending_run_config_.clear();
-  pending_run_state_.clear();
+  pending_run_ = {};
   return state;
 }
 
 void CheckpointSession::write_run_checkpoint(const char* reason, const ExperimentConfig& config,
                                              const ckpt_io::RunState& state) {
+  // The run state goes to the file as its own payload piece behind its
+  // length prefix, the same bytes as w.str(state.bytes) without the copy.
   ck::Writer w;
   append_campaign_section(w);
   w.boolean(true);
   w.str(ckpt_io::config_bytes(config));
-  w.framed([&state](ck::Writer& rs) { ckpt_io::encode_run_state(rs, state); });
+  w.u64(state.bytes.size());
 
   ck::Manifest manifest;
   manifest.kind = "run";
@@ -124,7 +126,7 @@ void CheckpointSession::write_run_checkpoint(const char* reason, const Experimen
   manifest.signature = signature();
   manifest.completed = completed_.size();
   manifest.t_virtual_s = state.t_virtual_s;
-  write_file(std::move(manifest), w.take());
+  write_file(std::move(manifest), {w.data(), state.bytes});
 }
 
 void CheckpointSession::write_campaign(const char* reason) {
@@ -137,7 +139,7 @@ void CheckpointSession::write_campaign(const char* reason) {
   manifest.reason = reason;
   manifest.signature = signature();
   manifest.completed = completed_.size();
-  write_file(std::move(manifest), w.take());
+  write_file(std::move(manifest), {w.data()});
 }
 
 void CheckpointSession::append_campaign_section(ck::Writer& w) const {
@@ -150,7 +152,8 @@ void CheckpointSession::append_campaign_section(ck::Writer& w) const {
   }
 }
 
-void CheckpointSession::write_file(ck::Manifest manifest, const std::string& payload) {
+void CheckpointSession::write_file(ck::Manifest manifest,
+                                   std::initializer_list<std::string_view> payload) {
   ck::write_checkpoint_file(options_.path, std::move(manifest), payload);
   ++writes_;
   if (options_.kill_after > 0 && writes_ >= options_.kill_after) {

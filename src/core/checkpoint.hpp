@@ -9,8 +9,8 @@
 //    of re-running them, byte-identically;
 //
 //  * during an experiment (when --checkpoint-every-ms / --watchdog-ms are
-//    set) run_experiment() calls back into write_run_checkpoint() with a
-//    full ckpt_io::RunState, producing a *run* checkpoint from which the
+//    set) run_experiment() calls back into write_run_checkpoint() with the
+//    encoded ckpt_io::RunState, producing a *run* checkpoint from which the
 //    in-flight experiment resumes mid-DAG;
 //
 //  * a SIGINT/SIGTERM latch is honoured between experiments (and at the
@@ -25,8 +25,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/file.hpp"
@@ -106,7 +108,7 @@ class CheckpointSession {
 
   void load_resume_file();
   void write_campaign(const char* reason);
-  void write_file(ckpt::Manifest manifest, const std::string& payload);
+  void write_file(ckpt::Manifest manifest, std::initializer_list<std::string_view> payload);
   void append_campaign_section(ckpt::Writer& w) const;
   [[nodiscard]] std::uint64_t signature() const;
 
@@ -115,7 +117,7 @@ class CheckpointSession {
   std::size_t cursor_ = 0;
   bool last_replay_had_obs_ = false;
   std::string pending_run_config_;
-  std::string pending_run_state_;  ///< encoded RunState; empty = none
+  ckpt_io::RunState pending_run_;  ///< mid-run state to resume; empty bytes = none
   int writes_ = 0;
 };
 

@@ -1,23 +1,38 @@
 #include "core/checkpoint_io.hpp"
 
+#include <algorithm>
+
+#include "ckpt/file.hpp"
+
 namespace greencap::core::ckpt_io {
 
 namespace ck = greencap::ckpt;
 
 namespace {
 
-// -- small shared pieces -----------------------------------------------------
-
-void put_energy_reading(ck::Writer& w, const hw::EnergyReading& r) {
-  ck::put_f64_vec(w, r.cpu_joules);
-  ck::put_f64_vec(w, r.gpu_joules);
+/// Writes a length prefix, then `put` for every element; a null range
+/// is written as empty.
+template <typename Range, typename Put>
+void put_range(ck::Writer& w, const Range* range, Put&& put) {
+  if (range == nullptr) {
+    w.u64(0);
+    return;
+  }
+  w.u64(range->size());
+  for (const auto& item : *range) put(item);
 }
 
-hw::EnergyReading get_energy_reading(ck::Reader& r) {
-  hw::EnergyReading e;
-  e.cpu_joules = ck::get_f64_vec(r);
-  e.gpu_joules = ck::get_f64_vec(r);
-  return e;
+/// Reads the length prefix of a series recorded into `sink`. A series the
+/// resumed run does not record must be empty: data for it means the
+/// checkpoint belongs to a differently configured run.
+std::size_t sink_length(ck::Reader& r, std::size_t min_elem_bytes, const void* sink,
+                        const char* what) {
+  const std::size_t n = r.length(min_elem_bytes);
+  if (n != 0 && sink == nullptr) {
+    throw ck::CheckpointError{std::string{"checkpoint carries "} + what +
+                              " that the resumed run does not record"};
+  }
+  return n;
 }
 
 void put_degradation(ck::Writer& w, const std::vector<fault::DegradationEvent>& events) {
@@ -65,160 +80,19 @@ fault::FaultInjector::Counts get_fault_counts(ck::Reader& r) {
   return c;
 }
 
-void put_task_ids(ck::Writer& w, const std::vector<rt::TaskId>& ids) {
-  w.u64(ids.size());
-  for (const rt::TaskId id : ids) w.i64(id);
-}
-
-std::vector<rt::TaskId> get_task_ids(ck::Reader& r) {
-  const std::size_t n = r.length(8);
-  std::vector<rt::TaskId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ids.push_back(r.i64());
-  return ids;
-}
-
-// -- runtime snapshot --------------------------------------------------------
-
-void put_runtime(ck::Writer& w, const rt::RuntimeSnapshot& s) {
-  w.section("RTSS");
-  w.u64(s.tasks.size());
-  for (const rt::TaskSnapshot& t : s.tasks) {
-    w.u8(t.state);
-    w.i32(t.unresolved_deps);
-    w.i32(t.assigned_worker);
-    w.f64(t.ready_at_s);
-    w.f64(t.dispatched_at_s);
-    w.f64(t.data_ready_at_s);
-    w.f64(t.start_s);
-    w.f64(t.end_s);
-    w.f64(t.attributed_power_w);
-    w.i64(t.decision_index);
-  }
-  w.u64(s.workers.size());
-  for (const rt::WorkerSnapshot& wk : s.workers) {
-    w.boolean(wk.busy);
-    w.boolean(wk.quarantined);
-    w.f64(wk.busy_until_s);
-    w.f64(wk.expected_free_s);
-    w.f64(wk.link_free_s);
-    w.i64(wk.inflight);
-    put_task_ids(w, wk.queue);
-    w.u64(wk.tasks_executed);
-    w.f64(wk.busy_seconds);
-    w.f64(wk.flops_done);
-    w.f64(wk.transfer_seconds);
-    w.u64(wk.bytes_transferred);
-  }
-  ck::put_u64_vec(w, s.handle_validity);
-  ck::put_f64_vec(w, s.link_free_s);
-  w.u64(s.tasks_completed);
-  w.f64(s.flops_completed);
-  w.f64(s.last_completion_s);
-  w.boolean(s.drained);
-  ck::put_u64_array4(w, s.rng_state);
-  put_task_ids(w, s.scheduler.central);
-  w.u64(s.scheduler.pending);
-  w.u64(s.scheduler.cursor);
-  w.u64(s.perf_history.size());
-  for (const auto& h : s.perf_history) {
-    w.str(h.codelet);
-    w.i32(h.worker);
-    w.u8(h.precision);
-    w.i64(h.size_key);
-    w.u64(h.samples);
-    w.f64(h.mean_s);
-    w.f64(h.m2);
-  }
-  w.u64(s.perf_regression.size());
-  for (const auto& g : s.perf_regression) {
-    w.str(g.codelet);
-    w.i32(g.worker);
-    w.u8(g.precision);
-    w.f64(g.sum_xt);
-    w.f64(g.sum_xx);
-    w.u64(g.samples);
-  }
-  w.u64(s.structure_digest);
-}
-
-rt::RuntimeSnapshot get_runtime(ck::Reader& r) {
-  r.expect_section("RTSS");
-  rt::RuntimeSnapshot s;
-  const std::size_t n_tasks = r.length(8);
-  s.tasks.reserve(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    rt::TaskSnapshot t;
-    t.state = r.u8();
-    t.unresolved_deps = r.i32();
-    t.assigned_worker = r.i32();
-    t.ready_at_s = r.f64();
-    t.dispatched_at_s = r.f64();
-    t.data_ready_at_s = r.f64();
-    t.start_s = r.f64();
-    t.end_s = r.f64();
-    t.attributed_power_w = r.f64();
-    t.decision_index = r.i64();
-    s.tasks.push_back(t);
-  }
-  const std::size_t n_workers = r.length(8);
-  s.workers.reserve(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    rt::WorkerSnapshot wk;
-    wk.busy = r.boolean();
-    wk.quarantined = r.boolean();
-    wk.busy_until_s = r.f64();
-    wk.expected_free_s = r.f64();
-    wk.link_free_s = r.f64();
-    wk.inflight = r.i64();
-    wk.queue = get_task_ids(r);
-    wk.tasks_executed = r.u64();
-    wk.busy_seconds = r.f64();
-    wk.flops_done = r.f64();
-    wk.transfer_seconds = r.f64();
-    wk.bytes_transferred = r.u64();
-    s.workers.push_back(std::move(wk));
-  }
-  s.handle_validity = ck::get_u64_vec(r);
-  s.link_free_s = ck::get_f64_vec(r);
-  s.tasks_completed = r.u64();
-  s.flops_completed = r.f64();
-  s.last_completion_s = r.f64();
-  s.drained = r.boolean();
-  s.rng_state = ck::get_u64_array4(r);
-  s.scheduler.central = get_task_ids(r);
-  s.scheduler.pending = r.u64();
-  s.scheduler.cursor = r.u64();
-  const std::size_t n_hist = r.length(8);
-  s.perf_history.reserve(n_hist);
-  for (std::size_t i = 0; i < n_hist; ++i) {
-    rt::HistoryPerfModel::HistoryEntry h;
-    h.codelet = r.str();
-    h.worker = r.i32();
-    h.precision = r.u8();
-    h.size_key = r.i64();
-    h.samples = r.u64();
-    h.mean_s = r.f64();
-    h.m2 = r.f64();
-    s.perf_history.push_back(std::move(h));
-  }
-  const std::size_t n_reg = r.length(8);
-  s.perf_regression.reserve(n_reg);
-  for (std::size_t i = 0; i < n_reg; ++i) {
-    rt::HistoryPerfModel::RegressionEntry g;
-    g.codelet = r.str();
-    g.worker = r.i32();
-    g.precision = r.u8();
-    g.sum_xt = r.f64();
-    g.sum_xx = r.f64();
-    g.samples = r.u64();
-    s.perf_regression.push_back(std::move(g));
-  }
-  s.structure_digest = r.u64();
-  return s;
-}
-
 }  // namespace
+
+void put_energy_reading(ck::Writer& w, const hw::EnergyReading& r) {
+  ck::put_f64_vec(w, r.cpu_joules);
+  ck::put_f64_vec(w, r.gpu_joules);
+}
+
+hw::EnergyReading get_energy_reading(ck::Reader& r) {
+  hw::EnergyReading e;
+  e.cpu_joules = ck::get_f64_vec(r);
+  e.gpu_joules = ck::get_f64_vec(r);
+  return e;
+}
 
 // -- config ------------------------------------------------------------------
 
@@ -366,254 +240,180 @@ DecodedResult decode_result(ck::Reader& r) {
   return out;
 }
 
-// -- run state ---------------------------------------------------------------
+// -- run state pieces ----------------------------------------------------------
 
-void encode_run_state(ck::Writer& w, const RunState& s) {
-  w.section("RUN1");
-  w.f64(s.t_virtual_s);
-  w.f64(s.t_begin_s);
-  w.u64(s.watchdog_progress);
-  put_energy_reading(w, s.start_energy);
-  put_runtime(w, s.runtime);
-
+void put_devices(ck::Writer& w, const hw::Platform& platform,
+                 const std::vector<hw::MonotonicEnergyTracker>& trackers) {
   w.section("DEVS");
-  w.u64(s.gpus.size());
-  for (const GpuState& g : s.gpus) {
-    w.f64(g.cap_w);
-    w.boolean(g.busy);
-    w.boolean(g.failed);
-    w.f64(g.meter_power_w);
-    w.f64(g.meter_joules);
-    w.f64(g.meter_last_update_s);
+  w.u64(platform.gpu_count());
+  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
+    const hw::GpuModel& gpu = platform.gpu(g);
+    w.f64(gpu.power_cap());
+    w.boolean(gpu.busy());
+    w.boolean(gpu.failed());
+    w.f64(gpu.meter().power_w());
+    w.f64(gpu.meter().joules());
+    w.f64(gpu.meter().last_update().sec());
   }
-  w.u64(s.cpus.size());
-  for (const CpuState& c : s.cpus) {
-    w.f64(c.cap_w);
-    w.i32(c.active_cores);
-    w.f64(c.meter_power_w);
-    w.f64(c.meter_joules);
-    w.f64(c.meter_last_update_s);
+  w.u64(platform.cpu_count());
+  for (std::size_t p = 0; p < platform.cpu_count(); ++p) {
+    const hw::CpuModel& cpu = platform.cpu(p);
+    w.f64(cpu.power_cap());
+    w.i32(cpu.active_cores());
+    w.f64(cpu.meter().power_w());
+    w.f64(cpu.meter().joules());
+    w.f64(cpu.meter().last_update().sec());
   }
-  w.u64(s.trackers.size());
-  for (const TrackerState& t : s.trackers) {
-    w.f64(t.offset_j);
-    w.f64(t.last_raw_j);
-    w.i32(t.resets);
+  w.u64(trackers.size());
+  for (const hw::MonotonicEnergyTracker& t : trackers) {
+    w.f64(t.offset());
+    w.f64(t.last_raw());
+    w.i32(t.resets_seen());
   }
+}
 
-  w.section("PWRS");
-  w.u64(s.power.best_cap_w.size());
-  for (const auto& cap : s.power.best_cap_w) {
-    w.boolean(cap.has_value());
-    w.f64(cap.value_or(0.0));
+void get_devices(ck::Reader& r, hw::Platform& platform,
+                 std::vector<hw::MonotonicEnergyTracker>& trackers) {
+  auto expect_count = [&r](std::size_t live) {
+    if (r.length(8) != live) {
+      throw ck::CheckpointError{"checkpoint device state does not match the platform"};
+    }
+  };
+  r.expect_section("DEVS");
+  expect_count(platform.gpu_count());
+  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
+    const double cap_w = r.f64();
+    const bool busy = r.boolean();
+    const bool failed = r.boolean();
+    const double power_w = r.f64();
+    const double joules = r.f64();
+    const double last_update_s = r.f64();
+    platform.gpu(g).restore_state(cap_w, busy, failed, power_w, joules,
+                                  sim::SimTime::seconds(last_update_s));
   }
-  w.u64(s.power.target_mw.size());
-  for (const std::uint32_t mw : s.power.target_mw) w.u32(mw);
-  w.boolean(s.power.reconcile_active);
-  w.f64(s.power.reconcile_period_s);
-
-  w.section("FLTS");
-  w.boolean(s.has_injector);
-  if (s.has_injector) {
-    ck::put_u64_array4(w, s.injector.rng_state);
-    w.boolean(s.injector.armed);
-    w.f64(s.injector.origin_s);
-    w.u64(s.injector.remaining_count.size());
-    for (const int c : s.injector.remaining_count) w.i32(c);
-    ck::put_bool_vec(w, s.injector.gpu_dropped);
-    put_fault_counts(w, s.injector.counts);
+  expect_count(platform.cpu_count());
+  for (std::size_t p = 0; p < platform.cpu_count(); ++p) {
+    const double cap_w = r.f64();
+    const std::int32_t active_cores = r.i32();
+    const double power_w = r.f64();
+    const double joules = r.f64();
+    const double last_update_s = r.f64();
+    platform.cpu(p).restore_state(cap_w, active_cores, power_w, joules,
+                                  sim::SimTime::seconds(last_update_s));
   }
+  expect_count(trackers.size());
+  for (hw::MonotonicEnergyTracker& t : trackers) {
+    const double offset_j = r.f64();
+    const double last_raw_j = r.f64();
+    t.restore(offset_j, last_raw_j, r.i32());
+  }
+}
 
+void put_observability(ck::Writer& w, const ObsSinks& sinks,
+                       const fault::DegradationReport& degradation) {
+  const sim::Trace* trace = sinks.trace;
+  const obs::MetricsRegistry* metrics = sinks.metrics;
   w.section("OBSS");
-  w.u64(s.trace_spans.size());
-  for (const sim::Span& sp : s.trace_spans) {
+  put_range(w, trace != nullptr ? &trace->spans() : nullptr, [&w](const sim::Span& sp) {
     w.u8(static_cast<std::uint8_t>(sp.kind));
     w.i32(sp.resource);
     w.i64(sp.object);
     w.str(sp.name);
     w.f64(sp.begin.sec());
     w.f64(sp.end.sec());
-  }
-  w.u64(s.trace_markers.size());
-  for (const sim::Marker& m : s.trace_markers) {
+  });
+  put_range(w, trace != nullptr ? &trace->markers() : nullptr, [&w](const sim::Marker& m) {
     w.str(m.name);
     w.f64(m.when.sec());
-  }
-  w.u64(s.counters.size());
-  for (const auto& [name, value] : s.counters) {
-    w.str(name);
-    w.u64(value);
-  }
-  w.u64(s.gauges.size());
-  for (const auto& [name, value] : s.gauges) {
-    w.str(name);
-    w.f64(value);
-  }
-  w.u64(s.histograms.size());
-  for (const HistogramState& h : s.histograms) {
-    w.str(h.name);
-    ck::put_f64_vec(w, h.bounds);
-    ck::put_u64_vec(w, h.buckets);
-    w.u64(h.count);
-    w.f64(h.sum);
-    w.f64(h.min);
-    w.f64(h.max);
-  }
-  w.u64(s.decisions.size());
-  for (const obs::Decision& d : s.decisions) {
-    w.i64(d.task);
-    w.str(d.codelet);
-    w.str(d.worker_arch);
-    w.i32(d.chosen_worker);
-    w.f64(d.decided_at.sec());
-    w.f64(d.queue_wait_s);
-    w.f64(d.expected_exec_s);
-    w.f64(d.realized_exec_s);
-    w.u64(d.alternatives.size());
-    for (const obs::DecisionAlternative& alt : d.alternatives) {
-      w.i32(alt.worker);
-      w.f64(alt.expected_exec_s);
-      w.f64(alt.expected_transfer_s);
-      w.f64(alt.expected_energy_j);
-    }
-  }
-  w.u64(s.telemetry.size());
-  for (const obs::TelemetrySample& row : s.telemetry) {
-    w.f64(row.t.sec());
-    ck::put_f64_vec(w, row.values);
-  }
-  put_degradation(w, s.degradation);
-
-  w.section("EVTS");
-  w.u64(s.events.size());
-  for (const EventRecord& e : s.events) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.i32(e.index);
-    w.f64(e.when_s);
-  }
+  });
+  put_range(w, metrics != nullptr ? &metrics->counters() : nullptr, [&w](const auto& entry) {
+    w.str(entry.first);
+    w.u64(entry.second.value());
+  });
+  put_range(w, metrics != nullptr ? &metrics->gauges() : nullptr, [&w](const auto& entry) {
+    w.str(entry.first);
+    w.f64(entry.second.value());
+  });
+  put_range(w, metrics != nullptr ? &metrics->histograms() : nullptr, [&w](const auto& entry) {
+    const obs::Histogram& h = entry.second;
+    w.str(entry.first);
+    ck::put_f64_vec(w, h.bounds());
+    ck::put_u64_vec(w, h.buckets());
+    w.u64(h.count());
+    w.f64(h.sum());
+    w.f64(h.min());
+    w.f64(h.max());
+  });
+  put_range(w, sinks.decisions != nullptr ? &sinks.decisions->decisions() : nullptr,
+            [&w](const obs::Decision& d) {
+              w.i64(d.task);
+              w.str(d.codelet);
+              w.str(d.worker_arch);
+              w.i32(d.chosen_worker);
+              w.f64(d.decided_at.sec());
+              w.f64(d.queue_wait_s);
+              w.f64(d.expected_exec_s);
+              w.f64(d.realized_exec_s);
+              w.u64(d.alternatives.size());
+              for (const obs::DecisionAlternative& alt : d.alternatives) {
+                w.i32(alt.worker);
+                w.f64(alt.expected_exec_s);
+                w.f64(alt.expected_transfer_s);
+                w.f64(alt.expected_energy_j);
+              }
+            });
+  put_range(w, sinks.telemetry != nullptr ? &sinks.telemetry->series().samples() : nullptr,
+            [&w](const obs::TelemetrySample& row) {
+              w.f64(row.t.sec());
+              ck::put_f64_vec(w, row.values);
+            });
+  put_degradation(w, degradation.events());
 }
 
-RunState decode_run_state(ck::Reader& r) {
-  r.expect_section("RUN1");
-  RunState s;
-  s.t_virtual_s = r.f64();
-  s.t_begin_s = r.f64();
-  s.watchdog_progress = r.u64();
-  s.start_energy = get_energy_reading(r);
-  s.runtime = get_runtime(r);
-
-  r.expect_section("DEVS");
-  const std::size_t n_gpus = r.length(8);
-  s.gpus.reserve(n_gpus);
-  for (std::size_t i = 0; i < n_gpus; ++i) {
-    GpuState g;
-    g.cap_w = r.f64();
-    g.busy = r.boolean();
-    g.failed = r.boolean();
-    g.meter_power_w = r.f64();
-    g.meter_joules = r.f64();
-    g.meter_last_update_s = r.f64();
-    s.gpus.push_back(g);
-  }
-  const std::size_t n_cpus = r.length(8);
-  s.cpus.reserve(n_cpus);
-  for (std::size_t i = 0; i < n_cpus; ++i) {
-    CpuState c;
-    c.cap_w = r.f64();
-    c.active_cores = r.i32();
-    c.meter_power_w = r.f64();
-    c.meter_joules = r.f64();
-    c.meter_last_update_s = r.f64();
-    s.cpus.push_back(c);
-  }
-  const std::size_t n_trackers = r.length(8);
-  s.trackers.reserve(n_trackers);
-  for (std::size_t i = 0; i < n_trackers; ++i) {
-    TrackerState t;
-    t.offset_j = r.f64();
-    t.last_raw_j = r.f64();
-    t.resets = r.i32();
-    s.trackers.push_back(t);
-  }
-
-  r.expect_section("PWRS");
-  const std::size_t n_best = r.length(9);
-  s.power.best_cap_w.reserve(n_best);
-  for (std::size_t i = 0; i < n_best; ++i) {
-    const bool has = r.boolean();
-    const double v = r.f64();
-    s.power.best_cap_w.push_back(has ? std::optional<double>{v} : std::nullopt);
-  }
-  const std::size_t n_targets = r.length(4);
-  s.power.target_mw.reserve(n_targets);
-  for (std::size_t i = 0; i < n_targets; ++i) s.power.target_mw.push_back(r.u32());
-  s.power.reconcile_active = r.boolean();
-  s.power.reconcile_period_s = r.f64();
-
-  r.expect_section("FLTS");
-  s.has_injector = r.boolean();
-  if (s.has_injector) {
-    s.injector.rng_state = ck::get_u64_array4(r);
-    s.injector.armed = r.boolean();
-    s.injector.origin_s = r.f64();
-    const std::size_t n_counts = r.length(4);
-    s.injector.remaining_count.reserve(n_counts);
-    for (std::size_t i = 0; i < n_counts; ++i) s.injector.remaining_count.push_back(r.i32());
-    s.injector.gpu_dropped = ck::get_bool_vec(r);
-    s.injector.counts = get_fault_counts(r);
-  }
-
+void get_observability(ck::Reader& r, const ObsSinks& sinks,
+                       fault::DegradationReport& degradation) {
   r.expect_section("OBSS");
-  const std::size_t n_spans = r.length(8);
-  s.trace_spans.reserve(n_spans);
-  for (std::size_t i = 0; i < n_spans; ++i) {
-    sim::Span sp;
-    sp.kind = static_cast<sim::SpanKind>(r.u8());
+  std::vector<sim::Span> spans(sink_length(r, 8, sinks.trace, "trace spans"));
+  for (sim::Span& sp : spans) {
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(sim::SpanKind::kTransfer)) {
+      throw ck::CheckpointError{"checkpoint has a trace span of unknown kind " +
+                                std::to_string(kind)};
+    }
+    sp.kind = static_cast<sim::SpanKind>(kind);
     sp.resource = r.i32();
     sp.object = r.i64();
     sp.name = r.str();
     sp.begin = sim::SimTime::seconds(r.f64());
     sp.end = sim::SimTime::seconds(r.f64());
-    s.trace_spans.push_back(std::move(sp));
   }
-  const std::size_t n_markers = r.length(8);
-  s.trace_markers.reserve(n_markers);
-  for (std::size_t i = 0; i < n_markers; ++i) {
-    sim::Marker m;
+  std::vector<sim::Marker> markers(sink_length(r, 8, sinks.trace, "trace markers"));
+  for (sim::Marker& m : markers) {
     m.name = r.str();
     m.when = sim::SimTime::seconds(r.f64());
-    s.trace_markers.push_back(std::move(m));
   }
-  const std::size_t n_counters = r.length(8);
-  s.counters.reserve(n_counters);
-  for (std::size_t i = 0; i < n_counters; ++i) {
-    std::string name = r.str();
-    const std::uint64_t value = r.u64();
-    s.counters.emplace_back(std::move(name), value);
+  if (sinks.trace != nullptr) {
+    sinks.trace->restore(std::move(spans), std::move(markers));
   }
-  const std::size_t n_gauges = r.length(8);
-  s.gauges.reserve(n_gauges);
-  for (std::size_t i = 0; i < n_gauges; ++i) {
-    std::string name = r.str();
-    const double value = r.f64();
-    s.gauges.emplace_back(std::move(name), value);
+  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
+    const std::string name = r.str();
+    sinks.metrics->counter(name).restore(r.u64());
   }
-  const std::size_t n_hists = r.length(8);
-  s.histograms.reserve(n_hists);
-  for (std::size_t i = 0; i < n_hists; ++i) {
-    HistogramState h;
-    h.name = r.str();
-    h.bounds = ck::get_f64_vec(r);
-    h.buckets = ck::get_u64_vec(r);
-    h.count = r.u64();
-    h.sum = r.f64();
-    h.min = r.f64();
-    h.max = r.f64();
-    s.histograms.push_back(std::move(h));
+  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
+    const std::string name = r.str();
+    sinks.metrics->gauge(name).set(r.f64());
   }
-  const std::size_t n_decisions = r.length(8);
-  s.decisions.reserve(n_decisions);
-  for (std::size_t i = 0; i < n_decisions; ++i) {
+  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
+    const std::string name = r.str();
+    const std::vector<double> bounds = ck::get_f64_vec(r);
+    std::vector<std::uint64_t> buckets = ck::get_u64_vec(r);
+    const std::uint64_t count = r.u64();
+    const double sum = r.f64();
+    const double min = r.f64();
+    const double max = r.f64();
+    sinks.metrics->histogram(name, bounds).restore(std::move(buckets), count, sum, min, max);
+  }
+  for (std::size_t n = sink_length(r, 8, sinks.decisions, "decisions"); n > 0; --n) {
     obs::Decision d;
     d.task = r.i64();
     d.codelet = r.str();
@@ -623,39 +423,55 @@ RunState decode_run_state(ck::Reader& r) {
     d.queue_wait_s = r.f64();
     d.expected_exec_s = r.f64();
     d.realized_exec_s = r.f64();
-    const std::size_t n_alts = r.length(4 + 8 * 3);
-    d.alternatives.reserve(n_alts);
-    for (std::size_t j = 0; j < n_alts; ++j) {
-      obs::DecisionAlternative alt;
+    d.alternatives.resize(r.length(4 + 8 * 3));
+    for (obs::DecisionAlternative& alt : d.alternatives) {
       alt.worker = r.i32();
       alt.expected_exec_s = r.f64();
       alt.expected_transfer_s = r.f64();
       alt.expected_energy_j = r.f64();
-      d.alternatives.push_back(alt);
     }
-    s.decisions.push_back(std::move(d));
+    sinks.decisions->add(std::move(d));
   }
-  const std::size_t n_rows = r.length(8);
-  s.telemetry.reserve(n_rows);
-  for (std::size_t i = 0; i < n_rows; ++i) {
-    obs::TelemetrySample row;
+  std::vector<obs::TelemetrySample> rows(sink_length(r, 8, sinks.telemetry, "telemetry"));
+  for (obs::TelemetrySample& row : rows) {
     row.t = sim::SimTime::seconds(r.f64());
     row.values = ck::get_f64_vec(r);
-    s.telemetry.push_back(std::move(row));
   }
-  s.degradation = get_degradation(r);
+  if (sinks.telemetry != nullptr) {
+    sinks.telemetry->restore_series(std::move(rows));
+  }
+  for (fault::DegradationEvent& e : get_degradation(r)) {
+    degradation.add(std::move(e));
+  }
+}
 
+void put_events(ck::Writer& w, std::vector<std::pair<std::uint64_t, EventRecord>> pending) {
+  std::sort(pending.begin(), pending.end(),
+            [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
+  w.section("EVTS");
+  w.u64(pending.size());
+  for (const auto& [seq, e] : pending) {
+    w.u8(static_cast<std::uint8_t>(e.kind));
+    w.i32(e.index);
+    w.f64(e.when_s);
+  }
+}
+
+std::vector<EventRecord> get_events(ck::Reader& r) {
   r.expect_section("EVTS");
-  const std::size_t n_events = r.length(1 + 4 + 8);
-  s.events.reserve(n_events);
-  for (std::size_t i = 0; i < n_events; ++i) {
-    EventRecord e;
-    e.kind = static_cast<EventKind>(r.u8());
+  std::vector<EventRecord> events(r.length(1 + 4 + 8));
+  for (EventRecord& e : events) {
+    const std::uint8_t kind = r.u8();
+    if (kind < static_cast<std::uint8_t>(EventKind::kWorkerBegin) ||
+        kind > static_cast<std::uint8_t>(EventKind::kCkptTick)) {
+      throw ck::CheckpointError{"checkpoint has a pending event of unknown kind " +
+                                std::to_string(kind)};
+    }
+    e.kind = static_cast<EventKind>(kind);
     e.index = r.i32();
     e.when_s = r.f64();
-    s.events.push_back(e);
   }
-  return s;
+  return events;
 }
 
 }  // namespace greencap::core::ckpt_io

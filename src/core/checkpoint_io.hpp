@@ -11,11 +11,17 @@
 //    resume instead of re-run. Every double is stored by bit pattern, so
 //    replayed results reproduce the original artifact bytes exactly;
 //
-//  * a RunState — the complete mid-flight state of one experiment:
-//    runtime snapshot (DAG progress, workers, perf models, RNG),
+//  * a run state — the complete mid-flight state of one experiment:
+//    runtime state (DAG progress, workers, perf models, RNG),
 //    device/meter states, monotonic energy trackers, power-manager and
 //    fault-injector state, observability series, and the pending
-//    simulator events in their original scheduling order.
+//    simulator events in their original scheduling order. There is no
+//    in-memory copy of it: RunContext::capture_run_state() encodes each
+//    piece straight from the live object that owns it, and
+//    RunContext::restore() decodes each piece straight back into it. The
+//    runtime, power manager and fault injector write their private state
+//    through their own save()/load() members; the codecs below cover the
+//    state reachable through public getters and restore calls.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +31,9 @@
 
 #include "ckpt/serial.hpp"
 #include "core/experiment.hpp"
-#include "power/manager.hpp"
+#include "hw/energy_meter.hpp"
+#include "hw/platform.hpp"
+#include "obs/telemetry.hpp"
 
 namespace greencap::core::ckpt_io {
 
@@ -48,61 +56,20 @@ struct EventRecord {
   double when_s = 0.0;
 };
 
-struct GpuState {
-  double cap_w = 0.0;
-  bool busy = false;
-  bool failed = false;
-  double meter_power_w = 0.0;
-  double meter_joules = 0.0;
-  double meter_last_update_s = 0.0;
-};
-
-struct CpuState {
-  double cap_w = 0.0;
-  std::int32_t active_cores = 0;
-  double meter_power_w = 0.0;
-  double meter_joules = 0.0;
-  double meter_last_update_s = 0.0;
-};
-
-struct TrackerState {
-  double offset_j = 0.0;
-  double last_raw_j = 0.0;
-  std::int32_t resets = 0;
-};
-
-struct HistogramState {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Complete resumable state of one in-flight experiment.
+/// One captured run state: the "RUN1" encoding and the virtual time it
+/// was taken at.
 struct RunState {
   double t_virtual_s = 0.0;
-  double t_begin_s = 0.0;
-  std::uint64_t watchdog_progress = 0;
-  hw::EnergyReading start_energy;
-  rt::RuntimeSnapshot runtime;
-  std::vector<GpuState> gpus;
-  std::vector<CpuState> cpus;
-  std::vector<TrackerState> trackers;
-  power::PowerManager::Snapshot power;
-  bool has_injector = false;
-  fault::FaultInjector::Snapshot injector;
-  std::vector<sim::Span> trace_spans;
-  std::vector<sim::Marker> trace_markers;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramState> histograms;
-  std::vector<obs::Decision> decisions;
-  std::vector<obs::TelemetrySample> telemetry;
-  std::vector<fault::DegradationEvent> degradation;
-  std::vector<EventRecord> events;
+  std::string bytes;
+};
+
+/// Live observability sinks of one run; a null member is not recorded,
+/// and a checkpoint that carries data for it is rejected on decode.
+struct ObsSinks {
+  sim::Trace* trace = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::DecisionLog* decisions = nullptr;
+  obs::TelemetrySampler* telemetry = nullptr;
 };
 
 void encode_config(ckpt::Writer& w, const ExperimentConfig& config);
@@ -119,7 +86,28 @@ struct DecodedResult {
 };
 [[nodiscard]] DecodedResult decode_result(ckpt::Reader& r);
 
-void encode_run_state(ckpt::Writer& w, const RunState& state);
-[[nodiscard]] RunState decode_run_state(ckpt::Reader& r);
+void put_energy_reading(ckpt::Writer& w, const hw::EnergyReading& reading);
+[[nodiscard]] hw::EnergyReading get_energy_reading(ckpt::Reader& r);
+
+/// "DEVS": GPU/CPU caps, busy/failed flags, energy meters, and the GPUs'
+/// monotonic energy trackers. Decoding throws ckpt::CheckpointError when
+/// the device counts differ from the live platform's.
+void put_devices(ckpt::Writer& w, const hw::Platform& platform,
+                 const std::vector<hw::MonotonicEnergyTracker>& trackers);
+void get_devices(ckpt::Reader& r, hw::Platform& platform,
+                 std::vector<hw::MonotonicEnergyTracker>& trackers);
+
+/// "OBSS": trace spans and markers, metrics, decisions, telemetry rows and
+/// degradation events. Decoding restores them into the sinks (telemetry
+/// rows only: re-arming the sampler is the caller's job).
+void put_observability(ckpt::Writer& w, const ObsSinks& sinks,
+                       const fault::DegradationReport& degradation);
+void get_observability(ckpt::Reader& r, const ObsSinks& sinks,
+                       fault::DegradationReport& degradation);
+
+/// "EVTS": the pending events, written in ascending original sequence
+/// number. Decoding rejects an unknown event kind.
+void put_events(ckpt::Writer& w, std::vector<std::pair<std::uint64_t, EventRecord>> pending);
+[[nodiscard]] std::vector<EventRecord> get_events(ckpt::Reader& r);
 
 }  // namespace greencap::core::ckpt_io

@@ -1,6 +1,5 @@
 #include "core/run_context.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "ckpt/file.hpp"
@@ -268,100 +267,59 @@ void RunContext::attach_checkpointer(CheckpointSession& session) {
   runtime_->add_drain_hook([this] { checkpointer_->cancel(); });
 }
 
-ckpt_io::RunState RunContext::capture_run_state() {
+ckpt_io::ObsSinks RunContext::obs_sinks() {
   const ExperimentConfig& config = result_.config;
-  ckpt_io::RunState s;
-  s.t_virtual_s = simulator_.now().sec();
-  s.t_begin_s = t_begin_.sec();
-  s.watchdog_progress = checkpointer_ != nullptr ? checkpointer_->watchdog_progress() : 0;
-  s.start_energy = start_energy_;
-  s.runtime = runtime_->snapshot();
-  for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
-    const hw::GpuModel& gpu = platform_.gpu(g);
-    ckpt_io::GpuState gs;
-    gs.cap_w = gpu.power_cap();
-    gs.busy = gpu.busy();
-    gs.failed = gpu.failed();
-    gs.meter_power_w = gpu.meter().power_w();
-    gs.meter_joules = gpu.meter().joules();
-    gs.meter_last_update_s = gpu.meter().last_update().sec();
-    s.gpus.push_back(gs);
-  }
-  for (std::size_t p = 0; p < platform_.cpu_count(); ++p) {
-    const hw::CpuModel& cpu = platform_.cpu(p);
-    ckpt_io::CpuState cs;
-    cs.cap_w = cpu.power_cap();
-    cs.active_cores = cpu.active_cores();
-    cs.meter_power_w = cpu.meter().power_w();
-    cs.meter_joules = cpu.meter().joules();
-    cs.meter_last_update_s = cpu.meter().last_update().sec();
-    s.cpus.push_back(cs);
-  }
-  for (const hw::MonotonicEnergyTracker& tracker : gpu_energy_) {
-    ckpt_io::TrackerState ts;
-    ts.offset_j = tracker.offset();
-    ts.last_raw_j = tracker.last_raw();
-    ts.resets = tracker.resets_seen();
-    s.trackers.push_back(ts);
-  }
-  s.power = manager_.snapshot();
-  if (injector_ != nullptr) {
-    s.has_injector = true;
-    s.injector = injector_->snapshot();
-  }
+  ckpt_io::ObsSinks sinks;
   if (config.obs.trace) {
-    s.trace_spans = runtime_->trace().spans();
-    s.trace_markers = runtime_->trace().markers();
+    sinks.trace = &runtime_->trace();
   }
   if (obs_data_ != nullptr && config.obs.metrics) {
-    for (const auto& [name, counter] : obs_data_->metrics.counters()) {
-      s.counters.emplace_back(name, counter.value());
-    }
-    for (const auto& [name, gauge] : obs_data_->metrics.gauges()) {
-      s.gauges.emplace_back(name, gauge.value());
-    }
-    for (const auto& [name, hist] : obs_data_->metrics.histograms()) {
-      ckpt_io::HistogramState h;
-      h.name = name;
-      h.bounds = hist.bounds();
-      h.buckets = hist.buckets();
-      h.count = hist.count();
-      h.sum = hist.sum();
-      h.min = hist.min();
-      h.max = hist.max();
-      s.histograms.push_back(std::move(h));
-    }
+    sinks.metrics = &obs_data_->metrics;
   }
   if (obs_data_ != nullptr && config.obs.decision_log) {
-    s.decisions = obs_data_->decisions.decisions();
+    sinks.decisions = &obs_data_->decisions;
   }
-  if (config.obs.telemetry_period_ms > 0.0) {
-    s.telemetry = sampler_.series().samples();
+  if (obs_data_ != nullptr && config.obs.telemetry_period_ms > 0.0) {
+    sinks.telemetry = &sampler_;
   }
-  s.degradation = result_.degradation.events();
+  return sinks;
+}
 
-  // Pending simulator events, sorted by their original scheduling order
+ckpt_io::RunState RunContext::capture_run_state() {
+  const double now_s = simulator_.now().sec();
+  ckpt::Writer w;
+  w.section("RUN1");
+  w.f64(now_s);
+  w.f64(t_begin_.sec());
+  w.u64(checkpointer_ != nullptr ? checkpointer_->watchdog_progress() : 0);
+  ckpt_io::put_energy_reading(w, start_energy_);
+  runtime_->save(w);
+  ckpt_io::put_devices(w, platform_, gpu_energy_);
+  manager_.save(w);
+  w.section("FLTS");
+  w.boolean(injector_ != nullptr);
+  if (injector_ != nullptr) {
+    injector_->save(w);
+  }
+  ckpt_io::put_observability(w, obs_sinks(), result_.degradation);
+
+  // Pending simulator events, keyed by their original scheduling order
   // (seq) so the replay preserves every (time, seq) tie-break.
   std::vector<std::pair<std::uint64_t, ckpt_io::EventRecord>> pending;
   auto add_event = [&](ckpt_io::EventKind kind, std::int32_t index, sim::EventId id) {
-    if (!simulator_.pending(id)) {
-      return;
+    if (simulator_.pending(id)) {
+      pending.push_back({id.seq, {kind, index, simulator_.time_of(id).sec()}});
     }
-    ckpt_io::EventRecord rec;
-    rec.kind = kind;
-    rec.index = index;
-    rec.when_s = simulator_.time_of(id).sec();
-    pending.emplace_back(id.seq, rec);
   };
   for (std::size_t i = 0; i < runtime_->worker_count(); ++i) {
-    const rt::Worker& w = runtime_->worker(i);
-    if (w.inflight == nullptr) {
+    const rt::Worker& wk = runtime_->worker(i);
+    if (wk.inflight == nullptr) {
       continue;
     }
-    if (w.begin_event.seq != w.end_event.seq) {
-      add_event(ckpt_io::EventKind::kWorkerBegin, w.id(), w.begin_event);
+    if (wk.begin_event.seq != wk.end_event.seq) {
+      add_event(ckpt_io::EventKind::kWorkerBegin, wk.id(), wk.begin_event);
     }
-    add_event(ckpt_io::EventKind::kWorkerEnd, w.id(), w.end_event);
+    add_event(ckpt_io::EventKind::kWorkerEnd, wk.id(), wk.end_event);
   }
   if (manager_.reconciling()) {
     add_event(ckpt_io::EventKind::kReconcile, -1, manager_.reconcile_event());
@@ -380,83 +338,52 @@ ckpt_io::RunState RunContext::capture_run_state() {
   if (checkpointer_ != nullptr && checkpointer_->tick_armed()) {
     add_event(ckpt_io::EventKind::kCkptTick, -1, checkpointer_->tick_event());
   }
-  std::sort(pending.begin(), pending.end(),
-            [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
-  s.events.reserve(pending.size());
-  for (auto& [seq, rec] : pending) {
-    s.events.push_back(rec);
-  }
-  return s;
+  ckpt_io::put_events(w, std::move(pending));
+  return {now_s, w.take()};
 }
 
 void RunContext::restore(ckpt_io::RunState resume) {
   const ExperimentConfig& config = result_.config;
-  runtime_->finish_restore(resume.runtime);
-  if (resume.gpus.size() != platform_.gpu_count() || resume.cpus.size() != platform_.cpu_count() ||
-      resume.trackers.size() != gpu_energy_.size()) {
-    throw ckpt::CheckpointError{"checkpoint device state does not match the platform"};
+  ckpt::Reader r{resume.bytes};
+  r.expect_section("RUN1");
+  const double t_virtual_s = r.f64();
+  const double t_begin_s = r.f64();
+  const std::uint64_t watchdog_progress = r.u64();
+  hw::EnergyReading start_energy = ckpt_io::get_energy_reading(r);
+  runtime_->load(r);
+  ckpt_io::get_devices(r, platform_, gpu_energy_);
+  manager_.load(r, [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
+  r.expect_section("FLTS");
+  if (r.boolean() != (injector_ != nullptr)) {
+    throw ckpt::CheckpointError{"checkpoint fault-injector state does not match the fault plan"};
   }
-  for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
-    const ckpt_io::GpuState& gs = resume.gpus[g];
-    platform_.gpu(g).restore_state(gs.cap_w, gs.busy, gs.failed, gs.meter_power_w,
-                                   gs.meter_joules,
-                                   sim::SimTime::seconds(gs.meter_last_update_s));
+  if (injector_ != nullptr) {
+    injector_->load(r, simulator_);
   }
-  for (std::size_t p = 0; p < platform_.cpu_count(); ++p) {
-    const ckpt_io::CpuState& cs = resume.cpus[p];
-    platform_.cpu(p).restore_state(cs.cap_w, cs.active_cores, cs.meter_power_w, cs.meter_joules,
-                                   sim::SimTime::seconds(cs.meter_last_update_s));
-  }
-  for (std::size_t g = 0; g < gpu_energy_.size(); ++g) {
-    const ckpt_io::TrackerState& ts = resume.trackers[g];
-    gpu_energy_[g].restore(ts.offset_j, ts.last_raw_j, ts.resets);
-  }
-  manager_.restore(resume.power,
-                   [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
-  if (injector_ != nullptr && resume.has_injector) {
-    injector_->restore(resume.injector, simulator_);
-  }
-  if (config.obs.trace) {
-    runtime_->trace().restore(std::move(resume.trace_spans), std::move(resume.trace_markers));
-  }
-  if (obs_data_ != nullptr && config.obs.metrics) {
-    for (const auto& [name, value] : resume.counters) {
-      obs_data_->metrics.counter(name).restore(value);
-    }
-    for (const auto& [name, value] : resume.gauges) {
-      obs_data_->metrics.gauge(name).set(value);
-    }
-    for (ckpt_io::HistogramState& h : resume.histograms) {
-      obs_data_->metrics.histogram(h.name, h.bounds)
-          .restore(std::move(h.buckets), h.count, h.sum, h.min, h.max);
-    }
-  }
-  if (obs_data_ != nullptr && config.obs.decision_log) {
-    for (obs::Decision& d : resume.decisions) {
-      obs_data_->decisions.add(std::move(d));
-    }
-  }
-  if (config.obs.telemetry_period_ms > 0.0 && obs_data_ != nullptr) {
-    sampler_.restore_series(std::move(resume.telemetry));
+  const ckpt_io::ObsSinks sinks = obs_sinks();
+  ckpt_io::get_observability(r, sinks, result_.degradation);
+  if (sinks.telemetry != nullptr) {
     sampler_.resume(simulator_, sim::SimTime::millis(config.obs.telemetry_period_ms));
   }
-  for (fault::DegradationEvent& e : resume.degradation) {
-    result_.degradation.add(std::move(e));
+  const std::vector<ckpt_io::EventRecord> events = ckpt_io::get_events(r);
+  if (!r.at_end()) {
+    throw ckpt::CheckpointError{"checkpoint run state has " + std::to_string(r.remaining()) +
+                                " trailing bytes"};
   }
-  t_begin_ = sim::SimTime::seconds(resume.t_begin_s);
-  start_energy_ = resume.start_energy;
-  simulator_.restore_clock(sim::SimTime::seconds(resume.t_virtual_s));
+  t_begin_ = sim::SimTime::seconds(t_begin_s);
+  start_energy_ = std::move(start_energy);
+  simulator_.restore_clock(sim::SimTime::seconds(t_virtual_s));
 
   // Ordered replay: events re-created in ascending original seq occupy
   // the lowest new seqs, so every same-instant tie resolves as it did in
   // the checkpointed run.
   std::vector<bool> begin_replayed(runtime_->worker_count(), false);
-  for (const ckpt_io::EventRecord& e : resume.events) {
+  for (const ckpt_io::EventRecord& e : events) {
     if (e.kind == ckpt_io::EventKind::kWorkerBegin) {
       begin_replayed.at(static_cast<std::size_t>(e.index)) = true;
     }
   }
-  for (const ckpt_io::EventRecord& e : resume.events) {
+  for (const ckpt_io::EventRecord& e : events) {
     const sim::SimTime when = sim::SimTime::seconds(e.when_s);
     switch (e.kind) {
       case ckpt_io::EventKind::kWorkerBegin:
@@ -483,7 +410,7 @@ void RunContext::restore(ckpt_io::RunState resume) {
               "checkpoint has a pending watchdog probe: resume with the same "
               "--watchdog-ms as the checkpointed run"};
         }
-        checkpointer_->rearm_watchdog_at(when, resume.watchdog_progress);
+        checkpointer_->rearm_watchdog_at(when, watchdog_progress);
         break;
       case ckpt_io::EventKind::kCkptTick:
         if (checkpointer_ == nullptr) {
@@ -519,7 +446,7 @@ ExperimentResult RunContext::finish() {
     result_.energy_counter_resets += tracker.resets_seen();
   }
   if (obs_data_ != nullptr) {
-    obs_data_->trace = runtime_->trace();
+    obs_data_->trace = std::move(runtime_->trace());
     obs_data_->telemetry = sampler_.series();
     obs_data_->worker_names = runtime_->worker_names();
     if (config.obs.profile) {

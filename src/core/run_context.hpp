@@ -93,13 +93,16 @@ class RunContext {
   /// its options ask for mid-run checkpoints. Call after task submission.
   void attach_checkpointer(CheckpointSession& session);
 
-  /// Pure read of the complete resumable state; never advances meters or
-  /// the clock, so a run with checkpointing on stays byte-identical.
+  /// Encodes the complete resumable state straight from the live
+  /// components. Pure read: never advances meters or the clock, so a run
+  /// with checkpointing on stays byte-identical.
   [[nodiscard]] ckpt_io::RunState capture_run_state();
 
-  /// Overlays checkpointed dynamic state onto the freshly built component
+  /// Decodes a captured state straight into the freshly built component
   /// graph and replays pending events in original (time, seq) order. The
-  /// runtime must already hold the rebuilt static DAG (finish_restore ran).
+  /// runtime must hold the re-submitted static DAG under begin_restore().
+  /// Throws ckpt::CheckpointError, before the run continues, when the
+  /// state does not match this run or carries bytes it cannot account for.
   void restore(ckpt_io::RunState resume);
 
   /// Arms the checkpointer's fresh-run events (no-op without one; a resume
@@ -112,6 +115,9 @@ class RunContext {
   ExperimentResult finish();
 
  private:
+  /// The observability sinks this run records into (null = off).
+  [[nodiscard]] ckpt_io::ObsSinks obs_sinks();
+
   RunServices services_;
   sim::Logger log_;
   hw::Platform platform_;

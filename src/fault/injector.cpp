@@ -4,6 +4,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/file.hpp"
+#include "ckpt/serial.hpp"
+
 namespace greencap::fault {
 
 namespace {
@@ -94,24 +97,32 @@ void FaultInjector::cancel_pending() {
   pending_.clear();
 }
 
-FaultInjector::Snapshot FaultInjector::snapshot() const {
-  Snapshot s;
-  s.rng_state = rng_.state();
-  s.armed = armed_;
-  s.origin_s = origin_.sec();
-  s.remaining_count = remaining_count_;
-  s.gpu_dropped = gpu_dropped_;
-  s.counts = counts_;
-  return s;
+void FaultInjector::save(ckpt::Writer& w) const {
+  ckpt::put_u64_array4(w, rng_.state());
+  w.boolean(armed_);
+  w.f64(origin_.sec());
+  w.u64(remaining_count_.size());
+  for (const int c : remaining_count_) w.i32(c);
+  ckpt::put_bool_vec(w, gpu_dropped_);
+  w.u64(counts_.cap_write_failures);
+  w.u64(counts_.drifts);
+  w.u64(counts_.energy_resets);
+  w.u64(counts_.dropouts);
 }
 
-void FaultInjector::restore(const Snapshot& snapshot, sim::Simulator& sim) {
-  rng_.set_state(snapshot.rng_state);
-  armed_ = snapshot.armed;
-  origin_ = sim::SimTime::seconds(snapshot.origin_s);
-  remaining_count_ = snapshot.remaining_count;
-  gpu_dropped_ = snapshot.gpu_dropped;
-  counts_ = snapshot.counts;
+void FaultInjector::load(ckpt::Reader& r, sim::Simulator& sim) {
+  rng_.set_state(ckpt::get_u64_array4(r));
+  armed_ = r.boolean();
+  origin_ = sim::SimTime::seconds(r.f64());
+  if (r.length(4) != remaining_count_.size()) {
+    throw ckpt::CheckpointError{"FaultInjector: checkpoint does not match the fault plan"};
+  }
+  for (int& c : remaining_count_) c = r.i32();
+  gpu_dropped_ = ckpt::get_bool_vec(r);
+  counts_.cap_write_failures = r.u64();
+  counts_.drifts = r.u64();
+  counts_.energy_resets = r.u64();
+  counts_.dropouts = r.u64();
   sim_ = &sim;
   pending_.clear();
 }

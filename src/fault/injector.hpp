@@ -20,7 +20,6 @@
 // dependency).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -33,6 +32,11 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+
+namespace greencap::ckpt {
+class Reader;
+class Writer;
+}
 
 namespace greencap::fault {
 
@@ -103,22 +107,14 @@ class FaultInjector {
 
   // -- checkpoint support ---------------------------------------------------
 
-  /// Complete mutable state apart from the pending simulator events, which
-  /// are checkpointed (by plan index + fire time) with the global event
-  /// set and re-created via rearm_event().
-  struct Snapshot {
-    std::array<std::uint64_t, 4> rng_state{};
-    bool armed = false;
-    double origin_s = 0.0;
-    std::vector<int> remaining_count;
-    std::vector<bool> gpu_dropped;
-    Counts counts;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Appends the complete mutable state apart from the pending simulator
+  /// events, which are checkpointed (by plan index + fire time) with the
+  /// global event set and re-created via rearm_event().
+  void save(ckpt::Writer& w) const;
 
-  /// Restores the snapshot without scheduling anything; `sim` becomes the
-  /// clock for subsequent queries and rearm_event() calls.
-  void restore(const Snapshot& snapshot, sim::Simulator& sim);
+  /// Reads what save() wrote, without scheduling anything; `sim` becomes
+  /// the clock for subsequent queries and rearm_event() calls.
+  void load(ckpt::Reader& r, sim::Simulator& sim);
 
   /// Re-creates the timed event for plan entry `plan_index` at absolute
   /// time `when` (checkpoint restore of a not-yet-fired fault).

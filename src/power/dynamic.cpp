@@ -29,7 +29,7 @@ DynamicCapController::DynamicCapController(rt::Runtime& runtime, rt::Calibrator*
       fraction_{options.initial_fraction},
       step_{options.initial_step} {
   per_gpu_.resize(runtime_.platform().gpu_count());
-  for (GpuState& state : per_gpu_) {
+  for (GpuSearch& state : per_gpu_) {
     state.fraction = options.initial_fraction;
     state.step = options.initial_step;
   }
@@ -116,7 +116,7 @@ void DynamicCapController::tick_per_gpu() {
   const hw::EnergyReading reading = platform.read_energy(now);
   bool any_moved = false;
   for (std::size_t g = 0; g < per_gpu_.size(); ++g) {
-    GpuState& state = per_gpu_[g];
+    GpuSearch& state = per_gpu_[g];
     const double flops = gpu_flops(g);
     const double joules = reading.gpu_joules[g];
     const double d_flops = flops - state.last_flops;

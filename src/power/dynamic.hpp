@@ -61,7 +61,7 @@ class DynamicCapController {
   [[nodiscard]] std::optional<double> last_window_efficiency() const { return last_eff_; }
 
  private:
-  struct GpuState {
+  struct GpuSearch {
     double fraction = 1.0;
     double step = 0.1;
     double direction = -1.0;
@@ -88,7 +88,7 @@ class DynamicCapController {
   double last_flops_ = 0.0;
   double last_joules_ = 0.0;
   int adjustments_ = 0;
-  std::vector<GpuState> per_gpu_;
+  std::vector<GpuSearch> per_gpu_;
 };
 
 }  // namespace greencap::power

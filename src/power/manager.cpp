@@ -5,6 +5,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/file.hpp"
+#include "ckpt/serial.hpp"
+
 namespace greencap::power {
 
 namespace {
@@ -211,24 +214,34 @@ void PowerManager::stop_reconciliation() {
   }
 }
 
-PowerManager::Snapshot PowerManager::snapshot() const {
-  Snapshot s;
-  s.best_cap_w = best_cap_w_;
-  s.target_mw = target_mw_;
-  s.reconcile_active = reconcile_active_;
-  s.reconcile_period_s = reconcile_period_.sec();
-  return s;
+void PowerManager::save(ckpt::Writer& w) const {
+  w.section("PWRS");
+  w.u64(best_cap_w_.size());
+  for (const auto& cap : best_cap_w_) {
+    w.boolean(cap.has_value());
+    w.f64(cap.value_or(0.0));
+  }
+  w.u64(target_mw_.size());
+  for (const std::uint32_t mw : target_mw_) w.u32(mw);
+  w.boolean(reconcile_active_);
+  w.f64(reconcile_period_.sec());
 }
 
-void PowerManager::restore(const Snapshot& snapshot,
-                           std::function<void(std::size_t gpu)> on_reassert) {
-  if (snapshot.target_mw.size() != platform_.gpu_count()) {
-    throw std::invalid_argument("PowerManager: restored snapshot does not match the GPU count");
+void PowerManager::load(ckpt::Reader& r, std::function<void(std::size_t gpu)> on_reassert) {
+  r.expect_section("PWRS");
+  best_cap_w_.assign(r.length(9), std::nullopt);
+  for (auto& cap : best_cap_w_) {
+    const bool has = r.boolean();
+    const double watts = r.f64();
+    if (has) cap = watts;
   }
-  best_cap_w_ = snapshot.best_cap_w;
-  target_mw_ = snapshot.target_mw;
-  reconcile_active_ = snapshot.reconcile_active;
-  reconcile_period_ = sim::SimTime::seconds(snapshot.reconcile_period_s);
+  target_mw_.assign(r.length(4), 0);
+  if (target_mw_.size() != platform_.gpu_count()) {
+    throw ckpt::CheckpointError{"PowerManager: checkpoint does not match the GPU count"};
+  }
+  for (std::uint32_t& mw : target_mw_) mw = r.u32();
+  reconcile_active_ = r.boolean();
+  reconcile_period_ = sim::SimTime::seconds(r.f64());
   on_reassert_ = std::move(on_reassert);
   reconcile_event_ = sim::EventId{};
 }

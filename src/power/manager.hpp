@@ -33,6 +33,11 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
+namespace greencap::ckpt {
+class Reader;
+class Writer;
+}
+
 namespace greencap::power {
 
 /// Knobs for the cap-write resilience machinery. Defaults keep the
@@ -112,24 +117,19 @@ class PowerManager {
 
   // -- checkpoint support --------------------------------------------------
 
-  /// Complete mutable manager state apart from the pending reconcile
-  /// event, which is checkpointed with the global event set and re-created
-  /// via rearm_reconcile_at().
-  struct Snapshot {
-    std::vector<std::optional<double>> best_cap_w;
-    std::vector<std::uint32_t> target_mw;
-    bool reconcile_active = false;
-    double reconcile_period_s = 0.0;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
+  /// Appends the complete mutable manager state apart from the pending
+  /// reconcile event, which is checkpointed with the global event set and
+  /// re-created via rearm_reconcile_at().
+  void save(ckpt::Writer& w) const;
 
-  /// Restores the snapshot without scheduling anything. `on_reassert`
+  /// Reads what save() wrote, without scheduling anything. `on_reassert`
   /// re-attaches the caller's reconciliation callback (closures cannot be
-  /// checkpointed).
-  void restore(const Snapshot& snapshot, std::function<void(std::size_t gpu)> on_reassert = {});
+  /// checkpointed). Throws ckpt::CheckpointError if the checkpoint was
+  /// taken on a platform with a different GPU count.
+  void load(ckpt::Reader& r, std::function<void(std::size_t gpu)> on_reassert = {});
 
   /// Re-creates the pending reconcile event at absolute time `when`
-  /// (checkpoint restore; restore() must have run first).
+  /// (checkpoint restore; load() must have run first).
   void rearm_reconcile_at(sim::SimTime when);
 
   /// Pending-reconcile handle for checkpoint capture.

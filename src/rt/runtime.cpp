@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ckpt/file.hpp"
+#include "ckpt/serial.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/capture.hpp"
 #include "sim/log.hpp"
@@ -133,7 +135,7 @@ TaskId Runtime::submit(TaskDesc desc) {
   ref.unresolved_deps = pending;
   drained_ = false;  // new work re-arms the drain hooks
   // In restore mode the re-submitted DAG is structure only; true task
-  // states (including readiness) are overlaid by finish_restore().
+  // states (including readiness) are overlaid by load().
   if (pending == 0 && !restoring_) {
     make_ready(ref);
   }
@@ -806,61 +808,101 @@ std::uint64_t Runtime::structure_digest() const {
   return f.h;
 }
 
-RuntimeSnapshot Runtime::snapshot() const {
-  RuntimeSnapshot s;
-  s.tasks.reserve(tasks_.size());
+namespace {
+
+void put_task_ids(ckpt::Writer& w, const std::vector<TaskId>& ids) {
+  w.u64(ids.size());
+  for (const TaskId id : ids) w.i64(id);
+}
+
+std::vector<TaskId> get_task_ids(ckpt::Reader& r) {
+  const std::size_t n = r.length(8);
+  std::vector<TaskId> ids;
+  ids.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(r.i64());
+  return ids;
+}
+
+/// Reads a container length that must equal the live runtime's count.
+std::size_t expect_count(ckpt::Reader& r, std::size_t min_elem_bytes, std::size_t live,
+                         const char* what) {
+  const std::size_t n = r.length(min_elem_bytes);
+  if (n != live) {
+    throw ckpt::CheckpointError{"Runtime::load: checkpoint shape mismatch: " + std::to_string(n) +
+                                " " + what + " checkpointed, " + std::to_string(live) +
+                                " in the re-submitted run"};
+  }
+  return n;
+}
+
+}  // namespace
+
+void Runtime::save(ckpt::Writer& w) const {
+  w.section("RTSS");
+  w.u64(tasks_.size());
   for (const auto& t : tasks_) {
-    TaskSnapshot ts;
-    ts.state = static_cast<std::uint8_t>(t->state);
-    ts.unresolved_deps = t->unresolved_deps;
-    ts.assigned_worker = t->assigned_worker;
-    ts.ready_at_s = t->ready_at.sec();
-    ts.dispatched_at_s = t->dispatched_at.sec();
-    ts.data_ready_at_s = t->data_ready_at.sec();
-    ts.start_s = t->start_time.sec();
-    ts.end_s = t->end_time.sec();
-    ts.attributed_power_w = t->attributed_power_w;
-    ts.decision_index = t->decision_index;
-    s.tasks.push_back(ts);
+    w.u8(static_cast<std::uint8_t>(t->state));
+    w.i32(t->unresolved_deps);
+    w.i32(t->assigned_worker);
+    w.f64(t->ready_at.sec());
+    w.f64(t->dispatched_at.sec());
+    w.f64(t->data_ready_at.sec());
+    w.f64(t->start_time.sec());
+    w.f64(t->end_time.sec());
+    w.f64(t->attributed_power_w);
+    w.i64(t->decision_index);
   }
-  s.workers.reserve(workers_.size());
-  for (const Worker& w : workers_) {
-    WorkerSnapshot ws;
-    ws.busy = w.busy;
-    ws.quarantined = w.quarantined;
-    ws.busy_until_s = w.busy_until.sec();
-    ws.expected_free_s = w.expected_free.sec();
-    ws.link_free_s = w.link_free.sec();
-    ws.inflight = w.inflight != nullptr ? static_cast<std::int64_t>(w.inflight->id()) : -1;
-    ws.queue.reserve(w.queue.size());
-    for (const Task* queued : w.queue) {
-      ws.queue.push_back(queued->id());
-    }
-    ws.tasks_executed = w.tasks_executed;
-    ws.busy_seconds = w.busy_seconds;
-    ws.flops_done = w.flops_done;
-    ws.transfer_seconds = w.transfer_seconds;
-    ws.bytes_transferred = w.bytes_transferred;
-    s.workers.push_back(std::move(ws));
+  w.u64(workers_.size());
+  for (const Worker& wk : workers_) {
+    w.boolean(wk.busy);
+    w.boolean(wk.quarantined);
+    w.f64(wk.busy_until.sec());
+    w.f64(wk.expected_free.sec());
+    w.f64(wk.link_free.sec());
+    w.i64(wk.inflight != nullptr ? static_cast<std::int64_t>(wk.inflight->id()) : -1);
+    w.u64(wk.queue.size());
+    for (const Task* queued : wk.queue) w.i64(queued->id());
+    w.u64(wk.tasks_executed);
+    w.f64(wk.busy_seconds);
+    w.f64(wk.flops_done);
+    w.f64(wk.transfer_seconds);
+    w.u64(wk.bytes_transferred);
   }
-  s.handle_validity.reserve(handles_.size());
-  for (const auto& h : handles_) {
-    s.handle_validity.push_back(h->validity_mask());
+  w.u64(handles_.size());
+  for (const auto& h : handles_) w.u64(h->validity_mask());
+  w.u64(link_free_.size());
+  for (const sim::SimTime t : link_free_) w.f64(t.sec());
+  w.u64(tasks_completed_);
+  w.f64(flops_completed_);
+  w.f64(last_completion_.sec());
+  w.boolean(drained_);
+  ckpt::put_u64_array4(w, rng_.state());
+  const SchedulerSnapshot queues = scheduler_->snapshot_state();
+  put_task_ids(w, queues.central);
+  w.u64(queues.pending);
+  w.u64(queues.cursor);
+  const auto history = perf_model_.export_history();
+  w.u64(history.size());
+  for (const auto& h : history) {
+    w.str(h.codelet);
+    w.i32(h.worker);
+    w.u8(h.precision);
+    w.i64(h.size_key);
+    w.u64(h.samples);
+    w.f64(h.mean_s);
+    w.f64(h.m2);
   }
-  s.link_free_s.reserve(link_free_.size());
-  for (const sim::SimTime t : link_free_) {
-    s.link_free_s.push_back(t.sec());
+  const auto regression = perf_model_.export_regression();
+  w.u64(regression.size());
+  for (const auto& g : regression) {
+    w.str(g.codelet);
+    w.i32(g.worker);
+    w.u8(g.precision);
+    w.f64(g.sum_xt);
+    w.f64(g.sum_xx);
+    w.u64(g.samples);
   }
-  s.tasks_completed = tasks_completed_;
-  s.flops_completed = flops_completed_;
-  s.last_completion_s = last_completion_.sec();
-  s.drained = drained_;
-  s.rng_state = rng_.state();
-  s.scheduler = scheduler_->snapshot_state();
-  s.perf_history = perf_model_.export_history();
-  s.perf_regression = perf_model_.export_regression();
-  s.structure_digest = structure_digest();
-  return s;
+  w.u64(structure_digest());
 }
 
 void Runtime::begin_restore() {
@@ -870,80 +912,101 @@ void Runtime::begin_restore() {
   restoring_ = true;
 }
 
-void Runtime::finish_restore(const RuntimeSnapshot& snapshot) {
+void Runtime::load(ckpt::Reader& r) {
   if (!restoring_) {
-    throw std::logic_error("Runtime::finish_restore without begin_restore");
+    throw std::logic_error("Runtime::load without begin_restore");
   }
-  const std::uint64_t digest = structure_digest();
-  if (digest != snapshot.structure_digest) {
-    std::ostringstream oss;
-    oss << "Runtime::finish_restore: re-submitted DAG does not match the checkpoint "
-        << "(structure digest " << digest << " != " << snapshot.structure_digest
-        << "); the resumed binary or configuration differs from the checkpointed run";
-    throw std::runtime_error(oss.str());
-  }
-  if (snapshot.tasks.size() != tasks_.size() || snapshot.workers.size() != workers_.size() ||
-      snapshot.handle_validity.size() != handles_.size() ||
-      snapshot.link_free_s.size() != link_free_.size()) {
-    throw std::runtime_error("Runtime::finish_restore: checkpoint shape mismatch");
-  }
+  auto task_at = [this](std::int64_t id) {
+    if (id < 0 || static_cast<std::uint64_t>(id) >= tasks_.size()) {
+      throw ckpt::CheckpointError{"Runtime::load: task id " + std::to_string(id) +
+                                  " is out of range"};
+    }
+    return tasks_[static_cast<std::size_t>(id)].get();
+  };
 
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    Task& t = *tasks_[i];
-    const TaskSnapshot& ts = snapshot.tasks[i];
-    t.state = static_cast<TaskState>(ts.state);
-    t.unresolved_deps = ts.unresolved_deps;
-    t.assigned_worker = ts.assigned_worker;
-    t.ready_at = sim::SimTime::seconds(ts.ready_at_s);
-    t.dispatched_at = sim::SimTime::seconds(ts.dispatched_at_s);
-    t.data_ready_at = sim::SimTime::seconds(ts.data_ready_at_s);
-    t.start_time = sim::SimTime::seconds(ts.start_s);
-    t.end_time = sim::SimTime::seconds(ts.end_s);
-    t.attributed_power_w = ts.attributed_power_w;
-    t.decision_index = ts.decision_index;
+  r.expect_section("RTSS");
+  expect_count(r, 8, tasks_.size(), "tasks");
+  for (const auto& t : tasks_) {
+    const std::uint8_t state = r.u8();
+    if (state > static_cast<std::uint8_t>(TaskState::kDone)) {
+      throw ckpt::CheckpointError{"Runtime::load: unknown task state " + std::to_string(state)};
+    }
+    t->state = static_cast<TaskState>(state);
+    t->unresolved_deps = r.i32();
+    t->assigned_worker = r.i32();
+    t->ready_at = sim::SimTime::seconds(r.f64());
+    t->dispatched_at = sim::SimTime::seconds(r.f64());
+    t->data_ready_at = sim::SimTime::seconds(r.f64());
+    t->start_time = sim::SimTime::seconds(r.f64());
+    t->end_time = sim::SimTime::seconds(r.f64());
+    t->attributed_power_w = r.f64();
+    t->decision_index = r.i64();
   }
-
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Worker& w = workers_[i];
-    const WorkerSnapshot& ws = snapshot.workers[i];
-    w.busy = ws.busy;
-    w.quarantined = ws.quarantined;
-    w.busy_until = sim::SimTime::seconds(ws.busy_until_s);
-    w.expected_free = sim::SimTime::seconds(ws.expected_free_s);
-    w.link_free = sim::SimTime::seconds(ws.link_free_s);
-    w.inflight = ws.inflight >= 0 ? tasks_.at(static_cast<std::size_t>(ws.inflight)).get()
-                                  : nullptr;
+  expect_count(r, 8, workers_.size(), "workers");
+  for (Worker& wk : workers_) {
+    wk.busy = r.boolean();
+    wk.quarantined = r.boolean();
+    wk.busy_until = sim::SimTime::seconds(r.f64());
+    wk.expected_free = sim::SimTime::seconds(r.f64());
+    wk.link_free = sim::SimTime::seconds(r.f64());
+    const std::int64_t inflight = r.i64();
+    wk.inflight = inflight >= 0 ? task_at(inflight) : nullptr;
     // In-flight begin/end events are re-created by the caller's ordered
     // event replay (reschedule_begin/reschedule_end), not here.
-    w.begin_event = sim::EventId{};
-    w.end_event = sim::EventId{};
-    w.queue.clear();
-    for (const TaskId id : ws.queue) {
-      w.queue.push_back(tasks_.at(static_cast<std::size_t>(id)).get());
-    }
-    w.tasks_executed = ws.tasks_executed;
-    w.busy_seconds = ws.busy_seconds;
-    w.flops_done = ws.flops_done;
-    w.transfer_seconds = ws.transfer_seconds;
-    w.bytes_transferred = ws.bytes_transferred;
+    wk.begin_event = sim::EventId{};
+    wk.end_event = sim::EventId{};
+    wk.queue.clear();
+    for (const TaskId id : get_task_ids(r)) wk.queue.push_back(task_at(id));
+    wk.tasks_executed = r.u64();
+    wk.busy_seconds = r.f64();
+    wk.flops_done = r.f64();
+    wk.transfer_seconds = r.f64();
+    wk.bytes_transferred = r.u64();
   }
+  expect_count(r, 8, handles_.size(), "data handles");
+  for (const auto& h : handles_) h->restore_validity_mask(r.u64());
+  expect_count(r, 8, link_free_.size(), "links");
+  for (sim::SimTime& t : link_free_) t = sim::SimTime::seconds(r.f64());
+  tasks_completed_ = r.u64();
+  flops_completed_ = r.f64();
+  last_completion_ = sim::SimTime::seconds(r.f64());
+  drained_ = r.boolean();
+  rng_.set_state(ckpt::get_u64_array4(r));
+  SchedulerSnapshot queues;
+  queues.central = get_task_ids(r);
+  queues.pending = r.u64();
+  queues.cursor = r.u64();
+  scheduler_->restore_state(queues, task_at);
+  std::vector<HistoryPerfModel::HistoryEntry> history(r.length(8));
+  for (auto& h : history) {
+    h.codelet = r.str();
+    h.worker = r.i32();
+    h.precision = r.u8();
+    h.size_key = r.i64();
+    h.samples = r.u64();
+    h.mean_s = r.f64();
+    h.m2 = r.f64();
+  }
+  std::vector<HistoryPerfModel::RegressionEntry> regression(r.length(8));
+  for (auto& g : regression) {
+    g.codelet = r.str();
+    g.worker = r.i32();
+    g.precision = r.u8();
+    g.sum_xt = r.f64();
+    g.sum_xx = r.f64();
+    g.samples = r.u64();
+  }
+  perf_model_.import_state(history, regression);
 
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    handles_[i]->restore_validity_mask(snapshot.handle_validity[i]);
+  const std::uint64_t stored = r.u64();
+  const std::uint64_t digest = structure_digest();
+  if (digest != stored) {
+    std::ostringstream oss;
+    oss << "Runtime::load: re-submitted DAG does not match the checkpoint "
+        << "(structure digest " << digest << " != " << stored
+        << "); the resumed binary or configuration differs from the checkpointed run";
+    throw ckpt::CheckpointError{oss.str()};
   }
-  for (std::size_t i = 0; i < link_free_.size(); ++i) {
-    link_free_[i] = sim::SimTime::seconds(snapshot.link_free_s[i]);
-  }
-
-  tasks_completed_ = snapshot.tasks_completed;
-  flops_completed_ = snapshot.flops_completed;
-  last_completion_ = sim::SimTime::seconds(snapshot.last_completion_s);
-  drained_ = snapshot.drained;
-  rng_.set_state(snapshot.rng_state);
-  scheduler_->restore_state(snapshot.scheduler, [this](TaskId id) {
-    return tasks_.at(static_cast<std::size_t>(id)).get();
-  });
-  perf_model_.import_state(snapshot.perf_history, snapshot.perf_regression);
   restoring_ = false;
 }
 

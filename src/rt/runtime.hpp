@@ -11,7 +11,6 @@
 #pragma once
 
 #include <any>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,6 +34,11 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+
+namespace greencap::ckpt {
+class Reader;
+class Writer;
+}
 
 namespace greencap::obs {
 class TelemetrySampler;
@@ -107,60 +111,6 @@ struct TaskDesc {
   /// data dependencies inferred from access modes. Each id must reference
   /// an earlier submission.
   std::vector<TaskId> explicit_deps;
-};
-
-/// Checkpointable dynamic state of one task. Static structure (codelet,
-/// accesses, priority, label, successors) is NOT here: a resume rebuilds it
-/// by re-submitting the same DAG, which is validated against the
-/// checkpoint's structure digest.
-struct TaskSnapshot {
-  std::uint8_t state = 0;
-  std::int32_t unresolved_deps = 0;
-  std::int32_t assigned_worker = -1;
-  double ready_at_s = 0.0;
-  double dispatched_at_s = 0.0;
-  double data_ready_at_s = 0.0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-  double attributed_power_w = 0.0;
-  std::int64_t decision_index = -1;
-};
-
-/// Checkpointable dynamic state of one worker. The in-flight begin/end
-/// simulator events are checkpointed with the global pending-event set and
-/// re-created via reschedule_begin()/reschedule_end().
-struct WorkerSnapshot {
-  bool busy = false;
-  bool quarantined = false;
-  double busy_until_s = 0.0;
-  double expected_free_s = 0.0;
-  double link_free_s = 0.0;
-  std::int64_t inflight = -1;  ///< TaskId, -1 when idle
-  std::vector<TaskId> queue;
-  std::uint64_t tasks_executed = 0;
-  double busy_seconds = 0.0;
-  double flops_done = 0.0;
-  double transfer_seconds = 0.0;
-  std::uint64_t bytes_transferred = 0;
-};
-
-/// Complete resumable runtime state, captured mid-run.
-struct RuntimeSnapshot {
-  std::vector<TaskSnapshot> tasks;
-  std::vector<WorkerSnapshot> workers;
-  std::vector<std::uint64_t> handle_validity;
-  std::vector<double> link_free_s;
-  std::uint64_t tasks_completed = 0;
-  double flops_completed = 0.0;
-  double last_completion_s = 0.0;
-  bool drained = false;
-  std::array<std::uint64_t, 4> rng_state{};
-  SchedulerSnapshot scheduler;
-  std::vector<HistoryPerfModel::HistoryEntry> perf_history;
-  std::vector<HistoryPerfModel::RegressionEntry> perf_regression;
-  /// FNV-1a over the static DAG structure; a resume whose re-submitted DAG
-  /// hashes differently is rejected instead of silently diverging.
-  std::uint64_t structure_digest = 0;
 };
 
 struct RuntimeStats {
@@ -274,9 +224,13 @@ class Runtime final : public SchedulerContext {
 
   // -- checkpoint / restart --------------------------------------------------
 
-  /// Captures the complete resumable runtime state. Pure read: no clock
+  /// Appends the complete resumable runtime state to `w`: task states,
+  /// workers and their queues, handle residency, links, counters, the RNG,
+  /// scheduler queues, perf-model histories, and the structure digest.
+  /// Static structure (codelets, accesses, successors) is not written: a
+  /// resume rebuilds it by re-submitting the same DAG. Pure read: no clock
   /// advance, no device-model access, no perturbation of the run.
-  [[nodiscard]] RuntimeSnapshot snapshot() const;
+  void save(ckpt::Writer& w) const;
 
   /// FNV-1a hash of the static DAG structure (codelets, accesses,
   /// dependency edges, handle sizes) — stable across identical
@@ -285,15 +239,16 @@ class Runtime final : public SchedulerContext {
 
   /// Enters restore mode: subsequent submit() calls rebuild the DAG
   /// structure but do NOT make dependency-free tasks ready — the true task
-  /// states are overlaid by finish_restore().
+  /// states are overlaid by load().
   void begin_restore();
 
-  /// Overlays the checkpointed dynamic state onto the re-submitted DAG and
-  /// leaves restore mode. Throws std::runtime_error if the re-submitted
-  /// structure does not match the checkpoint's digest or shapes. In-flight
-  /// begin/end events are NOT re-created here; the caller replays them in
-  /// original scheduling order via reschedule_begin()/reschedule_end().
-  void finish_restore(const RuntimeSnapshot& snapshot);
+  /// Reads what save() wrote over the re-submitted DAG and leaves restore
+  /// mode. Throws ckpt::CheckpointError if the checkpoint's shapes, task
+  /// states or structure digest do not match the re-submitted run (the run
+  /// must not continue then). In-flight begin/end events are NOT
+  /// re-created here; the caller replays them in original scheduling order
+  /// via reschedule_begin()/reschedule_end().
+  void load(ckpt::Reader& r);
 
   /// Re-creates the in-flight begin event for `worker_id`'s restored task
   /// at its checkpointed start time.
@@ -360,7 +315,7 @@ class Runtime final : public SchedulerContext {
   sim::SimTime last_completion_;
   std::vector<std::function<void()>> drain_hooks_;
   bool drained_ = false;
-  /// Restore mode (between begin_restore() and finish_restore()): submit()
+  /// Restore mode (between begin_restore() and load()): submit()
   /// rebuilds structure without making tasks ready.
   bool restoring_ = false;
 

@@ -10,8 +10,6 @@ const char* to_string(SpanKind kind) {
   switch (kind) {
     case SpanKind::kTask: return "task";
     case SpanKind::kTransfer: return "transfer";
-    case SpanKind::kIdle: return "idle";
-    case SpanKind::kOverhead: return "overhead";
   }
   return "?";
 }

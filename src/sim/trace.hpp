@@ -18,8 +18,6 @@ namespace greencap::sim {
 enum class SpanKind : std::uint8_t {
   kTask,      ///< a codelet execution on a worker
   kTransfer,  ///< a data movement on a link
-  kIdle,      ///< explicit idle accounting (optional)
-  kOverhead,  ///< runtime-internal activity (scheduling, calibration)
 };
 
 [[nodiscard]] const char* to_string(SpanKind kind);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 namespace ckpt = greencap::ckpt;
 
@@ -30,7 +31,9 @@ class FileTest : public ::testing::Test {
     m.signature = 0x1122334455667788ULL;
     m.completed = 3;
     m.t_virtual_s = 1.25;
-    ckpt::write_checkpoint_file(path_, m, payload_);
+    // Two pieces, so every test also covers the chained payload CRC.
+    const std::string_view payload{payload_};
+    ckpt::write_checkpoint_file(path_, m, {payload.substr(0, 10), payload.substr(10)});
     return path_;
   }
 
@@ -62,8 +65,8 @@ TEST_F(FileTest, RoundTripPreservesManifestAndPayload) {
 }
 
 TEST_F(FileTest, BytesEqualHeaderPayloadAndWholeFileCrc) {
-  // The writer streams the payload without copying it into the header
-  // buffer; the file must still be the documented one-buffer layout.
+  // The writer streams the payload pieces without copying them into the
+  // header buffer; the file must still be the documented one-buffer layout.
   write_default();
   ckpt::Manifest m;
   m.kind = "run";
@@ -91,7 +94,7 @@ TEST_F(FileTest, RewriteIsAtomicReplacement) {
   m.kind = "campaign";
   m.reason = "boundary";
   m.completed = 4;
-  ckpt::write_checkpoint_file(path_, m, "second payload");
+  ckpt::write_checkpoint_file(path_, m, {"second payload"});
   const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
   EXPECT_EQ(file.manifest.kind, "campaign");
   EXPECT_EQ(file.payload, "second payload");

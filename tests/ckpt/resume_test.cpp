@@ -11,8 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/file.hpp"
 #include "core/checkpoint_io.hpp"
@@ -203,6 +207,53 @@ TEST_F(ResumeTest, CorruptResumeFileIsRejectedPrecisely) {
     out.write(raw.data(), static_cast<std::streamsize>(raw.size() / 2));
   }
   EXPECT_THROW(CheckpointSession{opts}, greencap::ckpt::CheckpointError);
+}
+
+TEST_F(ResumeTest, InvalidRunStateIsRejectedBeforeTheRunContinues) {
+  // Each case damages one field of a mid-run checkpoint and re-writes the
+  // file through write_checkpoint_file, so both CRCs are valid again and
+  // only the run-state decoder can catch it.
+  ExperimentConfig cfg = small_run(false);
+  cfg.obs.trace = true;
+  EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
+  const greencap::ckpt::CheckpointFile original = greencap::ckpt::read_checkpoint_file(path_);
+  ASSERT_EQ(original.manifest.kind, "run");
+  const std::size_t run_at = original.payload.find("RUN1");
+  ASSERT_NE(run_at, std::string::npos);
+  // First element of the section tagged `tag`, after its u64 count.
+  auto first_of = [&](const std::string& payload, const char* tag) {
+    const std::size_t at = payload.find(tag, run_at);
+    EXPECT_NE(at, std::string::npos) << tag;
+    std::uint64_t count = 0;
+    std::memcpy(&count, payload.data() + at + 4, sizeof count);
+    EXPECT_GT(count, 0U) << tag << " is empty";
+    return at + 4 + 8;
+  };
+
+  const std::vector<std::pair<const char*, std::function<void(std::string&)>>> cases = {
+      {"unknown pending-event kind",
+       [&](std::string& p) { p[first_of(p, "EVTS")] = 0x63; }},
+      {"unknown trace span kind", [&](std::string& p) { p[first_of(p, "OBSS")] = 2; }},
+      {"unknown task state", [&](std::string& p) { p[first_of(p, "RTSS")] = 5; }},
+      {"trailing bytes in the run-state frame",
+       [&](std::string& p) {
+         std::uint64_t frame = 0;
+         std::memcpy(&frame, p.data() + run_at - 8, sizeof frame);
+         ++frame;
+         std::memcpy(p.data() + run_at - 8, &frame, sizeof frame);
+         p.push_back('\0');
+       }},
+  };
+  for (const auto& [what, mutate] : cases) {
+    SCOPED_TRACE(what);
+    std::string payload = original.payload;
+    mutate(payload);
+    greencap::ckpt::write_checkpoint_file(path_, original.manifest, {payload});
+    EXPECT_THROW((void)resume(cfg), greencap::ckpt::CheckpointError);
+  }
+  // The undamaged file still resumes.
+  greencap::ckpt::write_checkpoint_file(path_, original.manifest, {original.payload});
+  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
 }
 
 }  // namespace

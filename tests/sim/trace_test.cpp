@@ -119,8 +119,6 @@ TEST(Trace, CsvLeavesPlainNamesUnquoted) {
 TEST(Trace, SpanKindNames) {
   EXPECT_STREQ(to_string(SpanKind::kTask), "task");
   EXPECT_STREQ(to_string(SpanKind::kTransfer), "transfer");
-  EXPECT_STREQ(to_string(SpanKind::kIdle), "idle");
-  EXPECT_STREQ(to_string(SpanKind::kOverhead), "overhead");
 }
 
 }  // namespace
