@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -92,7 +93,8 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
   const std::string manifest_json = manifest_to_json(manifest);
 
   // Everything before the payload; the payload itself goes to the file
-  // straight from the callers' buffers, with the file CRC chained over all.
+  // straight from the callers' buffers. The file CRC extends the header's
+  // over the payload by crc32_combine, so the payload is scanned once.
   Writer w;
   w.bytes(kMagic, 4);
   w.u32(kFormatVersion);
@@ -100,10 +102,8 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
   w.bytes(manifest_json.data(), manifest_json.size());
   w.u64(manifest.payload_bytes);
   const std::string& header = w.data();
-  std::uint32_t file_crc = crc32(header.data(), header.size());
-  for (const std::string_view piece : payload) {
-    file_crc = crc32(piece.data(), piece.size(), file_crc);
-  }
+  const std::uint32_t file_crc = crc32_combine(crc32(header.data(), header.size()),
+                                               manifest.payload_crc32, manifest.payload_bytes);
 
   // Scratch name unique per (process, thread): campaigns running in
   // parallel processes may checkpoint adjacent paths in one directory, and
@@ -146,21 +146,29 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
 }
 
 CheckpointFile read_checkpoint_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) fail(path, "cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string raw = buf.str();
+  std::ifstream in{path, std::ios::binary | std::ios::ate};
+  const std::streamoff end = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (end < 0) fail(path, "cannot open file");
+  const auto size = static_cast<std::size_t>(end);
+  in.seekg(0);
+  // Every byte is read once, straight into where it stays: the header up
+  // to the payload into `prefix`, the payload into file.payload.
+  auto read_into = [&](char* dst, std::size_t n) {
+    if (!in.read(dst, static_cast<std::streamsize>(n))) fail(path, "read failed");
+  };
 
-  if (raw.size() < 4 || std::memcmp(raw.data(), kMagic, 4) != 0) {
+  const std::size_t fixed = 4 + 4 + 8 + 8 + 4;  // magic+version+two lengths+CRC
+  std::string prefix(std::min(size, std::size_t{4 + 4 + 8}), '\0');
+  read_into(prefix.data(), prefix.size());
+  if (size < 4 || std::memcmp(prefix.data(), kMagic, 4) != 0) {
     fail(path, "bad magic (not a GreenCap checkpoint)");
   }
   // Fixed header after the magic: version + manifest length; then the
   // trailing 4 bytes are the whole-file CRC.
-  if (raw.size() < 4 + 4 + 8 + 8 + 4) {
-    fail(path, "truncated: " + std::to_string(raw.size()) + " bytes is shorter than the header");
+  if (size < fixed) {
+    fail(path, "truncated: " + std::to_string(size) + " bytes is shorter than the header");
   }
-  Reader header{raw.data() + 4, raw.size() - 4};
+  Reader header{prefix.data() + 4, prefix.size() - 4};
   CheckpointFile file;
   file.version = header.u32();
   if (file.version != kFormatVersion) {
@@ -169,30 +177,34 @@ CheckpointFile read_checkpoint_file(const std::string& path) {
   }
 
   const std::uint64_t manifest_len = header.u64();
-  const std::size_t fixed = 4 + 4 + 8 + 8 + 4;  // magic+version+two lengths+CRC
-  if (manifest_len > raw.size() - fixed) {
+  if (manifest_len > size - fixed) {
     fail(path, "truncated: manifest claims " + std::to_string(manifest_len) +
-                   " bytes but only " + std::to_string(raw.size() - fixed) + " remain");
+                   " bytes but only " + std::to_string(size - fixed) + " remain");
   }
-  const std::size_t manifest_at = 4 + 4 + 8;
-  file.manifest_json = raw.substr(manifest_at, manifest_len);
+  const std::size_t manifest_at = prefix.size();
+  prefix.resize(manifest_at + manifest_len + 8);
+  read_into(prefix.data() + manifest_at, manifest_len + 8);
+  file.manifest_json = prefix.substr(manifest_at, manifest_len);
 
-  Reader tail{raw.data() + manifest_at + manifest_len, raw.size() - manifest_at - manifest_len};
+  Reader tail{prefix.data() + manifest_at + manifest_len, 8};
   const std::uint64_t payload_len = tail.u64();
-  const std::size_t payload_at = manifest_at + manifest_len + 8;
-  if (payload_len > raw.size() - payload_at || raw.size() - payload_at - payload_len != 4) {
+  const std::size_t payload_at = prefix.size();
+  if (payload_len > size - payload_at || size - payload_at - payload_len != 4) {
     fail(path, "truncated: payload claims " + std::to_string(payload_len) + " bytes but " +
-                   std::to_string(raw.size() - payload_at) + " remain before the CRC");
+                   std::to_string(size - payload_at) + " remain before the CRC");
   }
-  file.payload = raw.substr(payload_at, payload_len);
+  file.payload.resize(payload_len);
+  read_into(file.payload.data(), payload_len);
+  char crc_bytes[4];
+  read_into(crc_bytes, 4);
 
-  std::uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<std::uint32_t>(
-                      static_cast<unsigned char>(raw[raw.size() - 4 + static_cast<std::size_t>(i)]))
-                  << (8 * i);
-  }
-  const std::uint32_t actual_crc = crc32(raw.data(), raw.size() - 4);
+  // One pass over the payload: its CRC certifies it against the manifest
+  // and, combined with the prefix's, equals the CRC over all bytes before
+  // the stored one.
+  const std::uint32_t payload_crc = crc32(file.payload.data(), file.payload.size());
+  const std::uint32_t stored_crc = Reader{crc_bytes, 4}.u32();
+  const std::uint32_t actual_crc =
+      crc32_combine(crc32(prefix.data(), prefix.size()), payload_crc, payload_len);
   if (stored_crc != actual_crc) {
     fail(path, "CRC mismatch: stored " + std::to_string(stored_crc) + ", computed " +
                    std::to_string(actual_crc) + " (file is corrupt)");
@@ -210,7 +222,7 @@ CheckpointFile read_checkpoint_file(const std::string& path) {
     fail(path, "manifest payload_bytes " + std::to_string(file.manifest.payload_bytes) +
                    " != actual payload size " + std::to_string(file.payload.size()));
   }
-  if (file.manifest.payload_crc32 != crc32(file.payload.data(), file.payload.size())) {
+  if (file.manifest.payload_crc32 != payload_crc) {
     fail(path, "manifest payload CRC does not match the payload");
   }
   return file;

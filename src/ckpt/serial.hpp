@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -29,34 +30,31 @@ class CorruptError : public std::runtime_error {
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes starting
 /// at `data`, seeded with `seed` so checksums can be computed in chunks.
 /// Matches zlib's crc32(), which is what tools/check_checkpoint.py uses.
+/// Slicing-by-8: eight bytes per table step, bytewise for the tail.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+
+/// The CRC-32 of the concatenation A‖B from crc1 = crc32(A), crc2 =
+/// crc32(B) and len2 = |B|, without touching the bytes (zlib's
+/// crc32_combine: GF(2) polynomial arithmetic modulo the CRC polynomial).
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2,
+                                          std::uint64_t len2);
 
 /// Append-only little-endian encoder.
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { little_endian(v); }
+  void u64(std::uint64_t v) { little_endian(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& v);
   void bytes(const void* data, std::size_t size);
 
-  /// Writes what `encode(*this)` appends behind a u64 length prefix —
-  /// the same bytes as str() of a separately built encoding, without
-  /// building and copying it.
-  template <typename Encode>
-  void framed(Encode&& encode) {
-    const std::size_t at = buf_.size();
-    u64(0);
-    std::forward<Encode>(encode)(*this);
-    const std::uint64_t size = buf_.size() - at - 8;
-    for (int i = 0; i < 8; ++i) {
-      buf_[at + static_cast<std::size_t>(i)] = static_cast<char>((size >> (8 * i)) & 0xffU);
-    }
-  }
+  /// Sizes the buffer for `size` bytes up front, so an encoding of about
+  /// that length never regrows it (each regrowth copies everything so far).
+  void reserve(std::size_t size) { buf_.reserve(size); }
 
   /// Writes a 4-character section tag. Sections carry no length — they
   /// only let the Reader fail fast with the name of the first section
@@ -67,6 +65,19 @@ class Writer {
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
+  // On a little-endian host the in-memory bytes are the encoding: one
+  // append. Elsewhere, the byte loop.
+  template <typename U>
+  void little_endian(U v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      buf_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i) {
+        buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+      }
+    }
+  }
+
   std::string buf_;
 };
 

@@ -288,6 +288,7 @@ ckpt_io::ObsSinks RunContext::obs_sinks() {
 ckpt_io::RunState RunContext::capture_run_state() {
   const double now_s = simulator_.now().sec();
   ckpt::Writer w;
+  w.reserve(last_capture_bytes_ + last_capture_bytes_ / 4);
   w.section("RUN1");
   w.f64(now_s);
   w.f64(t_begin_.sec());
@@ -339,6 +340,7 @@ ckpt_io::RunState RunContext::capture_run_state() {
     add_event(ckpt_io::EventKind::kCkptTick, -1, checkpointer_->tick_event());
   }
   ckpt_io::put_events(w, std::move(pending));
+  last_capture_bytes_ = w.data().size();
   return {now_s, w.take()};
 }
 

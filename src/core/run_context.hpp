@@ -132,6 +132,10 @@ class RunContext {
   sim::SimTime t_begin_;
   hw::EnergyReading start_energy_;
   std::unique_ptr<ckpt::Checkpointer> checkpointer_;
+  /// Size of the last captured run state. The next capture reserves a
+  /// quarter more, since a run's state grows as it progresses, so its
+  /// buffer is not regrown (and copied) while it is encoded.
+  std::size_t last_capture_bytes_ = 0;
 };
 
 }  // namespace greencap::core

@@ -82,6 +82,7 @@ void Runtime::build_workers() {
 }
 
 DataHandle* Runtime::register_data(std::uint64_t bytes, void* host_ptr, std::string name) {
+  structure_digest_.reset();
   const HandleId id = static_cast<HandleId>(handles_.size());
   if (name.empty()) {
     name = "data" + std::to_string(id);
@@ -91,6 +92,7 @@ DataHandle* Runtime::register_data(std::uint64_t bytes, void* host_ptr, std::str
 }
 
 TaskId Runtime::submit(TaskDesc desc) {
+  structure_digest_.reset();
   if (desc.codelet == nullptr) {
     throw std::invalid_argument("Runtime::submit: null codelet");
   }
@@ -783,6 +785,7 @@ struct StructureHash {
 }  // namespace
 
 std::uint64_t Runtime::structure_digest() const {
+  if (structure_digest_) return *structure_digest_;
   StructureHash f;
   f.u64(tasks_.size());
   f.u64(handles_.size());
@@ -805,6 +808,7 @@ std::uint64_t Runtime::structure_digest() const {
       f.u64(static_cast<std::uint64_t>(succ));
     }
   }
+  structure_digest_ = f.h;
   return f.h;
 }
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -234,7 +235,9 @@ class Runtime final : public SchedulerContext {
 
   /// FNV-1a hash of the static DAG structure (codelets, accesses,
   /// dependency edges, handle sizes) — stable across identical
-  /// re-submissions, different for any structural divergence.
+  /// re-submissions, different for any structural divergence. Memoized:
+  /// only submit() and register_data() change the structure, and both
+  /// drop the memo.
   [[nodiscard]] std::uint64_t structure_digest() const;
 
   /// Enters restore mode: subsequent submit() calls rebuild the DAG
@@ -330,6 +333,9 @@ class Runtime final : public SchedulerContext {
   /// Sampler to close out when the last task retires; set by
   /// register_telemetry, never owned.
   obs::TelemetrySampler* telemetry_ = nullptr;
+  /// structure_digest() of tasks_/handles_ as they are now; empty until
+  /// first asked for and after any change to either.
+  mutable std::optional<std::uint64_t> structure_digest_;
 };
 
 }  // namespace greencap::rt

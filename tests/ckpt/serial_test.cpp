@@ -4,12 +4,37 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ckpt = greencap::ckpt;
+
+namespace {
+
+/// The textbook bitwise CRC-32 (reflected IEEE polynomial) the fast one
+/// must agree with.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1U) != 0 ? 0xedb88320U ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::string bytes_of(std::initializer_list<unsigned> values) {
+  std::string s;
+  for (const unsigned v : values) s.push_back(static_cast<char>(v));
+  return s;
+}
+
+}  // namespace
 
 TEST(Serial, ScalarRoundTrip) {
   ckpt::Writer w;
@@ -72,6 +97,38 @@ TEST(Serial, EncodingIsLittleEndianAndStable) {
   EXPECT_EQ(static_cast<unsigned char>(b[3]), 0x01);
 }
 
+TEST(Serial, WriterBytesAreTheExplicitLittleEndianLayout) {
+  const std::uint64_t values[] = {0, 1, 0x0102030405060708ULL,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t v : values) {
+    std::string expected64;
+    for (int i = 0; i < 8; ++i) expected64.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+    ckpt::Writer w;
+    w.u64(v);
+    EXPECT_EQ(w.data(), expected64) << v;
+    ckpt::Writer wi;
+    wi.i64(static_cast<std::int64_t>(v));
+    EXPECT_EQ(wi.data(), expected64) << v;
+
+    const auto v32 = static_cast<std::uint32_t>(v);
+    ckpt::Writer w32;
+    w32.u32(v32);
+    EXPECT_EQ(w32.data(), expected64.substr(0, 4)) << v32;
+  }
+
+  ckpt::Writer neg_zero;
+  neg_zero.f64(-0.0);
+  EXPECT_EQ(neg_zero.data(), bytes_of({0, 0, 0, 0, 0, 0, 0, 0x80}));
+
+  // A NaN's payload bits are carried verbatim, not canonicalised.
+  const double nan = std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefULL});
+  ckpt::Writer w_nan;
+  w_nan.f64(nan);
+  EXPECT_EQ(w_nan.data(), bytes_of({0xef, 0xbe, 0xad, 0xde, 0, 0, 0xf8, 0x7f}));
+  ckpt::Reader r{w_nan.data()};
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x7ff80000deadbeefULL);
+}
+
 TEST(Serial, SectionTagMismatchNamesBothTags) {
   ckpt::Writer w;
   w.section("AAAA");
@@ -125,29 +182,49 @@ TEST(Serial, VectorHelpersRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
-TEST(Serial, FramedEqualsStrOfSeparateEncoding) {
-  auto encode = [](ckpt::Writer& w) {
-    w.section("TEST");
-    w.u64(42);
-    w.str("nested");
-    w.f64(0.5);
-  };
-  ckpt::Writer inner;
-  encode(inner);
-  ckpt::Writer copied;
-  copied.u8(7);
-  copied.str(inner.data());
-
-  ckpt::Writer framed;
-  framed.u8(7);
-  framed.framed(encode);
-  EXPECT_EQ(framed.data(), copied.data());
-}
-
 TEST(Serial, Crc32MatchesKnownVector) {
   // zlib's crc32("123456789") == 0xCBF43926 — the IEEE check value.
   EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
   // Chunked computation matches one-shot.
   const std::uint32_t part = ckpt::crc32("12345", 5);
   EXPECT_EQ(ckpt::crc32("6789", 4, part), 0xCBF43926u);
+}
+
+TEST(Serial, Crc32EqualsBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..72 cover no 8-byte block, several blocks and every tail
+  // length; start offsets 0..7 put the blocks at every alignment.
+  std::vector<unsigned char> buf(72 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>((i * 131 + 7) ^ (i >> 3));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 72; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t want = reference_crc32(p, len);
+      EXPECT_EQ(ckpt::crc32(p, len), want) << "offset " << offset << " len " << len;
+      // Chunked: every split point, the second call seeded with the first.
+      for (std::size_t split = 0; split <= len; split += 5) {
+        const std::uint32_t head = ckpt::crc32(p, split);
+        EXPECT_EQ(ckpt::crc32(p + split, len - split, head), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+      EXPECT_EQ(ckpt::crc32(p, len, 0x12345678U), reference_crc32(p, len, 0x12345678U));
+    }
+  }
+}
+
+TEST(Serial, Crc32CombineEqualsCrcOfConcatenation) {
+  std::string big(3u << 20, '\0');  // 3 MiB
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 2654435761U) >> 13);
+  }
+  const std::string a = "checkpoint header";
+  const std::string b = "payload bytes, any length";
+  auto crc = [](const std::string& s) { return ckpt::crc32(s.data(), s.size()); };
+  const std::pair<std::string, std::string> cases[] = {
+      {"", b}, {a, ""}, {"", ""}, {a, b}, {a, big}, {"", big}, {big, a}};
+  for (const auto& [x, y] : cases) {
+    EXPECT_EQ(ckpt::crc32_combine(crc(x), crc(y), y.size()), crc(x + y))
+        << "|a| = " << x.size() << ", |b| = " << y.size();
+  }
 }

@@ -109,6 +109,42 @@ TEST_F(RuntimeTest, DependentTasksSerialize) {
   EXPECT_GT(rt.stats().makespan.sec(), 2.9 * one.sec());
 }
 
+TEST_F(RuntimeTest, StructureDigestFollowsEverySubmitAndRegistration) {
+  // Odd steps register a handle, even steps submit a task that writes the
+  // newest handle and reads the first, so later submits also add edges to
+  // earlier tasks' successor lists.
+  auto build_step = [this](Runtime& rt, std::vector<DataHandle*>& handles, int step) {
+    if (step % 2 == 0) {
+      handles.push_back(rt.register_data(1024ull * static_cast<std::uint64_t>(step + 1)));
+      return;
+    }
+    TaskDesc desc;
+    desc.codelet = &noop_;
+    desc.work = gemm_work(960);
+    desc.accesses.push_back({handles.back(), AccessMode::kReadWrite});
+    if (handles.size() > 1) desc.accesses.push_back({handles.front(), AccessMode::kRead});
+    rt.submit(std::move(desc));
+  };
+
+  Runtime rt = make_runtime();
+  std::vector<DataHandle*> handles;
+  std::uint64_t previous = rt.structure_digest();
+  for (int steps = 1; steps <= 6; ++steps) {
+    build_step(rt, handles, steps - 1);
+    const std::uint64_t digest = rt.structure_digest();
+    EXPECT_NE(digest, previous) << "step " << steps << " left a stale digest";
+    EXPECT_EQ(rt.structure_digest(), digest);
+    previous = digest;
+
+    // A runtime that never took a digest until now hashes the same DAG.
+    sim::Simulator fresh_sim;
+    Runtime fresh{platform_, fresh_sim, RuntimeOptions{}};
+    std::vector<DataHandle*> fresh_handles;
+    for (int i = 0; i < steps; ++i) build_step(fresh, fresh_handles, i);
+    EXPECT_EQ(fresh.structure_digest(), digest) << "after " << steps << " steps";
+  }
+}
+
 TEST_F(RuntimeTest, EnergyAccruedDuringRun) {
   Runtime rt = make_runtime();
   TaskDesc desc;

@@ -13,6 +13,10 @@ file with tools/check_checkpoint.py, and once per run it corrupts a
 checkpoint (bit flip, then truncation) and asserts the resume rejects it
 with a nonzero exit instead of continuing from garbage.
 
+Each kill point runs in its own directory, so the reference run and the
+kill points run concurrently (at most os.cpu_count() at a time); results
+are reported in kill-point order.
+
 Stdlib only. Exit 0 when every kill point round-trips, 1 otherwise.
 
 Example (the CI invocation):
@@ -24,10 +28,13 @@ Example (the CI invocation):
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 KILL_EXIT = 137
@@ -59,6 +66,61 @@ def artifact_args(template: list[str], directory: Path) -> tuple[list[str], list
     return out, artifacts
 
 
+@dataclass
+class KillOutcome:
+    """What one kill point left behind; `resumed` is None on failure."""
+    failures: list[str] = field(default_factory=list)
+    kept: Path | None = None
+    resumes: int = 0
+    resumed: subprocess.CompletedProcess | None = None
+    artifacts: list[Path] = field(default_factory=list)
+
+
+def run_kill_point(args: argparse.Namespace, binary: Path, root: Path,
+                   kill: int) -> KillOutcome:
+    """Kills the run at the `kill`th checkpoint write, validates and keeps
+    the surviving file, then resumes until the run completes."""
+    out = KillOutcome()
+    kdir = root / f"kill{kill}"
+    kdir.mkdir()
+    kill_args, out.artifacts = artifact_args(args.args, kdir)
+    ckpt = kdir / "campaign.gckp"
+    base = [str(binary), *kill_args, "--checkpoint", str(ckpt),
+            "--checkpoint-every-ms", args.every_ms]
+
+    proc = run([*base, "--ckpt-kill-after", str(kill)], kdir)
+    if proc.returncode != KILL_EXIT:
+        out.failures.append(
+            f"kill={kill}: expected exit {KILL_EXIT} from the kill hook, "
+            f"got {proc.returncode}")
+        return out
+    if not ckpt.is_file():
+        out.failures.append(f"kill={kill}: no checkpoint file survived the kill")
+        return out
+
+    check = run([sys.executable, str(args.checker), str(ckpt)], kdir)
+    if check.returncode != 0:
+        out.failures.append(
+            f"kill={kill}: surviving checkpoint failed validation:\n"
+            f"{check.stderr}")
+        return out
+    out.kept = root / f"kept_{kill}.gckp"
+    shutil.copyfile(ckpt, out.kept)
+
+    while out.resumes < MAX_RESUMES:
+        proc = run([*base, "--resume", str(ckpt)], kdir)
+        out.resumes += 1
+        if proc.returncode != KILL_EXIT:
+            break
+    if proc.returncode != 0:
+        out.failures.append(
+            f"kill={kill}: resume #{out.resumes} exited {proc.returncode}:\n"
+            f"{proc.stderr}")
+        return out
+    out.resumed = proc
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", type=Path, required=True,
@@ -86,7 +148,12 @@ def main() -> int:
         ref_dir = root / "ref"
         ref_dir.mkdir()
         ref_args, ref_artifacts = artifact_args(args.args, ref_dir)
-        ref = run([str(binary), *ref_args], ref_dir)
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            ref_future = pool.submit(run, [str(binary), *ref_args], ref_dir)
+            kill_futures = [pool.submit(run_kill_point, args, binary, root, kill)
+                            for kill in kill_points]
+            ref = ref_future.result()
+            outcomes = [f.result() for f in kill_futures]
         if ref.returncode != 0:
             print(f"FAIL reference run exited {ref.returncode}:\n{ref.stderr}",
                   file=sys.stderr)
@@ -98,58 +165,29 @@ def main() -> int:
                 return 1
 
         last_checkpoint: Path | None = None
-        for kill in kill_points:
-            kdir = root / f"kill{kill}"
-            kdir.mkdir()
-            kill_args, kill_artifacts = artifact_args(args.args, kdir)
-            ckpt = kdir / "campaign.gckp"
-            base = [str(binary), *kill_args, "--checkpoint", str(ckpt),
-                    "--checkpoint-every-ms", args.every_ms]
-
-            proc = run([*base, "--ckpt-kill-after", str(kill)], kdir)
-            if proc.returncode != KILL_EXIT:
-                failures.append(
-                    f"kill={kill}: expected exit {KILL_EXIT} from the kill hook, "
-                    f"got {proc.returncode}")
+        for kill, out in zip(kill_points, outcomes):
+            failures.extend(out.failures)
+            if out.kept is not None:
+                last_checkpoint = out.kept
+            if out.resumed is None:
                 continue
-            if not ckpt.is_file():
-                failures.append(f"kill={kill}: no checkpoint file survived the kill")
-                continue
-
-            check = run([sys.executable, str(args.checker), str(ckpt)], kdir)
-            if check.returncode != 0:
-                failures.append(
-                    f"kill={kill}: surviving checkpoint failed validation:\n"
-                    f"{check.stderr}")
-                continue
-            last_checkpoint = root / f"kept_{kill}.gckp"
-            shutil.copyfile(ckpt, last_checkpoint)
-
-            resumes = 0
-            while resumes < MAX_RESUMES:
-                proc = run([*base, "--resume", str(ckpt)], kdir)
-                resumes += 1
-                if proc.returncode != KILL_EXIT:
-                    break
-            if proc.returncode != 0:
-                failures.append(
-                    f"kill={kill}: resume #{resumes} exited {proc.returncode}:\n"
-                    f"{proc.stderr}")
-                continue
-
-            if proc.stdout != ref.stdout:
+            ok = True
+            if out.resumed.stdout != ref.stdout:
+                ok = False
                 failures.append(
                     f"kill={kill}: resumed stdout differs from the reference run")
-            for ref_art, kill_art in zip(ref_artifacts, kill_artifacts):
+            for ref_art, kill_art in zip(ref_artifacts, out.artifacts):
                 if not kill_art.is_file():
+                    ok = False
                     failures.append(f"kill={kill}: artifact {kill_art.name} missing")
                 elif ref_art.read_bytes() != kill_art.read_bytes():
+                    ok = False
                     failures.append(
                         f"kill={kill}: artifact {kill_art.name} is not "
                         f"byte-identical to the reference")
-            if not any(f.startswith(f"kill={kill}:") for f in failures):
-                print(f"kill={kill}: OK after {resumes} resume(s) — "
-                      f"{len(kill_artifacts)} artifact(s) byte-identical")
+            if ok:
+                print(f"kill={kill}: OK after {out.resumes} resume(s) — "
+                      f"{len(out.artifacts)} artifact(s) byte-identical")
 
         # Corrupt-checkpoint rejection: a resume must refuse a bit-flipped
         # or truncated file with a nonzero exit, never run from garbage.
