@@ -79,7 +79,7 @@ Outcome run_stream(Mode mode, int nt) {
 namespace {
 
 int run(int argc, char** argv) {
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
+  const bench::SweepCli cli = bench::SweepCli::parse(argc, argv);
   const int nt = cli.quick ? 8 : 13;
 
   core::Table table{{"mode", "Gflop/s", "Gflop/s/W", "final cap W"}};

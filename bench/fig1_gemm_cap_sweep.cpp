@@ -10,7 +10,7 @@ using namespace greencap;
 
 namespace {
 
-void sweep_table(const bench::Cli& cli, hw::Precision precision) {
+void sweep_table(const bench::SweepCli& cli, hw::Precision precision) {
   const hw::GpuArchSpec arch = hw::presets::a100_sxm4();
   const std::vector<int> sizes = {1024, 2048, 3072, 4096, 5120};
   const double step = cli.quick ? 10.0 : 2.0;
@@ -60,7 +60,7 @@ void sweep_table(const bench::Cli& cli, hw::Precision precision) {
 namespace {
 
 int run(int argc, char** argv) {
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
+  const bench::SweepCli cli = bench::SweepCli::parse(argc, argv);
   sweep_table(cli, hw::Precision::kDouble);
   sweep_table(cli, hw::Precision::kSingle);
   std::cout << "\nPaper anchors: double peak at 54 % TDP (saving 28.81 %, slowdown 22.93 %); "

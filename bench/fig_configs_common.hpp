@@ -39,7 +39,9 @@ inline void run_config_figure(const Cli& cli, hw::Precision precision, const cha
 
       core::ExperimentConfig base_cfg = experiment_for(
           row, power::GpuConfig::uniform(gpus, power::Level::kHigh).to_string(), cli);
-      cli.apply_observability_first(base_cfg);
+      if (groups.empty()) {
+        base_cfg.obs = cli.flags.observability();  // the campaign's one capture
+      }
       configs.push_back(std::move(base_cfg));
       config_group.push_back(groups.size());
       group.expected = 1;

@@ -7,283 +7,62 @@
 #pragma once
 
 #include <cstdlib>
-#include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ckpt/signal.hpp"
-#include "core/checkpoint.hpp"
-#include "core/cli_flags.hpp"
-#include "core/engine.hpp"
-#include "core/experiment.hpp"
+#include "core/campaign_flags.hpp"
 #include "core/paper_params.hpp"
 #include "core/report.hpp"
-#include "obs/artifact.hpp"
 #include "obs/json.hpp"
-#include "obs/trace_export.hpp"
-#include "prof/html_report.hpp"
-#include "prof/profile.hpp"
 
 namespace greencap::bench {
 
-/// Wraps a bench main: SIGINT/SIGTERM checkpoints exit with the
-/// conventional interrupt code, everything else with an error line.
-template <typename Fn>
-int run_guarded(Fn&& fn) {
-  try {
-    return fn();
-  } catch (const ckpt::InterruptedError& err) {
-    std::cerr << err.what() << "\n";
-    return ckpt::kInterruptExitCode;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+using core::run_guarded;
+
+/// --help lines of the flags every bench binary takes.
+inline constexpr const char* kSweepHelp =
+    "  --csv                    also emit CSV after each table\n"
+    "  --quick                  coarser sweeps (CI smoke mode)\n"
+    "  --jobs N                 run the campaign on N worker threads (default 1; 0 = all cores)\n"
+    "  --summary-json FILE      machine-readable summary of every table\n";
+
+/// The bench harness's "wrote" line, on stderr so stdout stays the tables.
+inline void wrote_to_stderr(const char* what, const std::string& path) {
+  std::cerr << "wrote " << what << ": " << path << "\n";
 }
 
-struct Cli {
+/// The flags every bench binary takes: --csv, --quick, --jobs and
+/// --summary-json. Binaries that run no experiments (cap sweeps, the
+/// dynamic-cap streams) parse with this type alone, so the capture,
+/// resilience and checkpoint flags they would ignore are unknown to them.
+class SweepCli {
+ public:
   bool csv = false;
   bool quick = false;  ///< coarser sweeps for smoke runs
-  /// Campaign worker threads (1 = serial, 0 = hardware concurrency). Runs
-  /// execute on isolated contexts; results and artifacts emit in config
-  /// order, so output is byte-identical at any value.
-  int jobs = 1;
-  // Observability capture for the *first* experiment a binary runs (the
-  // figures loop over dozens of configs; one representative profile is
-  // what you want for a Perfetto look at the schedule).
-  std::string trace_json;
-  std::string metrics_json;
-  std::string profile_json;
-  std::string profile_html;
-  double telemetry_period_ms = 0.0;
   /// Machine-readable per-figure summary (every table the binary emits).
   std::string summary_json;
-  // Fault-injection / resilience pass-through (docs/ROBUSTNESS.md); applied
-  // to every experiment the binary runs, unlike the one-shot capture above.
-  core::ResilienceConfig resilience;
-  // Checkpoint/restart knobs (docs/CHECKPOINTING.md); all off by default.
-  core::CheckpointOptions ckpt;
+  /// The shared campaign flag table; a SweepCli registers only --jobs.
+  core::CampaignFlags flags;
 
-  static Cli parse(int argc, char** argv) {
-    Cli cli;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") {
-        std::cout << "usage: " << argv[0]
-                  << " [--csv] [--quick] [--trace-json FILE] [--metrics-json FILE]"
-                     " [--telemetry-period-ms N]\n"
-                  << "  --csv                    also emit CSV after each table\n"
-                  << "  --quick                  coarser sweeps (CI smoke mode)\n"
-                  << "  --jobs N                 run the campaign on N worker threads"
-                     " (default 1; 0 = all cores)\n"
-                  << "  --trace-json FILE        Perfetto export of the first experiment\n"
-                  << "  --metrics-json FILE      metrics snapshot of the first experiment\n"
-                  << "  --profile-json FILE      energy-attribution profile of the first run\n"
-                  << "  --profile-html FILE      self-contained HTML report of the first run\n"
-                  << "  --summary-json FILE      machine-readable summary of every table\n"
-                  << "  --telemetry-period-ms N  telemetry sampling period for the capture\n"
-                  << "  --faults SPEC            fault plan (kind@gpuN:k=v,... or @FILE)\n"
-                  << "  --fault-seed N           injector RNG seed\n"
-                  << "  --reconcile-ms N         cap reconciliation period (virtual ms)\n"
-                  << "  --degrade                degrade to H on cap failure\n"
-                  << "  --cap-retries N          cap-write retry budget (default 3)\n"
-                  << "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
-                  << "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
-                  << "  --watchdog-ms N          abort (with checkpoint) after N virtual ms"
-                     " without progress\n"
-                  << "  --resume FILE            resume a killed run from FILE\n"
-                  << "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth"
-                     " checkpoint write\n";
-        std::exit(0);
-      }
-    }
-    core::FlagParser parser;
-    parser.flag("--csv", &cli.csv);
-    parser.flag("--quick", &cli.quick);
-    parser.i32("--jobs", &cli.jobs);
-    parser.str("--trace-json", &cli.trace_json);
-    parser.str("--metrics-json", &cli.metrics_json);
-    parser.str("--profile-json", &cli.profile_json);
-    parser.str("--profile-html", &cli.profile_html);
-    parser.str("--summary-json", &cli.summary_json);
-    parser.f64("--telemetry-period-ms", &cli.telemetry_period_ms);
-    parser.str("--faults", &cli.resilience.faults);
-    parser.u64("--fault-seed", &cli.resilience.fault_seed);
-    parser.f64("--reconcile-ms", &cli.resilience.reconcile_ms);
-    parser.flag("--degrade", &cli.resilience.degrade);
-    parser.i32("--cap-retries", &cli.resilience.max_cap_retries);
-    parser.str("--checkpoint", &cli.ckpt.path);
-    parser.str("--resume", &cli.ckpt.resume_path);
-    parser.f64("--checkpoint-every-ms", &cli.ckpt.every_ms);
-    parser.f64("--watchdog-ms", &cli.ckpt.watchdog_ms);
-    parser.i32("--ckpt-kill-after", &cli.ckpt.kill_after);
-    const std::string err = parser.parse(argc, argv);
-    if (!err.empty()) {
-      std::cerr << argv[0] << ": " << err << "\n";
-      std::exit(2);
-    }
-    if (cli.jobs < 0) {
-      std::cerr << argv[0] << ": --jobs must be >= 0\n";
-      std::exit(2);
-    }
-    if (!cli.ckpt.path.empty() || !cli.ckpt.resume_path.empty() || cli.ckpt.every_ms > 0.0 ||
-        cli.ckpt.watchdog_ms > 0.0) {
-      if (cli.jobs != 1) {
-        // A checkpoint session replays a strictly serial campaign prefix and
-        // commits each run's artifacts in order; a parallel pool cannot
-        // honor that contract, so refuse loudly instead of degrading.
-        std::cerr << argv[0]
-                  << ": --checkpoint/--resume/--checkpoint-every-ms/--watchdog-ms require "
-                     "--jobs 1 (checkpoint sessions are serial); drop --jobs or the "
-                     "checkpoint flags\n";
-        std::exit(2);
-      }
-      ckpt::install_signal_handlers();
-      cli.session_ = std::make_shared<core::CheckpointSession>(cli.ckpt);
-    }
-    core::EngineOptions eng;
-    eng.jobs = cli.jobs;
-    cli.engine_ = std::make_shared<core::CampaignEngine>(eng);
+  static SweepCli parse(int argc, char** argv) {
+    SweepCli cli;
+    cli.parse_flags(argc, argv, [&](core::FlagParser& p) { cli.flags.add_jobs(p); });
     return cli;
   }
 
-  /// Runs (or, on a resume, replays) one experiment through the checkpoint
-  /// session. Without checkpoint flags this is exactly core::run_experiment.
-  /// Artifacts are exported BEFORE the boundary checkpoint commits, so a
-  /// kill at the boundary never loses them; a replayed experiment that had
-  /// already exported marks the capture consumed.
-  [[nodiscard]] core::ExperimentResult run_experiment(const core::ExperimentConfig& cfg) const {
-    if (session_ == nullptr) {
-      return core::run_experiment(cfg);
-    }
-    if (auto replayed = session_->try_replay(cfg)) {
-      if (session_->last_replay_had_observability()) {
-        captured_ = true;
-      }
-      return std::move(*replayed);
-    }
-    core::ExperimentResult result = core::run_experiment(cfg, session_.get());
-    maybe_export(result);
-    session_->commit(cfg, result);
-    return result;
-  }
-
-  /// Runs a whole campaign through the engine. `on_result` fires on this
-  /// thread in strict config order at every --jobs value, so tables,
-  /// artifacts and stdout bytes are identical to a serial run. Checkpoint
-  /// sessions take the serial per-run path (prefix replay and
-  /// export-before-commit are order-sensitive; parse() already rejects
-  /// --checkpoint with --jobs != 1).
-  void run_all(const std::vector<core::ExperimentConfig>& configs,
-               const std::function<void(std::size_t, const core::ExperimentResult&)>& on_result)
-      const {
-    if (session_ != nullptr) {
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        const core::ExperimentResult r = run_experiment(configs[i]);
-        on_result(i, r);
-      }
-      return;
-    }
-    (void)engine_->run(configs, [&](std::size_t i, core::ExperimentResult& r) {
-      maybe_export(r);
-      on_result(i, r);
-    });
-  }
-
-  /// The engine driving run_all (exposed for sweeps that parallelize via
-  /// for_each_index rather than config lists).
-  [[nodiscard]] core::CampaignEngine& engine() const { return *engine_; }
-
-  [[nodiscard]] bool observability_requested() const {
-    return !trace_json.empty() || !metrics_json.empty() || !profile_json.empty() ||
-           !profile_html.empty() || telemetry_period_ms > 0.0;
-  }
-
-  /// Copies the resilience knobs onto `cfg` (no-op with default knobs).
-  void apply_resilience(core::ExperimentConfig& cfg) const { cfg.resilience = resilience; }
-
-  /// apply_observability() for campaigns whose configs are all built before
-  /// any run starts: marks the capture slot consumed at build time, so
-  /// exactly one config of the batch carries it (the first call's).
-  void apply_observability_first(core::ExperimentConfig& cfg) const {
-    if (obs_assigned_) {
-      return;
-    }
-    obs_assigned_ = true;
-    apply_observability(cfg);
-  }
-
-  /// Enables capture on `cfg` if requested and not yet consumed by an
-  /// earlier experiment of this process.
-  void apply_observability(core::ExperimentConfig& cfg) const {
-    if (captured_ || !observability_requested()) {
-      return;
-    }
-    cfg.obs.trace = !trace_json.empty();
-    cfg.obs.metrics = !metrics_json.empty();
-    cfg.obs.profile = !profile_json.empty() || !profile_html.empty();
-    cfg.obs.telemetry_period_ms =
-        telemetry_period_ms > 0.0
-            ? telemetry_period_ms
-            : ((trace_json.empty() && !cfg.obs.profile) ? 0.0 : 10.0);
-  }
-
-  /// Writes the capture files the first time a result carries them. Any
-  /// failed write exits nonzero — a truncated artifact must not look like
-  /// a successful run.
-  void maybe_export(const core::ExperimentResult& result) const {
-    if (captured_ || result.observability == nullptr) {
-      return;
-    }
-    captured_ = true;
-    const core::ObservabilityData& data = *result.observability;
-    auto checked = [](const std::string& path, const char* what, auto&& writer) {
-      if (!greencap::obs::write_artifact(path, what, writer)) {
-        std::exit(1);
-      }
-      std::cerr << "wrote " << what << ": " << path << "\n";
-    };
-    if (!trace_json.empty()) {
-      checked(trace_json, "trace", [&](std::ostream& os) {
-        greencap::obs::ChromeTraceOptions opts;
-        opts.telemetry = &data.telemetry;
-        opts.worker_names = data.worker_names;
-        greencap::obs::write_chrome_trace(os, data.trace, opts);
-      });
-    }
-    if (!metrics_json.empty()) {
-      checked(metrics_json, "metrics", [&](std::ostream& os) { data.metrics.write_json(os); });
-    }
-    if (!profile_json.empty() || !profile_html.empty()) {
-      prof::AnalyzeOptions popts;
-      popts.decisions = &data.decisions;
-      popts.telemetry = &data.telemetry;
-      const prof::Profile profile = prof::analyze(data.capture, popts);
-      if (!profile_json.empty()) {
-        checked(profile_json, "profile", [&](std::ostream& os) { profile.write_json(os); });
-      }
-      if (!profile_html.empty()) {
-        checked(profile_html, "report",
-                [&](std::ostream& os) { prof::write_html_report(os, profile); });
-      }
-    }
-  }
+  /// The campaign engine at --jobs (sweeps fan out with for_each_index).
+  [[nodiscard]] core::CampaignEngine& engine() const { return driver_->engine(); }
 
   /// Records one emitted table for the --summary-json export.
   void record_figure(const core::Table& table, const std::string& title) const {
-    if (summary_json.empty()) {
-      return;
+    if (!summary_json.empty()) {
+      figures_.emplace_back(title, table);
     }
-    SummaryFigure fig;
-    fig.title = title;
-    fig.columns = table.headers();
-    fig.rows = table.row_cells();
-    figures_.push_back(std::move(fig));
   }
 
   /// Writes BENCH_summary.json-style output: every table the binary
@@ -298,47 +77,96 @@ struct Cli {
     if (slash != std::string::npos) {
       binary = binary.substr(slash + 1);
     }
-    const bool ok = greencap::obs::write_artifact(
-        summary_json, "summary", [&](std::ostream& os) {
+    core::export_artifact(
+        summary_json, "summary",
+        [&](std::ostream& os) {
+          auto strings = [&os](const std::vector<std::string>& cells) {
+            os << "[";
+            for (std::size_t c = 0; c < cells.size(); ++c) {
+              os << (c ? "," : "") << obs::json_string(cells[c]);
+            }
+            os << "]";
+          };
           os << "{\"schema_version\":1,\"binary\":" << obs::json_string(binary)
              << ",\"figures\":[";
           for (std::size_t f = 0; f < figures_.size(); ++f) {
-            const SummaryFigure& fig = figures_[f];
-            os << (f ? ",\n" : "\n") << "{\"title\":" << obs::json_string(fig.title)
-               << ",\"columns\":[";
-            for (std::size_t c = 0; c < fig.columns.size(); ++c) {
-              os << (c ? "," : "") << obs::json_string(fig.columns[c]);
-            }
-            os << "],\"rows\":[";
-            for (std::size_t r = 0; r < fig.rows.size(); ++r) {
-              os << (r ? "," : "") << "[";
-              for (std::size_t c = 0; c < fig.rows[r].size(); ++c) {
-                os << (c ? "," : "") << obs::json_string(fig.rows[r][c]);
-              }
-              os << "]";
+            const auto& [title, table] = figures_[f];
+            os << (f ? ",\n" : "\n") << "{\"title\":" << obs::json_string(title)
+               << ",\"columns\":";
+            strings(table.headers());
+            os << ",\"rows\":[";
+            for (std::size_t r = 0; r < table.row_cells().size(); ++r) {
+              os << (r ? "," : "");
+              strings(table.row_cells()[r]);
             }
             os << "]}";
           }
           os << "\n]}\n";
-        });
-    if (!ok) {
-      std::exit(1);
-    }
-    std::cerr << "wrote summary: " << summary_json << "\n";
+        },
+        wrote_to_stderr);
   }
 
- private:
-  struct SummaryFigure {
-    std::string title;
-    std::vector<std::string> columns;
-    std::vector<std::vector<std::string>> rows;
-  };
+ protected:
+  /// Parses argv against --csv, --quick, --summary-json and whatever
+  /// `add_flags` registers, whose --help sections are `more_help`. A bad
+  /// flag exits 2. Then opens the engine (and the session, if asked for).
+  template <typename AddFlags>
+  void parse_flags(int argc, char** argv, AddFlags&& add_flags,
+                   std::initializer_list<const char*> more_help = {}) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: " << argv[0] << " [options]\n" << kSweepHelp;
+        for (const char* section : more_help) {
+          std::cout << section;
+        }
+        std::exit(0);
+      }
+    }
+    core::FlagParser parser;
+    parser.flag("--csv", &csv);
+    parser.flag("--quick", &quick);
+    parser.str("--summary-json", &summary_json);
+    add_flags(parser);
+    if (const std::string err = flags.parse(parser, argc, argv); !err.empty()) {
+      std::cerr << argv[0] << ": " << err << "\n";
+      std::exit(2);
+    }
+    driver_ = std::make_unique<core::CampaignDriver>(flags);
+  }
 
-  mutable bool captured_ = false;
-  mutable bool obs_assigned_ = false;
-  mutable std::vector<SummaryFigure> figures_;
-  std::shared_ptr<core::CheckpointSession> session_;
-  std::shared_ptr<core::CampaignEngine> engine_;
+  std::unique_ptr<core::CampaignDriver> driver_;
+
+ private:
+  /// Every emitted table under its title, for write_summary().
+  mutable std::vector<std::pair<std::string, core::Table>> figures_;
+};
+
+/// A bench binary that runs experiments: the whole shared flag table.
+/// Observability capture goes to the one config a binary assigns
+/// flags.observability() to when it builds its campaign (the first run
+/// for the figures); resilience knobs apply to every run.
+class Cli : public SweepCli {
+ public:
+  static Cli parse(int argc, char** argv) {
+    Cli cli;
+    cli.parse_flags(argc, argv, [&](core::FlagParser& p) { cli.flags.add_all(p); },
+                    {core::kCaptureHelp, core::kResilienceHelp, core::kCheckpointHelp});
+    return cli;
+  }
+
+  /// Runs a whole campaign through the engine (and the checkpoint session,
+  /// if any). `on_result` fires on this thread in strict config order at
+  /// every --jobs value, right after the result's capture files are
+  /// written, so tables, artifacts and stdout bytes match a serial run.
+  void run_all(const std::vector<core::ExperimentConfig>& configs,
+               const std::function<void(std::size_t, const core::ExperimentResult&)>& on_result)
+      const {
+    (void)driver_->run(configs, [&](std::size_t i, core::ExperimentResult& r) {
+      core::export_capture(r, flags, wrote_to_stderr);
+      on_result(i, r);
+    });
+  }
 };
 
 /// Ordered batched campaign builder.
@@ -363,16 +191,14 @@ class Campaign {
 
   /// Queues an action ordered after everything added so far.
   void then(std::function<void()> action) {
-    after_[configs_.size()].push_back(std::move(action));
+    after_.resize(configs_.size() + 1);
+    after_.back().push_back(std::move(action));
   }
 
   void run() {
+    after_.resize(configs_.size() + 1);
     auto run_after = [&](std::size_t done) {
-      const auto it = after_.find(done);
-      if (it == after_.end()) {
-        return;
-      }
-      for (const auto& action : it->second) {
+      for (const auto& action : after_[done]) {
         action();
       }
     };
@@ -387,10 +213,11 @@ class Campaign {
   const Cli& cli_;
   std::vector<core::ExperimentConfig> configs_;
   std::vector<std::function<void(const core::ExperimentResult&)>> uses_;
-  std::map<std::size_t, std::vector<std::function<void()>>> after_;
+  /// after_[k]: actions queued once k experiments had been added.
+  std::vector<std::vector<std::function<void()>>> after_;
 };
 
-inline void emit(const core::Table& table, const Cli& cli, const std::string& title) {
+inline void emit(const core::Table& table, const SweepCli& cli, const std::string& title) {
   core::print_banner(std::cout, title);
   table.print(std::cout);
   if (cli.csv) {
@@ -418,7 +245,7 @@ inline core::ExperimentConfig experiment_for(const core::paper::TableIIRow& row,
 inline core::ExperimentConfig experiment_for(const core::paper::TableIIRow& row,
                                              const std::string& gpu_cfg, const Cli& cli) {
   core::ExperimentConfig cfg = experiment_for(row, gpu_cfg);
-  cli.apply_resilience(cfg);
+  cfg.resilience = cli.flags.resilience;
   return cfg;
 }
 

@@ -19,7 +19,7 @@ int run(int argc, char** argv) {
   // With --trace-json etc. the HHBB run (the paper's subset-capping case)
   // is the one captured: the unbalanced schedule is the interesting one.
   core::ExperimentConfig hhbb_cfg = bench::experiment_for(row, "HHBB", cli);
-  cli.apply_observability(hhbb_cfg);
+  hhbb_cfg.obs = cli.flags.observability();
 
   // CPU capping leverage on the V100 platform (BB config, GEMM double).
   const auto vrow =

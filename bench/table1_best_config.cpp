@@ -9,7 +9,7 @@ using namespace greencap;
 namespace {
 
 int run(int argc, char** argv) {
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
+  const bench::SweepCli cli = bench::SweepCli::parse(argc, argv);
 
   core::Table table{{"GPU", "precision", "matrix size", "cap %TDP (ours)", "cap %TDP (paper)",
                      "eff saving % (ours)", "eff saving % (paper)", "slowdown %"}};

@@ -11,7 +11,7 @@ using namespace greencap;
 namespace {
 
 int run(int argc, char** argv) {
-  const bench::Cli cli = bench::Cli::parse(argc, argv);
+  const bench::SweepCli cli = bench::SweepCli::parse(argc, argv);
 
   core::Table table{{"platform", "op", "N", "Nt", "precision", "P_best %TDP (ours)",
                      "P_best %TDP (paper)", "P_best W", "P_min W", "P_max W"}};

@@ -4,16 +4,12 @@ namespace greencap::core {
 
 double CalibrationCache::best_cap_w(const std::string& key,
                                     const std::function<double()>& compute) {
-  Entry<double>& e = slot(caps_, key);
-  std::call_once(e.once, [&] { e.value = compute(); });
-  return e.value;
+  return lookup(caps_, key, compute);
 }
 
 const rt::CalibrationRecord& CalibrationCache::calibration(
     const std::string& key, const std::function<rt::CalibrationRecord()>& compute) {
-  Entry<rt::CalibrationRecord>& e = slot(calibrations_, key);
-  std::call_once(e.once, [&] { e.value = compute(); });
-  return e.value;
+  return lookup(calibrations_, key, compute);
 }
 
 std::uint64_t CalibrationCache::hits() const {

@@ -8,11 +8,13 @@
 // immutable snapshot.
 //
 // Thread safety: lookups are safe from any number of worker threads. Each
-// key computes exactly once — a per-entry std::once_flag makes concurrent
-// same-key callers block until the first compute finishes, then all of them
+// key computes exactly once — the compute runs under a per-entry mutex, so
+// concurrent same-key callers block until it finishes, then all of them
 // observe the same address-stable value (entries live behind unique_ptr and
-// are never evicted). A compute that throws releases the flag, so a later
-// caller retries rather than caching a broken entry.
+// are never evicted). A compute that throws leaves the entry empty, so a
+// later caller retries rather than caching a broken entry. (Not a
+// std::once_flag: its retry after a throwing call never returns in a
+// ThreadSanitizer build.)
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "rt/calibration.hpp"
@@ -50,23 +53,32 @@ class CalibrationCache {
  private:
   template <typename V>
   struct Entry {
-    std::once_flag once;
-    V value{};
+    std::mutex mu;  ///< held while computing `value`
+    std::optional<V> value;
   };
 
-  /// Finds or creates the entry for `key`, bumping hit/miss counters.
+  /// Finds or creates the entry for `key`, bumping hit/miss counters, and
+  /// computes its value unless an earlier call did.
   template <typename V>
-  Entry<V>& slot(std::map<std::string, std::unique_ptr<Entry<V>>>& entries,
-                 const std::string& key) {
-    const std::lock_guard<std::mutex> lock{mu_};
-    std::unique_ptr<Entry<V>>& e = entries[key];
-    if (e == nullptr) {
-      e = std::make_unique<Entry<V>>();
-      ++misses_;
-    } else {
-      ++hits_;
+  const V& lookup(std::map<std::string, std::unique_ptr<Entry<V>>>& entries,
+                  const std::string& key, const std::function<V()>& compute) {
+    Entry<V>* e = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      std::unique_ptr<Entry<V>>& slot = entries[key];
+      if (slot == nullptr) {
+        slot = std::make_unique<Entry<V>>();
+        ++misses_;
+      } else {
+        ++hits_;
+      }
+      e = slot.get();
     }
-    return *e;
+    const std::lock_guard<std::mutex> lock{e->mu};
+    if (!e->value) {
+      e->value = compute();
+    }
+    return *e->value;
   }
 
   mutable std::mutex mu_;

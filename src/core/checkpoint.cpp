@@ -59,10 +59,9 @@ std::optional<ExperimentResult> CheckpointSession::try_replay(const ExperimentCo
         "' differs from the checkpointed campaign — resume with the identical command line"};
   }
   ck::Reader r{blob.result_bytes};
-  ckpt_io::DecodedResult decoded = ckpt_io::decode_result(r);
-  last_replay_had_obs_ = decoded.had_observability;
+  ExperimentResult result = ckpt_io::decode_result(r);
   ++cursor_;
-  return std::move(decoded.result);
+  return result;
 }
 
 void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentResult& result) {

@@ -1,7 +1,8 @@
 // Campaign-level checkpoint/restart session (docs/CHECKPOINTING.md).
 //
-// A CheckpointSession threads through an experiment driver (CLI or bench
-// harness) and gives a whole campaign crash consistency:
+// A CheckpointSession threads through CampaignEngine::run (core/engine.hpp),
+// which owns the session protocol for every driver, and gives a whole
+// campaign crash consistency:
 //
 //  * after every completed experiment it appends the result to its
 //    completed list and writes a *boundary* checkpoint — kill the process
@@ -59,9 +60,6 @@ class CheckpointSession {
 
   [[nodiscard]] const CheckpointOptions& options() const { return options_; }
   [[nodiscard]] bool writes_enabled() const { return !options_.path.empty(); }
-  [[nodiscard]] bool mid_run_enabled() const {
-    return writes_enabled() && (options_.every_ms > 0.0 || options_.watchdog_ms > 0.0);
-  }
 
   /// True while completed experiments from the resume file remain unreplayed.
   [[nodiscard]] bool next_is_replay() const { return cursor_ < completed_.size(); }
@@ -72,13 +70,10 @@ class CheckpointSession {
   /// interrupt latch.
   [[nodiscard]] std::optional<ExperimentResult> try_replay(const ExperimentConfig& config);
 
-  /// Whether the experiment returned by the last try_replay() had already
-  /// exported its observability artifacts before the kill.
-  [[nodiscard]] bool last_replay_had_observability() const { return last_replay_had_obs_; }
-
   /// Appends a freshly executed result and writes the boundary checkpoint.
-  /// Drivers must export the result's artifacts BEFORE calling commit():
-  /// once the boundary write lands, a resume will not re-export them.
+  /// The result's artifacts must be exported BEFORE commit() (the engine
+  /// commits after its result hook): once the boundary write lands, a
+  /// resume will not re-export them.
   void commit(const ExperimentConfig& config, const ExperimentResult& result);
 
   /// Between-experiment interrupt point: if SIGINT/SIGTERM was latched,
@@ -115,7 +110,6 @@ class CheckpointSession {
   CheckpointOptions options_;
   std::vector<CompletedBlob> completed_;
   std::size_t cursor_ = 0;
-  bool last_replay_had_obs_ = false;
   std::string pending_run_config_;
   ckpt_io::RunState pending_run_;  ///< mid-run state to resume; empty bytes = none
   int writes_ = 0;
@@ -126,6 +120,7 @@ class CheckpointSession {
 /// hang watchdog when the session enables them. `session == nullptr` is
 /// exactly the plain run_experiment().
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
-                                              CheckpointSession* session);
+                                              CheckpointSession* session,
+                                              const RunServices& services = {});
 
 }  // namespace greencap::core

@@ -204,10 +204,9 @@ void encode_result(ck::Writer& w, const ExperimentResult& res) {
   w.i32(res.energy_counter_resets);
 }
 
-DecodedResult decode_result(ck::Reader& r) {
+ExperimentResult decode_result(ck::Reader& r) {
   r.expect_section("RES1");
-  DecodedResult out;
-  ExperimentResult& res = out.result;
+  ExperimentResult res;
   res.config = decode_config(r);
   res.time_s = r.f64();
   res.gflops = r.f64();
@@ -231,13 +230,13 @@ DecodedResult decode_result(ck::Reader& r) {
   }
   res.cpu_tasks = r.u64();
   res.gpu_tasks = r.u64();
-  out.had_observability = r.boolean();
+  (void)r.boolean();  // had observability
   for (fault::DegradationEvent& e : get_degradation(r)) {
     res.degradation.add(std::move(e));
   }
   res.fault_counts = get_fault_counts(r);
   res.energy_counter_resets = r.i32();
-  return out;
+  return res;
 }
 
 // -- run state pieces ----------------------------------------------------------

@@ -77,14 +77,10 @@ void encode_config(ckpt::Writer& w, const ExperimentConfig& config);
 /// The config's canonical encoding, used for campaign-identity matching.
 [[nodiscard]] std::string config_bytes(const ExperimentConfig& config);
 
-/// Result encodings carry `had_observability` so a resume knows the killed
-/// process already exported that experiment's artifacts.
+/// Result encodings carry whether the run captured observability. A decoded
+/// result has no capture: its artifacts were exported before its commit.
 void encode_result(ckpt::Writer& w, const ExperimentResult& result);
-struct DecodedResult {
-  ExperimentResult result;
-  bool had_observability = false;
-};
-[[nodiscard]] DecodedResult decode_result(ckpt::Reader& r);
+[[nodiscard]] ExperimentResult decode_result(ckpt::Reader& r);
 
 void put_energy_reading(ckpt::Writer& w, const hw::EnergyReading& reading);
 [[nodiscard]] hw::EnergyReading get_energy_reading(ckpt::Reader& r);

@@ -5,9 +5,12 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "core/checkpoint.hpp"
 #include "core/run_context.hpp"
 
 namespace greencap::core {
@@ -20,18 +23,35 @@ int resolve_jobs(int jobs) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-CampaignEngine::CampaignEngine(EngineOptions options)
-    : options_{std::move(options)}, jobs_{resolve_jobs(options_.jobs)} {}
+CampaignEngine::CampaignEngine(EngineOptions options) : jobs_{resolve_jobs(options.jobs)} {}
 
 std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentConfig>& configs,
-                                                  const ResultHook& on_result) {
+                                                  const ResultHook& on_result,
+                                                  CheckpointSession* session) {
+  if (session != nullptr && jobs_ != 1) {
+    throw std::invalid_argument{
+        "CampaignEngine: checkpoint sessions are serial; run them at jobs == 1"};
+  }
   const std::size_t n = configs.size();
   std::vector<ExperimentResult> results(n);
 
   RunServices services;
   services.calibration = &cache_;
-  services.log_level = options_.log_level;
-  services.log_sink = options_.log_sink;
+
+  if (session != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::optional<ExperimentResult> replayed = session->try_replay(configs[i]);
+      results[i] = replayed ? std::move(*replayed) : run_experiment(configs[i], session, services);
+      if (on_result) {
+        on_result(i, results[i]);
+      }
+      if (!replayed) {
+        session->commit(configs[i], results[i]);
+      }
+    }
+    session->check_interrupt();
+    return results;
+  }
 
   const int jobs = std::min<int>(jobs_, static_cast<int>(std::max<std::size_t>(n, 1)));
   if (jobs <= 1) {

@@ -14,9 +14,12 @@
 //     artifact and stdout emission therefore order identically at any
 //     --jobs value.
 //
-// Checkpoint sessions are inherently serial (prefix replay + export-before-
-// commit); drivers must keep --checkpoint campaigns at jobs == 1. The CLI
-// layer diagnoses the combination rather than silently degrading.
+// run() is the only code that executes a campaign. Given a checkpoint
+// session it also owns the session protocol, serially: replay or run each
+// index, fire the hook (drivers export there, so artifacts land before the
+// commit), commit fresh results, and honour a latched SIGINT/SIGTERM after
+// the last commit. Sessions require jobs == 1; the drivers' flag table
+// diagnoses the combination before anything runs.
 #pragma once
 
 #include <cstddef>
@@ -25,17 +28,14 @@
 
 #include "core/calibration_cache.hpp"
 #include "core/experiment.hpp"
-#include "sim/log.hpp"
 
 namespace greencap::core {
+
+class CheckpointSession;  // core/checkpoint.hpp
 
 struct EngineOptions {
   /// Worker threads: 1 = serial (default), 0 = hardware concurrency.
   int jobs = 1;
-  /// Level and sink for every run's private logger. A shared sink must be
-  /// thread-safe at jobs > 1; the default stderr sink is.
-  sim::LogLevel log_level = sim::LogLevel::kWarn;
-  sim::Logger::Sink log_sink;
 };
 
 /// --jobs semantics: 0 → hardware concurrency (at least 1), n → n.
@@ -56,8 +56,13 @@ class CampaignEngine {
   /// run throws, workers stop claiming new indices, in-flight runs drain,
   /// and the lowest-index exception is rethrown (matching which failure a
   /// serial campaign would have surfaced first).
+  /// With a session each index is replayed or run, handed to the hook, then
+  /// committed if fresh; after the last commit a latched interrupt throws
+  /// ckpt::InterruptedError. A session at jobs != 1 throws
+  /// std::invalid_argument before any run or write.
   std::vector<ExperimentResult> run(const std::vector<ExperimentConfig>& configs,
-                                    const ResultHook& on_result = {});
+                                    const ResultHook& on_result = {},
+                                    CheckpointSession* session = nullptr);
 
   /// Deterministic fan-out for index-addressable work that is not an
   /// ExperimentConfig (cap sweeps, custom simulation streams). `fn(i)` must
@@ -66,10 +71,8 @@ class CampaignEngine {
 
   /// The campaign-shared warmup cache, for inspection in tests.
   [[nodiscard]] CalibrationCache& cache() { return cache_; }
-  [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
-  EngineOptions options_;
   int jobs_;
   CalibrationCache cache_;
 };

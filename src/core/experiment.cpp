@@ -278,8 +278,14 @@ void finalize_metrics(ExperimentResult& result) {
   }
 }
 
-ExperimentResult run_checked(const ExperimentConfig& config, CheckpointSession* session,
-                             const RunServices& services) {
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentConfig& config, const RunServices& services) {
+  return run_experiment(config, nullptr, services);
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& config, CheckpointSession* session,
+                                const RunServices& services) {
   if (config.n <= 0 || config.nb <= 0 || config.n % config.nb != 0) {
     throw std::invalid_argument("run_experiment: n must be a positive multiple of nb");
   }
@@ -288,20 +294,6 @@ ExperimentResult run_checked(const ExperimentConfig& config, CheckpointSession* 
                                 : run_typed<float>(config, session, services);
   finalize_metrics(result);
   return result;
-}
-
-}  // namespace
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  return run_checked(config, nullptr, RunServices{});
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config, const RunServices& services) {
-  return run_checked(config, nullptr, services);
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config, CheckpointSession* session) {
-  return run_checked(config, session, RunServices{});
 }
 
 }  // namespace greencap::core

@@ -158,17 +158,20 @@ struct ExperimentResult {
   [[nodiscard]] double efficiency_gain_pct(const ExperimentResult& baseline) const;
 };
 
+class CalibrationCache;  // core/calibration_cache.hpp
+
+/// Run-scoped services injected by whoever drives the run (the campaign
+/// engine). A default-constructed RunServices is a standalone run.
+struct RunServices {
+  /// Shared warmup cache (not owned; null = compute everything locally).
+  CalibrationCache* calibration = nullptr;
+};
+
 /// Runs one experiment from scratch (fresh platform, runtime and models —
 /// runs are completely independent, like the paper's separate jobs).
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
-
-struct RunServices;  // core/run_context.hpp
-
-/// run_experiment() with injected run-scoped services (shared warmup cache,
-/// per-run logging) — the campaign engine's entry point. Byte-identical
-/// results to the plain overload by construction.
+/// Injected services give byte-identical results by construction.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
-                                              const RunServices& services);
+                                              const RunServices& services = {});
 
 /// Total useful flops of the operation at size n.
 [[nodiscard]] double operation_flops(Operation op, double n);

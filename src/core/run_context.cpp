@@ -95,10 +95,6 @@ RunContext::RunContext(const ExperimentConfig& config, const RunServices& servic
     : services_{services},
       platform_{hw::presets::platform_by_name(config.platform)},
       manager_{platform_, simulator_} {
-  log_.set_level(services_.log_level);
-  if (services_.log_sink) {
-    log_.set_sink(services_.log_sink);
-  }
   result_.config = config;
 
   // -- fault injection -------------------------------------------------------

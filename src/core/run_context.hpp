@@ -37,18 +37,6 @@ namespace greencap::core {
 
 class CheckpointSession;
 
-/// Run-scoped services injected by whoever drives the run (the campaign
-/// engine, a bench harness, or the single-run entry point). Everything is
-/// optional; a default-constructed RunServices reproduces a standalone run.
-struct RunServices {
-  /// Shared warmup cache (not owned; null = compute everything locally).
-  CalibrationCache* calibration = nullptr;
-  /// Log level and sink for the run's private logger. The default keeps
-  /// runs silent below kWarn on stderr, matching historic output bytes.
-  sim::LogLevel log_level = sim::LogLevel::kWarn;
-  sim::Logger::Sink log_sink;
-};
-
 class RunContext {
  public:
   /// Builds the platform, simulator, injector, power manager, runtime,

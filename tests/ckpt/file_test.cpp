@@ -19,8 +19,10 @@ namespace {
 class FileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Named after the test: ctest runs tests as concurrent processes, and
+    // under ASan every process places the fixture at the same address.
     path_ = ::testing::TempDir() + "ckpt_file_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".gckp";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".gckp";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -53,8 +53,10 @@ std::string result_bytes(const ExperimentResult& r) {
 class ResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Named after the test: ctest runs tests as concurrent processes, and
+    // under ASan every process places the fixture at the same address.
     path_ = ::testing::TempDir() + "resume_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".gckp";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".gckp";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

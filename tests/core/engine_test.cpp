@@ -1,15 +1,25 @@
 // The parallel campaign engine: results and hooks come back in input order
 // on the calling thread at any job count, parallel campaigns reproduce the
 // serial ones bit for bit, failures surface as the serial campaign would
-// have surfaced them, and the warmup cache actually gets shared.
+// have surfaced them, and the warmup cache actually gets shared. With a
+// checkpoint session the engine owns the session protocol: hook before
+// commit, replayed prefixes through the hook, serial only, and an
+// interrupt honoured after the last commit.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "ckpt/file.hpp"
+#include "ckpt/signal.hpp"
+#include "core/checkpoint.hpp"
 
 namespace greencap::core {
 namespace {
@@ -170,6 +180,114 @@ TEST(Engine, EmptyCampaignIsANoOp) {
   CampaignEngine engine;
   EXPECT_TRUE(engine.run({}).empty());
   engine.for_each_index(0, [](std::size_t) { FAIL() << "no indices to visit"; });
+}
+
+class EngineSession : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "engine_session_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".gckp";
+    std::remove(path_.c_str());
+  }
+  void TearDown() override {
+    ckpt::clear_interrupt();
+    std::remove(path_.c_str());
+  }
+
+  /// Boundary checkpoints only: one write per committed experiment.
+  [[nodiscard]] CheckpointOptions boundary_only() const {
+    CheckpointOptions options;
+    options.path = path_;
+    return options;
+  }
+
+  static std::vector<ExperimentConfig> campaign() {
+    return {small_gemm("HHHH"), small_gemm("HHBB"), small_gemm("BBBB")};
+  }
+
+  /// The encoding a checkpoint stores: equal bytes is the resume guarantee.
+  static std::string result_bytes(const ExperimentResult& r) {
+    ckpt::Writer w;
+    ckpt_io::encode_result(w, r);
+    return w.take();
+  }
+
+  std::string path_;
+};
+
+TEST_F(EngineSession, HookRunsBeforeTheCommit) {
+  const std::vector<ExperimentConfig> configs = campaign();
+  CheckpointSession session{boundary_only()};
+  CampaignEngine engine;
+  std::size_t hooks = 0;
+  (void)engine.run(
+      configs,
+      [&](std::size_t index, ExperimentResult&) {
+        EXPECT_EQ(session.writes(), static_cast<int>(index));
+        ++hooks;
+      },
+      &session);
+  EXPECT_EQ(hooks, configs.size());
+  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()));
+}
+
+TEST_F(EngineSession, ResumeReplaysThePrefixThroughTheHookBitForBit) {
+  const std::vector<ExperimentConfig> configs = campaign();
+  CampaignEngine plain;
+  const std::vector<ExperimentResult> fresh = plain.run(configs);
+  {
+    CheckpointSession first{boundary_only()};
+    CampaignEngine engine;
+    (void)engine.run({configs[0], configs[1]}, {}, &first);
+  }
+
+  CheckpointOptions options = boundary_only();
+  options.resume_path = path_;
+  CheckpointSession session{options};
+  CampaignEngine engine;
+  std::vector<std::string> hooked(configs.size());
+  (void)engine.run(
+      configs, [&](std::size_t index, ExperimentResult& r) { hooked[index] = result_bytes(r); },
+      &session);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(hooked[i], result_bytes(fresh[i])) << "run " << i;
+  }
+  EXPECT_EQ(session.writes(), 1);  // only the third run was fresh
+}
+
+TEST_F(EngineSession, ParallelSessionThrowsBeforeAnyWrite) {
+  CheckpointSession session{boundary_only()};
+  EngineOptions options;
+  options.jobs = 2;
+  CampaignEngine engine{options};
+  bool hooked = false;
+  EXPECT_THROW(
+      (void)engine.run(campaign(), [&](std::size_t, ExperimentResult&) { hooked = true; },
+                       &session),
+      std::invalid_argument);
+  EXPECT_FALSE(hooked);
+  EXPECT_EQ(session.writes(), 0);
+  EXPECT_FALSE(std::filesystem::exists(path_));
+}
+
+TEST_F(EngineSession, InterruptDuringTheLastRunCommitsEveryResultThenThrows) {
+  const std::vector<ExperimentConfig> configs = campaign();
+  CheckpointSession session{boundary_only()};
+  CampaignEngine engine;
+  EXPECT_THROW((void)engine.run(
+                   configs,
+                   [&](std::size_t index, ExperimentResult&) {
+                     if (index + 1 == configs.size()) {
+                       ckpt::request_interrupt();
+                     }
+                   },
+                   &session),
+               ckpt::InterruptedError);
+  const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
+  EXPECT_EQ(file.manifest.kind, "campaign");
+  EXPECT_EQ(file.manifest.reason, "signal");
+  EXPECT_EQ(file.manifest.completed, configs.size());
+  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()) + 1);
 }
 
 }  // namespace

@@ -17,25 +17,13 @@
 // time-series, or a scheduler decision log (all =VALUE or space-separated).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "ckpt/signal.hpp"
-#include "core/checkpoint.hpp"
-#include "core/cli_flags.hpp"
-#include "core/engine.hpp"
-#include "core/experiment.hpp"
+#include "core/campaign_flags.hpp"
 #include "core/paper_params.hpp"
-#include "core/report.hpp"
 #include "hw/presets.hpp"
-#include "obs/artifact.hpp"
-#include "obs/trace_export.hpp"
-#include "prof/html_report.hpp"
-#include "prof/profile.hpp"
 
 using namespace greencap;
 
@@ -57,32 +45,15 @@ namespace {
       "  --seed N            RNG seed (default 42)\n"
       "  --jobs N            worker threads for multi-run campaigns\n"
       "                      (default 1 = serial; 0 = hardware concurrency)\n"
-      "observability:\n"
-      "  --trace-json FILE        Chrome/Perfetto trace-event export\n"
-      "  --metrics-json FILE      metrics registry snapshot\n"
-      "  --telemetry-period-ms N  sample power/occupancy every N virtual ms\n"
+      "%s"
       "  --telemetry-json FILE    telemetry series as JSON\n"
       "  --telemetry-csv FILE     telemetry series as CSV\n"
       "  --decisions-json FILE    scheduler decision log\n"
       "  --model-report           print perf-model accuracy per codelet/arch\n"
-      "  --profile-json FILE      energy-attribution profile (docs/PROFILING.md)\n"
-      "  --profile-html FILE      self-contained HTML run report\n"
-      "fault injection / resilience (docs/ROBUSTNESS.md):\n"
-      "  --faults SPEC            fault plan: kind@gpuN:key=val,... (';'-separated)\n"
-      "                           or @FILE for a JSON plan\n"
-      "  --fault-seed N           injector RNG seed (default: derived from --seed)\n"
-      "  --reconcile-ms N         verify/re-assert cap drift every N virtual ms\n"
-      "  --degrade                fall back to H on cap failure instead of aborting\n"
-      "  --cap-retries N          retry budget per cap write (default 3)\n"
+      "%s"
       "  --degradation-json FILE  degradation report export\n"
-      "checkpoint/restart (docs/CHECKPOINTING.md):\n"
-      "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
-      "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
-      "  --watchdog-ms N          abort-with-checkpoint if no task completes\n"
-      "                           for N virtual ms\n"
-      "  --resume FILE            resume a killed/interrupted run from FILE\n"
-      "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth write\n",
-      argv0);
+      "%s",
+      argv0, core::kCaptureHelp, core::kResilienceHelp, core::kCheckpointHelp);
   std::exit(code);
 }
 
@@ -98,15 +69,6 @@ void print_result(const char* title, const core::ExperimentResult& r) {
               static_cast<unsigned long long>(r.cpu_tasks));
 }
 
-/// Writes `writer(os)` to `path` (checked), or dies with a message.
-template <typename Writer>
-void write_file(const std::string& path, const char* what, Writer&& writer) {
-  if (!obs::write_artifact(path, what, std::forward<Writer>(writer))) {
-    std::exit(1);
-  }
-  std::printf("  wrote %-11s: %s\n", what, path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,12 +78,9 @@ int main(int argc, char** argv) {
   std::int64_t n_value = 0;   // 0 = use the paper's Table II default
   int nb_value = 0;           // 0 = use the paper's Table II default
   std::string config_text;
-  std::string trace_json, metrics_json, telemetry_json, telemetry_csv, decisions_json;
-  std::string profile_json, profile_html;
-  std::string degradation_json;
+  std::string telemetry_json, telemetry_csv, decisions_json, degradation_json;
   bool model_report = false;
-  int jobs = 1;
-  core::CheckpointOptions ckpt_opts;
+  core::CampaignFlags flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -169,43 +128,14 @@ int main(int argc, char** argv) {
   parser.flag("--baseline", &baseline);
   parser.flag("--stale-models", &cfg.stale_models);
   parser.u64("--seed", &cfg.seed);
-  parser.i32("--jobs", &jobs);
-  parser.str("--trace-json", &trace_json);
-  parser.str("--metrics-json", &metrics_json);
-  parser.f64("--telemetry-period-ms", &cfg.obs.telemetry_period_ms);
+  flags.add_all(parser);
   parser.str("--telemetry-json", &telemetry_json);
   parser.str("--telemetry-csv", &telemetry_csv);
   parser.str("--decisions-json", &decisions_json);
   parser.flag("--model-report", &model_report);
-  parser.str("--profile-json", &profile_json);
-  parser.str("--profile-html", &profile_html);
-  parser.str("--faults", &cfg.resilience.faults);
-  parser.u64("--fault-seed", &cfg.resilience.fault_seed);
-  parser.f64("--reconcile-ms", &cfg.resilience.reconcile_ms);
-  parser.flag("--degrade", &cfg.resilience.degrade);
-  parser.i32("--cap-retries", &cfg.resilience.max_cap_retries);
   parser.str("--degradation-json", &degradation_json);
-  parser.str("--checkpoint", &ckpt_opts.path);
-  parser.f64("--checkpoint-every-ms", &ckpt_opts.every_ms);
-  parser.f64("--watchdog-ms", &ckpt_opts.watchdog_ms);
-  parser.str("--resume", &ckpt_opts.resume_path);
-  parser.i32("--ckpt-kill-after", &ckpt_opts.kill_after);
-  if (const std::string err = parser.parse(argc, argv); !err.empty()) {
+  if (const std::string err = flags.parse(parser, argc, argv); !err.empty()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
-    return 2;
-  }
-  if (jobs < 0) {
-    std::fprintf(stderr, "%s: --jobs expects a non-negative value, got %d\n", argv[0], jobs);
-    return 2;
-  }
-  const bool ckpt_active = !ckpt_opts.path.empty() || !ckpt_opts.resume_path.empty() ||
-                           ckpt_opts.every_ms > 0.0 || ckpt_opts.watchdog_ms > 0.0;
-  if (ckpt_active && jobs != 1) {
-    std::fprintf(stderr,
-                 "%s: --checkpoint/--resume/--checkpoint-every-ms/--watchdog-ms require "
-                 "--jobs 1 (checkpoint sessions are serial); drop --jobs or the checkpoint "
-                 "flags\n",
-                 argv[0]);
     return 2;
   }
 
@@ -235,153 +165,71 @@ int main(int argc, char** argv) {
                        ? power::GpuConfig::uniform(gpus, power::Level::kHigh)
                        : power::GpuConfig::parse(config_text);
 
-  // Derive the observability switches from the requested outputs.
-  cfg.obs.trace = !trace_json.empty();
-  cfg.obs.metrics = !metrics_json.empty();
+  cfg.resilience = flags.resilience;
+  cfg.obs = flags.observability(!telemetry_json.empty() || !telemetry_csv.empty());
   cfg.obs.decision_log = !decisions_json.empty() || model_report;
-  cfg.obs.profile = !profile_json.empty() || !profile_html.empty();
-  if (cfg.obs.telemetry_period_ms <= 0.0 &&
-      (!telemetry_json.empty() || !telemetry_csv.empty() || !trace_json.empty() ||
-       cfg.obs.profile)) {
-    cfg.obs.telemetry_period_ms = 10.0;  // default sampling for requested outputs
-  }
 
-  try {
-    // Checkpoint/restart session: replay completed experiments from the
-    // resume file, execute the rest (possibly from mid-run state), and
-    // commit each fresh result AFTER its artifacts are exported so a
-    // resume never re-exports them.
-    std::shared_ptr<core::CheckpointSession> session;
-    if (ckpt_active) {
-      greencap::ckpt::install_signal_handlers();
-      session = std::make_shared<core::CheckpointSession>(ckpt_opts);
-    }
-    bool fresh = true;
-    auto run_one = [&session, &fresh](const core::ExperimentConfig& c) {
-      fresh = true;
-      if (session != nullptr) {
-        if (auto replayed = session->try_replay(c)) {
-          fresh = false;
-          return std::move(*replayed);
-        }
-      }
-      return session != nullptr ? core::run_experiment(c, session.get())
-                                : core::run_experiment(c);
-    };
-
-    const bool want_baseline = baseline && !cfg.gpu_config.is_default();
+  // With --baseline the all-H run follows the experiment; like a bench
+  // campaign, only the first run captures observability.
+  std::vector<core::ExperimentConfig> configs{cfg};
+  if (baseline && !cfg.gpu_config.is_default()) {
     core::ExperimentConfig base_cfg = cfg;
-    if (want_baseline) {
-      base_cfg.gpu_config = power::GpuConfig::uniform(gpus, power::Level::kHigh);
-      base_cfg.cpu_cap.reset();
-    }
-
-    core::ExperimentResult result;
-    std::optional<core::ExperimentResult> base;
-    if (session != nullptr) {
-      // Checkpoint sessions are serial by design: prefix replay, then run.
-      result = run_one(cfg);
-    } else {
-      // Everything else goes through the campaign engine; with --baseline
-      // the two runs fan out across the pool and still print in serial
-      // order because results come back by input index.
-      std::vector<core::ExperimentConfig> configs{cfg};
-      if (want_baseline) configs.push_back(base_cfg);
-      core::EngineOptions eng;
-      eng.jobs = jobs;
-      core::CampaignEngine engine{eng};
-      auto results = engine.run(configs);
-      result = std::move(results[0]);
-      if (want_baseline) base = std::move(results[1]);
-    }
-    print_result("experiment", result);
-    if (cfg.resilience.any()) {
-      const auto& fc = result.fault_counts;
-      std::printf("  faults      : %llu capfail, %llu drift, %llu energy-reset, "
-                  "%llu dropout (%d counter reset(s) reconstructed)\n",
-                  static_cast<unsigned long long>(fc.cap_write_failures),
-                  static_cast<unsigned long long>(fc.drifts),
-                  static_cast<unsigned long long>(fc.energy_resets),
-                  static_cast<unsigned long long>(fc.dropouts),
-                  result.energy_counter_resets);
-      if (!result.degradation.empty()) {
-        std::printf("degradations:\n%s", result.degradation.to_string().c_str());
-      }
-    }
-    if (!degradation_json.empty()) {
-      write_file(degradation_json, "degradation",
-                 [&](std::ostream& os) { result.degradation.write_json(os); });
-    }
-    if (result.observability != nullptr) {
-      const core::ObservabilityData& data = *result.observability;
-      if (!trace_json.empty()) {
-        write_file(trace_json, "trace", [&](std::ostream& os) {
-          obs::ChromeTraceOptions opts;
-          opts.telemetry = &data.telemetry;
-          opts.worker_names = data.worker_names;
-          obs::write_chrome_trace(os, data.trace, opts);
-        });
-      }
-      if (!metrics_json.empty()) {
-        write_file(metrics_json, "metrics",
-                   [&](std::ostream& os) { data.metrics.write_json(os); });
-      }
-      if (!telemetry_json.empty()) {
-        write_file(telemetry_json, "telemetry",
-                   [&](std::ostream& os) { data.telemetry.write_json(os); });
-      }
-      if (!telemetry_csv.empty()) {
-        write_file(telemetry_csv, "telemetry",
-                   [&](std::ostream& os) { data.telemetry.write_csv(os); });
-      }
-      if (!decisions_json.empty()) {
-        write_file(decisions_json, "decisions",
-                   [&](std::ostream& os) { data.decisions.write_json(os); });
-      }
-      if (model_report) {
-        std::printf("perf-model accuracy (expected vs realized exec time):\n");
-        data.decisions.print_accuracy(std::cout);
-      }
-      if (cfg.obs.profile) {
-        prof::AnalyzeOptions popts;
-        popts.decisions = &data.decisions;
-        popts.telemetry = &data.telemetry;
-        const prof::Profile profile = prof::analyze(data.capture, popts);
-        if (!profile_json.empty()) {
-          write_file(profile_json, "profile",
-                     [&](std::ostream& os) { profile.write_json(os); });
-        }
-        if (!profile_html.empty()) {
-          write_file(profile_html, "report",
-                     [&](std::ostream& os) { prof::write_html_report(os, profile); });
-        }
-      }
-    }
-    if (session != nullptr && fresh) {
-      session->commit(cfg, result);
-    }
-    if (want_baseline) {
-      if (session != nullptr) {
-        base = run_one(base_cfg);
-        if (fresh) {
-          session->commit(base_cfg, *base);
-        }
-      }
-      print_result("baseline", *base);
-      std::printf("deltas vs baseline: perf %+.2f %%, energy saving %+.2f %%, "
-                  "efficiency %+.2f %%\n",
-                  result.perf_delta_pct(*base), result.energy_saving_pct(*base),
-                  result.efficiency_gain_pct(*base));
-    }
-    if (session != nullptr) {
-      session->check_interrupt();
-    }
-  } catch (const ckpt::InterruptedError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return ckpt::kInterruptExitCode;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    base_cfg.gpu_config = power::GpuConfig::uniform(gpus, power::Level::kHigh);
+    base_cfg.cpu_cap.reset();
+    base_cfg.obs = {};
+    configs.push_back(std::move(base_cfg));
   }
-  return 0;
+
+  const core::WroteHook wrote = [](const char* what, const std::string& path) {
+    std::printf("  wrote %-11s: %s\n", what, path.c_str());
+  };
+  auto write = [&wrote](const std::string& path, const char* what, auto&& writer) {
+    core::export_artifact(path, what, writer, wrote);
+  };
+
+  return core::run_guarded([&] {
+    // The hook prints and exports each result in run order, before a
+    // checkpoint session commits it.
+    core::CampaignDriver driver{flags};
+    const core::ExperimentResult* experiment = nullptr;
+    (void)driver.run(configs, [&](std::size_t index, core::ExperimentResult& result) {
+      if (index == 1) {
+        print_result("baseline", result);
+        std::printf("deltas vs baseline: perf %+.2f %%, energy saving %+.2f %%, "
+                    "efficiency %+.2f %%\n",
+                    experiment->perf_delta_pct(result), experiment->energy_saving_pct(result),
+                    experiment->efficiency_gain_pct(result));
+        return;
+      }
+      experiment = &result;
+      print_result("experiment", result);
+      if (cfg.resilience.any()) {
+        const auto& fc = result.fault_counts;
+        std::printf("  faults      : %llu capfail, %llu drift, %llu energy-reset, "
+                    "%llu dropout (%d counter reset(s) reconstructed)\n",
+                    static_cast<unsigned long long>(fc.cap_write_failures),
+                    static_cast<unsigned long long>(fc.drifts),
+                    static_cast<unsigned long long>(fc.energy_resets),
+                    static_cast<unsigned long long>(fc.dropouts),
+                    result.energy_counter_resets);
+        if (!result.degradation.empty()) {
+          std::printf("degradations:\n%s", result.degradation.to_string().c_str());
+        }
+      }
+      write(degradation_json, "degradation",
+            [&](std::ostream& os) { result.degradation.write_json(os); });
+      core::export_capture(result, flags, wrote, [&](const core::ObservabilityData& data) {
+        write(telemetry_json, "telemetry",
+              [&](std::ostream& os) { data.telemetry.write_json(os); });
+        write(telemetry_csv, "telemetry", [&](std::ostream& os) { data.telemetry.write_csv(os); });
+        write(decisions_json, "decisions",
+              [&](std::ostream& os) { data.decisions.write_json(os); });
+        if (model_report) {
+          std::printf("perf-model accuracy (expected vs realized exec time):\n");
+          data.decisions.print_accuracy(std::cout);
+        }
+      });
+    });
+    return 0;
+  });
 }
