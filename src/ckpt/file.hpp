@@ -26,20 +26,15 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "ckpt/serial.hpp"
 
 namespace greencap::ckpt {
 
 inline constexpr char kMagic[5] = "GCKP";
 inline constexpr std::uint32_t kFormatVersion = 1;
-
-/// Thrown for any unreadable, malformed, or corrupt checkpoint file.
-class CheckpointError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// The manifest fields GreenCap writes. `extra` (if any) is appended
 /// verbatim inside the JSON object — the experiment layer uses it for

@@ -165,4 +165,12 @@ std::size_t Reader::length(std::size_t min_elem_bytes) {
   return static_cast<std::size_t>(n);
 }
 
+void Reader::count(std::size_t live, std::size_t min_elem_bytes, const char* what) {
+  const std::size_t n = length(min_elem_bytes);
+  if (n != live) {
+    throw CheckpointError{"checkpoint shape mismatch: " + std::to_string(n) + " " + what +
+                          " checkpointed, " + std::to_string(live) + " in the re-submitted run"};
+  }
+}
+
 }  // namespace greencap::ckpt

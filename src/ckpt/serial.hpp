@@ -6,6 +6,20 @@
 // IEEE-754 bit pattern (never via text round-trips), strings and vectors
 // length-prefixed. Section tags give corrupt or version-skewed payloads
 // precise failure messages instead of garbage decodes.
+//
+// Writer and Reader share one coder interface (kReading, tag, io, seq,
+// count), so each checkpointed record states its layout once, as a
+// template both of them run:
+//
+//   template <typename C, typename T>   // T is const when C is Writer
+//   void io_point(C& c, T& p) {
+//     c.tag("PONT");
+//     c.io(p.x);
+//     c.seq(p.samples, 8);
+//   }
+//
+// Work only a decode does (resolving ids, restoring into a live object)
+// stays in the same template behind `if constexpr (C::kReading)`.
 #pragma once
 
 #include <array>
@@ -14,8 +28,11 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
-#include <vector>
+
+#include "sim/rng.hpp"
+#include "sim/time.hpp"
 
 namespace greencap::ckpt {
 
@@ -23,6 +40,14 @@ namespace greencap::ckpt {
 /// mismatch, or an out-of-range length. The message pinpoints the byte
 /// offset so a corrupt checkpoint is diagnosable from the error alone.
 class CorruptError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Thrown for any unreadable, malformed, or corrupt checkpoint file, and
+/// by Reader for well-framed content that cannot be restored: an enum
+/// byte out of range, or a count that differs from the live state's.
+class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
@@ -63,6 +88,44 @@ class Writer {
 
   [[nodiscard]] const std::string& data() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
+
+  // -- coder interface (see the file comment) ------------------------------
+
+  static constexpr bool kReading = false;
+
+  void tag(const char (&t)[5]) { section(t); }
+  void io(bool v) { boolean(v); }
+  void io(std::uint8_t v) { u8(v); }
+  void io(std::int32_t v) { i32(v); }
+  void io(std::uint32_t v) { u32(v); }
+  void io(std::int64_t v) { i64(v); }
+  void io(std::uint64_t v) { u64(v); }
+  void io(double v) { f64(v); }
+  void io(const std::string& v) { str(v); }
+  void io(sim::SimTime v) { f64(v.sec()); }
+  void io(const sim::Xoshiro256& rng) {
+    for (const std::uint64_t v : rng.state()) u64(v);
+  }
+  /// An enum as one byte; Reader rejects bytes outside [min, max].
+  template <typename E>
+    requires std::is_enum_v<E>
+  void io(E v, E /*max*/, const char* /*what*/, E /*min*/ = E{}) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  /// A length prefix the caller codes the elements of.
+  void length(std::size_t n, std::size_t /*min_elem_bytes*/) { u64(n); }
+  /// A length prefix that Reader requires to equal its own live count.
+  void count(std::size_t live, std::size_t /*min_elem_bytes*/, const char* /*what*/) { u64(live); }
+  /// A length-prefixed container, `each` coding one element.
+  template <typename Seq, typename Each>
+  void seq(const Seq& s, std::size_t /*min_elem_bytes*/, Each&& each) {
+    u64(s.size());
+    for (const auto& x : s) each(x);
+  }
+  template <typename Seq>
+  void seq(const Seq& s, std::size_t min_elem_bytes) {
+    seq(s, min_elem_bytes, [this](const auto& x) { io(x); });
+  }
 
  private:
   // On a little-endian host the in-memory bytes are the encoding: one
@@ -106,6 +169,55 @@ class Reader {
   /// count fails here instead of as an allocation of absurd size.
   [[nodiscard]] std::size_t length(std::size_t min_elem_bytes = 1);
 
+  // -- coder interface (see the file comment) ------------------------------
+
+  static constexpr bool kReading = true;
+
+  void tag(const char (&t)[5]) { expect_section(t); }
+  void io(bool& v) { v = boolean(); }
+  void io(std::uint8_t& v) { v = u8(); }
+  void io(std::int32_t& v) { v = i32(); }
+  void io(std::uint32_t& v) { v = u32(); }
+  void io(std::int64_t& v) { v = i64(); }
+  void io(std::uint64_t& v) { v = u64(); }
+  void io(double& v) { v = f64(); }
+  void io(std::string& v) { v = str(); }
+  void io(sim::SimTime& v) { v = sim::SimTime::seconds(f64()); }
+  void io(sim::Xoshiro256& rng) {
+    std::array<std::uint64_t, 4> state{};
+    for (std::uint64_t& v : state) v = u64();
+    rng.set_state(state);
+  }
+  /// Throws CheckpointError "<what> <byte>" for a byte outside [min, max].
+  template <typename E>
+    requires std::is_enum_v<E>
+  void io(E& v, E max, const char* what, E min = E{}) {
+    const std::uint8_t b = u8();
+    if (b < static_cast<std::uint8_t>(min) || b > static_cast<std::uint8_t>(max)) {
+      throw CheckpointError{std::string{what} + " " + std::to_string(b)};
+    }
+    v = static_cast<E>(b);
+  }
+  void length(std::size_t& n, std::size_t min_elem_bytes) { n = length(min_elem_bytes); }
+  /// Throws CheckpointError when the stored count differs from `live`.
+  void count(std::size_t live, std::size_t min_elem_bytes, const char* what);
+  /// Replaces `s` with the decoded elements, `each` decoding one.
+  template <typename Seq, typename Each>
+  void seq(Seq& s, std::size_t min_elem_bytes, Each&& each) {
+    const std::size_t n = length(min_elem_bytes);
+    s.clear();
+    if constexpr (requires { s.reserve(n); }) s.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      typename Seq::value_type x{};
+      each(x);
+      s.push_back(std::move(x));
+    }
+  }
+  template <typename Seq>
+  void seq(Seq& s, std::size_t min_elem_bytes) {
+    seq(s, min_elem_bytes, [this](auto& x) { io(x); });
+  }
+
   [[nodiscard]] std::size_t offset() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == size_; }
@@ -117,56 +229,5 @@ class Reader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-// -- common aggregate helpers ----------------------------------------------
-
-inline void put_u64_array4(Writer& w, const std::array<std::uint64_t, 4>& a) {
-  for (const std::uint64_t v : a) w.u64(v);
-}
-
-inline std::array<std::uint64_t, 4> get_u64_array4(Reader& r) {
-  std::array<std::uint64_t, 4> a{};
-  for (auto& v : a) v = r.u64();
-  return a;
-}
-
-inline void put_f64_vec(Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (const double x : v) w.f64(x);
-}
-
-inline std::vector<double> get_f64_vec(Reader& r) {
-  const std::size_t n = r.length(8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(r.f64());
-  return v;
-}
-
-inline void put_u64_vec(Writer& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (const std::uint64_t x : v) w.u64(x);
-}
-
-inline std::vector<std::uint64_t> get_u64_vec(Reader& r) {
-  const std::size_t n = r.length(8);
-  std::vector<std::uint64_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(r.u64());
-  return v;
-}
-
-inline void put_bool_vec(Writer& w, const std::vector<bool>& v) {
-  w.u64(v.size());
-  for (const bool x : v) w.boolean(x);
-}
-
-inline std::vector<bool> get_bool_vec(Reader& r) {
-  const std::size_t n = r.length(1);
-  std::vector<bool> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(r.boolean());
-  return v;
-}
 
 }  // namespace greencap::ckpt

@@ -10,6 +10,21 @@ namespace greencap::core {
 
 namespace ck = greencap::ckpt;
 
+namespace {
+
+/// "CAMP": the completed experiments' config and result encodings.
+template <typename C, typename Completed>
+void io_campaign(C& c, Completed& completed) {
+  c.tag("CAMP");
+  c.seq(completed, 8 + 8 + 1, [&c](auto& blob) {
+    c.io(blob.config_bytes);
+    c.io(blob.result_bytes);
+    c.io(blob.had_obs);
+  });
+}
+
+}  // namespace
+
 CheckpointSession::CheckpointSession(CheckpointOptions options)
     : options_{std::move(options)} {
   if (!options_.resume_path.empty()) {
@@ -20,16 +35,7 @@ CheckpointSession::CheckpointSession(CheckpointOptions options)
 void CheckpointSession::load_resume_file() {
   const ck::CheckpointFile file = ck::read_checkpoint_file(options_.resume_path);
   ck::Reader r{file.payload};
-  r.expect_section("CAMP");
-  const std::size_t count = r.length(8 + 8 + 1);
-  completed_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CompletedBlob blob;
-    blob.config_bytes = r.str();
-    blob.result_bytes = r.str();
-    blob.had_obs = r.boolean();
-    completed_.push_back(std::move(blob));
-  }
+  io_campaign(r, completed_);
   if (r.boolean()) {
     pending_run_config_ = r.str();
     pending_run_.bytes = r.str();
@@ -142,13 +148,7 @@ void CheckpointSession::write_campaign(const char* reason) {
 }
 
 void CheckpointSession::append_campaign_section(ck::Writer& w) const {
-  w.section("CAMP");
-  w.u64(completed_.size());
-  for (const CompletedBlob& blob : completed_) {
-    w.str(blob.config_bytes);
-    w.str(blob.result_bytes);
-    w.boolean(blob.had_obs);
-  }
+  io_campaign(w, completed_);
 }
 
 void CheckpointSession::write_file(ck::Manifest manifest,

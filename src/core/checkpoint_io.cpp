@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ckpt/file.hpp"
+#include "fault/injector.hpp"
 
 namespace greencap::core::ckpt_io {
 
@@ -10,162 +10,303 @@ namespace ck = greencap::ckpt;
 
 namespace {
 
-/// Writes a length prefix, then `put` for every element; a null range
-/// is written as empty.
-template <typename Range, typename Put>
-void put_range(ck::Writer& w, const Range* range, Put&& put) {
-  if (range == nullptr) {
-    w.u64(0);
-    return;
-  }
-  w.u64(range->size());
-  for (const auto& item : *range) put(item);
+// Each record's layout, once: run by ck::Writer to encode (T const) and by
+// ck::Reader to decode (see ckpt/serial.hpp).
+
+template <typename C, typename T>
+void io_energy_reading(C& c, T& e) {
+  c.seq(e.cpu_joules, 8);
+  c.seq(e.gpu_joules, 8);
 }
 
-/// Reads the length prefix of a series recorded into `sink`. A series the
-/// resumed run does not record must be empty: data for it means the
-/// checkpoint belongs to a differently configured run.
-std::size_t sink_length(ck::Reader& r, std::size_t min_elem_bytes, const void* sink,
-                        const char* what) {
-  const std::size_t n = r.length(min_elem_bytes);
-  if (n != 0 && sink == nullptr) {
-    throw ck::CheckpointError{std::string{"checkpoint carries "} + what +
-                              " that the resumed run does not record"};
+template <typename C, typename T>
+void io_config(C& c, T& cfg) {
+  c.tag("CFG1");
+  c.io(cfg.platform);
+  c.io(cfg.op, Operation::kGelqf, "checkpoint has a config of unknown operation");
+  c.io(cfg.precision, hw::Precision::kDouble, "checkpoint has a config of unknown precision");
+  c.io(cfg.n);
+  c.io(cfg.nb);
+  auto levels = cfg.gpu_config.levels();
+  c.seq(levels, 1, [&c](auto& level) {
+    c.io(level, power::Level::kHigh, "checkpoint has a config of unknown GPU level");
+  });
+  bool cpu_cap = cfg.cpu_cap.has_value();
+  c.io(cpu_cap);
+  if constexpr (C::kReading) {
+    cfg.gpu_config = power::GpuConfig{std::move(levels)};
+    if (cpu_cap) cfg.cpu_cap.emplace();
   }
-  return n;
+  if (cpu_cap) {
+    c.io(cfg.cpu_cap->package);
+    c.io(cfg.cpu_cap->fraction_of_tdp);
+  }
+  c.io(cfg.scheduler);
+  c.io(cfg.seed);
+  c.io(cfg.recalibrate);
+  c.io(cfg.stale_models);
+  c.io(cfg.execute_kernels);
+  c.io(cfg.obs.trace);
+  c.io(cfg.obs.metrics);
+  c.io(cfg.obs.decision_log);
+  c.io(cfg.obs.telemetry_period_ms);
+  c.io(cfg.obs.profile);
+  c.io(cfg.resilience.faults);
+  c.io(cfg.resilience.fault_seed);
+  c.io(cfg.resilience.reconcile_ms);
+  c.io(cfg.resilience.degrade);
+  c.io(cfg.resilience.max_cap_retries);
 }
 
-void put_degradation(ck::Writer& w, const std::vector<fault::DegradationEvent>& events) {
-  w.u64(events.size());
-  for (const fault::DegradationEvent& e : events) {
-    w.str(e.component);
-    w.str(e.detail);
-    w.str(e.from);
-    w.str(e.to);
-    w.str(e.reason);
-    w.f64(e.at_s);
+/// A series recorded into an optional sink, as a length prefix and its
+/// entries. Writing calls `put` on every entry of `live`, the sink's
+/// series (null when the sink is off: written as empty). Reading calls
+/// `get` once per checkpointed entry. A series the resumed run does not
+/// record must be empty: data for it means the checkpoint belongs to a
+/// differently configured run.
+template <typename C, typename Range, typename Put, typename Get>
+void io_series(C& c, const Range* live, std::size_t min_elem_bytes, const char* what, Put&& put,
+               Get&& get) {
+  std::size_t n = live != nullptr ? live->size() : 0;
+  c.length(n, min_elem_bytes);
+  if constexpr (C::kReading) {
+    if (n != 0 && live == nullptr) {
+      throw ck::CheckpointError{std::string{"checkpoint carries "} + what +
+                                " that the resumed run does not record"};
+    }
+    for (; n > 0; --n) get();
+  } else if (live != nullptr) {
+    for (const auto& entry : *live) put(entry);
   }
 }
 
-std::vector<fault::DegradationEvent> get_degradation(ck::Reader& r) {
-  const std::size_t n = r.length(8 * 5 + 8);
-  std::vector<fault::DegradationEvent> events;
-  events.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+template <typename C, typename Report>
+void io_degradation(C& c, Report& report) {
+  auto event = [&c](auto& e) {
+    c.io(e.component);
+    c.io(e.detail);
+    c.io(e.from);
+    c.io(e.to);
+    c.io(e.reason);
+    c.io(e.at_s);
+  };
+  io_series(c, &report.events(), 8 * 5 + 8, "degradation events", event, [&] {
     fault::DegradationEvent e;
-    e.component = r.str();
-    e.detail = r.str();
-    e.from = r.str();
-    e.to = r.str();
-    e.reason = r.str();
-    e.at_s = r.f64();
-    events.push_back(std::move(e));
+    event(e);
+    if constexpr (C::kReading) report.add(std::move(e));
+  });
+}
+
+template <typename C, typename T>
+void io_result(C& c, T& res) {
+  c.tag("RES1");
+  io_config(c, res.config);
+  c.io(res.time_s);
+  c.io(res.gflops);
+  c.io(res.total_energy_j);
+  c.io(res.efficiency_gflops_per_w);
+  io_energy_reading(c, res.energy);
+  c.io(res.stats.tasks_submitted);
+  c.io(res.stats.tasks_completed);
+  c.io(res.stats.dependency_edges);
+  c.io(res.stats.makespan);
+  c.io(res.stats.total_bytes_transferred);
+  c.seq(res.stats.per_worker, 8, [&c](auto& pw) {
+    c.io(pw.id);
+    c.io(pw.arch, rt::WorkerArch::kCuda, "checkpoint has a result of unknown worker arch");
+    c.io(pw.tasks);
+    c.io(pw.busy_fraction);
+  });
+  c.io(res.cpu_tasks);
+  c.io(res.gpu_tasks);
+  // Whether the run captured observability; a decoded result has none (its
+  // artifacts were exported before its commit).
+  bool had_observability = res.observability != nullptr;
+  c.io(had_observability);
+  io_degradation(c, res.degradation);
+  fault::FaultInjector::io_counts(c, res.fault_counts);
+  c.io(res.energy_counter_resets);
+}
+
+template <typename C, typename Platform, typename Trackers>
+void io_devices(C& c, Platform& platform, Trackers& trackers) {
+  c.tag("DEVS");
+  c.count(platform.gpu_count(), 8, "GPUs");
+  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
+    auto& gpu = platform.gpu(g);
+    double cap_w = gpu.power_cap();
+    bool busy = gpu.busy();
+    bool failed = gpu.failed();
+    double power_w = gpu.meter().power_w();
+    double joules = gpu.meter().joules();
+    sim::SimTime last_update = gpu.meter().last_update();
+    c.io(cap_w);
+    c.io(busy);
+    c.io(failed);
+    c.io(power_w);
+    c.io(joules);
+    c.io(last_update);
+    if constexpr (C::kReading) gpu.restore_state(cap_w, busy, failed, power_w, joules, last_update);
   }
-  return events;
+  c.count(platform.cpu_count(), 8, "CPU packages");
+  for (std::size_t p = 0; p < platform.cpu_count(); ++p) {
+    auto& cpu = platform.cpu(p);
+    double cap_w = cpu.power_cap();
+    std::int32_t active_cores = cpu.active_cores();
+    double power_w = cpu.meter().power_w();
+    double joules = cpu.meter().joules();
+    sim::SimTime last_update = cpu.meter().last_update();
+    c.io(cap_w);
+    c.io(active_cores);
+    c.io(power_w);
+    c.io(joules);
+    c.io(last_update);
+    if constexpr (C::kReading) cpu.restore_state(cap_w, active_cores, power_w, joules, last_update);
+  }
+  c.count(trackers.size(), 8, "energy trackers");
+  for (auto& t : trackers) {
+    double offset_j = t.offset();
+    double last_raw_j = t.last_raw();
+    std::int32_t resets = t.resets_seen();
+    c.io(offset_j);
+    c.io(last_raw_j);
+    c.io(resets);
+    if constexpr (C::kReading) t.restore(offset_j, last_raw_j, resets);
+  }
 }
 
-void put_fault_counts(ck::Writer& w, const fault::FaultInjector::Counts& c) {
-  w.u64(c.cap_write_failures);
-  w.u64(c.drifts);
-  w.u64(c.energy_resets);
-  w.u64(c.dropouts);
+template <typename C, typename Report>
+void io_observability(C& c, const ObsSinks& sinks, Report& degradation) {
+  sim::Trace* trace = sinks.trace;
+  obs::MetricsRegistry* metrics = sinks.metrics;
+  obs::DecisionLog* decisions = sinks.decisions;
+  obs::TelemetrySampler* telemetry = sinks.telemetry;
+  // Decoded series that the sinks take over wholesale (reading only).
+  std::vector<sim::Span> spans;
+  std::vector<sim::Marker> markers;
+  std::vector<obs::TelemetrySample> rows;
+
+  auto span = [&c](auto& sp) {
+    c.io(sp.kind, sim::SpanKind::kTransfer, "checkpoint has a trace span of unknown kind");
+    c.io(sp.resource);
+    c.io(sp.object);
+    c.io(sp.name);
+    c.io(sp.begin);
+    c.io(sp.end);
+  };
+  auto marker = [&c](auto& m) {
+    c.io(m.name);
+    c.io(m.when);
+  };
+  auto named = [&c](auto& name, auto&& value) {
+    c.io(name);
+    c.io(value);
+  };
+  auto histogram = [&c](auto& name, auto& bounds, auto& buckets, auto&& count, auto&& sum,
+                        auto&& min, auto&& max) {
+    c.io(name);
+    c.seq(bounds, 8);
+    c.seq(buckets, 8);
+    c.io(count);
+    c.io(sum);
+    c.io(min);
+    c.io(max);
+  };
+  auto decision = [&c](auto& d) {
+    c.io(d.task);
+    c.io(d.codelet);
+    c.io(d.worker_arch);
+    c.io(d.chosen_worker);
+    c.io(d.decided_at);
+    c.io(d.queue_wait_s);
+    c.io(d.expected_exec_s);
+    c.io(d.realized_exec_s);
+    c.seq(d.alternatives, 4 + 8 * 3, [&c](auto& alt) {
+      c.io(alt.worker);
+      c.io(alt.expected_exec_s);
+      c.io(alt.expected_transfer_s);
+      c.io(alt.expected_energy_j);
+    });
+  };
+  auto row = [&c](auto& r) {
+    c.io(r.t);
+    c.seq(r.values, 8);
+  };
+
+  c.tag("OBSS");
+  io_series(c, trace != nullptr ? &trace->spans() : nullptr, 8, "trace spans", span,
+            [&] { span(spans.emplace_back()); });
+  io_series(c, trace != nullptr ? &trace->markers() : nullptr, 8, "trace markers", marker,
+            [&] { marker(markers.emplace_back()); });
+  io_series(
+      c, metrics != nullptr ? &metrics->counters() : nullptr, 8, "metrics",
+      [&](const auto& e) { named(e.first, e.second.value()); },
+      [&] {
+        std::string name;
+        std::uint64_t value = 0;
+        named(name, value);
+        metrics->counter(name).restore(value);
+      });
+  io_series(
+      c, metrics != nullptr ? &metrics->gauges() : nullptr, 8, "metrics",
+      [&](const auto& e) { named(e.first, e.second.value()); },
+      [&] {
+        std::string name;
+        double value = 0.0;
+        named(name, value);
+        metrics->gauge(name).set(value);
+      });
+  io_series(
+      c, metrics != nullptr ? &metrics->histograms() : nullptr, 8, "metrics",
+      [&](const auto& e) {
+        const obs::Histogram& h = e.second;
+        histogram(e.first, h.bounds(), h.buckets(), h.count(), h.sum(), h.min(), h.max());
+      },
+      [&] {
+        std::string name;
+        std::vector<double> bounds;
+        std::vector<std::uint64_t> buckets;
+        std::uint64_t count = 0;
+        double sum = 0.0;
+        double min = 0.0;
+        double max = 0.0;
+        histogram(name, bounds, buckets, count, sum, min, max);
+        metrics->histogram(name, bounds).restore(std::move(buckets), count, sum, min, max);
+      });
+  io_series(c, decisions != nullptr ? &decisions->decisions() : nullptr, 8, "decisions",
+            decision, [&] {
+              obs::Decision d;
+              decision(d);
+              decisions->add(std::move(d));
+            });
+  io_series(c, telemetry != nullptr ? &telemetry->series().samples() : nullptr, 8, "telemetry",
+            row, [&] { row(rows.emplace_back()); });
+  io_degradation(c, degradation);
+  if constexpr (C::kReading) {
+    if (trace != nullptr) trace->restore(std::move(spans), std::move(markers));
+    if (telemetry != nullptr) telemetry->restore_series(std::move(rows));
+  }
 }
 
-fault::FaultInjector::Counts get_fault_counts(ck::Reader& r) {
-  fault::FaultInjector::Counts c;
-  c.cap_write_failures = r.u64();
-  c.drifts = r.u64();
-  c.energy_resets = r.u64();
-  c.dropouts = r.u64();
-  return c;
+template <typename C, typename Events>
+void io_events(C& c, Events& events) {
+  c.tag("EVTS");
+  c.seq(events, 1 + 4 + 8, [&c](auto& e) {
+    c.io(e.kind, EventKind::kCkptTick, "checkpoint has a pending event of unknown kind",
+         EventKind::kWorkerBegin);
+    c.io(e.index);
+    c.io(e.when_s);
+  });
 }
 
 }  // namespace
 
-void put_energy_reading(ck::Writer& w, const hw::EnergyReading& r) {
-  ck::put_f64_vec(w, r.cpu_joules);
-  ck::put_f64_vec(w, r.gpu_joules);
-}
-
-hw::EnergyReading get_energy_reading(ck::Reader& r) {
-  hw::EnergyReading e;
-  e.cpu_joules = ck::get_f64_vec(r);
-  e.gpu_joules = ck::get_f64_vec(r);
-  return e;
-}
-
-// -- config ------------------------------------------------------------------
-
-void encode_config(ck::Writer& w, const ExperimentConfig& c) {
-  w.section("CFG1");
-  w.str(c.platform);
-  w.u8(static_cast<std::uint8_t>(c.op));
-  w.u8(static_cast<std::uint8_t>(c.precision));
-  w.i64(c.n);
-  w.i32(c.nb);
-  w.u64(c.gpu_config.size());
-  for (const power::Level level : c.gpu_config.levels()) {
-    w.u8(static_cast<std::uint8_t>(level));
-  }
-  w.boolean(c.cpu_cap.has_value());
-  if (c.cpu_cap) {
-    w.u64(c.cpu_cap->package);
-    w.f64(c.cpu_cap->fraction_of_tdp);
-  }
-  w.str(c.scheduler);
-  w.u64(c.seed);
-  w.boolean(c.recalibrate);
-  w.boolean(c.stale_models);
-  w.boolean(c.execute_kernels);
-  w.boolean(c.obs.trace);
-  w.boolean(c.obs.metrics);
-  w.boolean(c.obs.decision_log);
-  w.f64(c.obs.telemetry_period_ms);
-  w.boolean(c.obs.profile);
-  w.str(c.resilience.faults);
-  w.u64(c.resilience.fault_seed);
-  w.f64(c.resilience.reconcile_ms);
-  w.boolean(c.resilience.degrade);
-  w.i32(c.resilience.max_cap_retries);
-}
+void encode_config(ck::Writer& w, const ExperimentConfig& config) { io_config(w, config); }
 
 ExperimentConfig decode_config(ck::Reader& r) {
-  r.expect_section("CFG1");
-  ExperimentConfig c;
-  c.platform = r.str();
-  c.op = static_cast<Operation>(r.u8());
-  c.precision = static_cast<hw::Precision>(r.u8());
-  c.n = r.i64();
-  c.nb = r.i32();
-  const std::size_t n_levels = r.length(1);
-  std::vector<power::Level> levels;
-  levels.reserve(n_levels);
-  for (std::size_t i = 0; i < n_levels; ++i) {
-    levels.push_back(static_cast<power::Level>(r.u8()));
-  }
-  c.gpu_config = power::GpuConfig{std::move(levels)};
-  if (r.boolean()) {
-    CpuCap cap;
-    cap.package = r.u64();
-    cap.fraction_of_tdp = r.f64();
-    c.cpu_cap = cap;
-  }
-  c.scheduler = r.str();
-  c.seed = r.u64();
-  c.recalibrate = r.boolean();
-  c.stale_models = r.boolean();
-  c.execute_kernels = r.boolean();
-  c.obs.trace = r.boolean();
-  c.obs.metrics = r.boolean();
-  c.obs.decision_log = r.boolean();
-  c.obs.telemetry_period_ms = r.f64();
-  c.obs.profile = r.boolean();
-  c.resilience.faults = r.str();
-  c.resilience.fault_seed = r.u64();
-  c.resilience.reconcile_ms = r.f64();
-  c.resilience.degrade = r.boolean();
-  c.resilience.max_cap_retries = r.i32();
-  return c;
+  ExperimentConfig config;
+  io_config(r, config);
+  return config;
 }
 
 std::string config_bytes(const ExperimentConfig& config) {
@@ -174,302 +315,53 @@ std::string config_bytes(const ExperimentConfig& config) {
   return w.take();
 }
 
-// -- result ------------------------------------------------------------------
-
-void encode_result(ck::Writer& w, const ExperimentResult& res) {
-  w.section("RES1");
-  encode_config(w, res.config);
-  w.f64(res.time_s);
-  w.f64(res.gflops);
-  w.f64(res.total_energy_j);
-  w.f64(res.efficiency_gflops_per_w);
-  put_energy_reading(w, res.energy);
-  w.u64(res.stats.tasks_submitted);
-  w.u64(res.stats.tasks_completed);
-  w.u64(res.stats.dependency_edges);
-  w.f64(res.stats.makespan.sec());
-  w.u64(res.stats.total_bytes_transferred);
-  w.u64(res.stats.per_worker.size());
-  for (const auto& pw : res.stats.per_worker) {
-    w.i32(pw.id);
-    w.u8(static_cast<std::uint8_t>(pw.arch));
-    w.u64(pw.tasks);
-    w.f64(pw.busy_fraction);
-  }
-  w.u64(res.cpu_tasks);
-  w.u64(res.gpu_tasks);
-  w.boolean(res.observability != nullptr);
-  put_degradation(w, res.degradation.events());
-  put_fault_counts(w, res.fault_counts);
-  w.i32(res.energy_counter_resets);
-}
+void encode_result(ck::Writer& w, const ExperimentResult& result) { io_result(w, result); }
 
 ExperimentResult decode_result(ck::Reader& r) {
-  r.expect_section("RES1");
-  ExperimentResult res;
-  res.config = decode_config(r);
-  res.time_s = r.f64();
-  res.gflops = r.f64();
-  res.total_energy_j = r.f64();
-  res.efficiency_gflops_per_w = r.f64();
-  res.energy = get_energy_reading(r);
-  res.stats.tasks_submitted = r.u64();
-  res.stats.tasks_completed = r.u64();
-  res.stats.dependency_edges = r.u64();
-  res.stats.makespan = sim::SimTime::seconds(r.f64());
-  res.stats.total_bytes_transferred = r.u64();
-  const std::size_t n_workers = r.length(8);
-  res.stats.per_worker.reserve(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    rt::RuntimeStats::WorkerStats pw;
-    pw.id = r.i32();
-    pw.arch = static_cast<rt::WorkerArch>(r.u8());
-    pw.tasks = r.u64();
-    pw.busy_fraction = r.f64();
-    res.stats.per_worker.push_back(pw);
-  }
-  res.cpu_tasks = r.u64();
-  res.gpu_tasks = r.u64();
-  (void)r.boolean();  // had observability
-  for (fault::DegradationEvent& e : get_degradation(r)) {
-    res.degradation.add(std::move(e));
-  }
-  res.fault_counts = get_fault_counts(r);
-  res.energy_counter_resets = r.i32();
-  return res;
+  ExperimentResult result;
+  io_result(r, result);
+  return result;
 }
 
-// -- run state pieces ----------------------------------------------------------
+void put_energy_reading(ck::Writer& w, const hw::EnergyReading& reading) {
+  io_energy_reading(w, reading);
+}
+
+hw::EnergyReading get_energy_reading(ck::Reader& r) {
+  hw::EnergyReading reading;
+  io_energy_reading(r, reading);
+  return reading;
+}
 
 void put_devices(ck::Writer& w, const hw::Platform& platform,
                  const std::vector<hw::MonotonicEnergyTracker>& trackers) {
-  w.section("DEVS");
-  w.u64(platform.gpu_count());
-  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
-    const hw::GpuModel& gpu = platform.gpu(g);
-    w.f64(gpu.power_cap());
-    w.boolean(gpu.busy());
-    w.boolean(gpu.failed());
-    w.f64(gpu.meter().power_w());
-    w.f64(gpu.meter().joules());
-    w.f64(gpu.meter().last_update().sec());
-  }
-  w.u64(platform.cpu_count());
-  for (std::size_t p = 0; p < platform.cpu_count(); ++p) {
-    const hw::CpuModel& cpu = platform.cpu(p);
-    w.f64(cpu.power_cap());
-    w.i32(cpu.active_cores());
-    w.f64(cpu.meter().power_w());
-    w.f64(cpu.meter().joules());
-    w.f64(cpu.meter().last_update().sec());
-  }
-  w.u64(trackers.size());
-  for (const hw::MonotonicEnergyTracker& t : trackers) {
-    w.f64(t.offset());
-    w.f64(t.last_raw());
-    w.i32(t.resets_seen());
-  }
+  io_devices(w, platform, trackers);
 }
 
 void get_devices(ck::Reader& r, hw::Platform& platform,
                  std::vector<hw::MonotonicEnergyTracker>& trackers) {
-  auto expect_count = [&r](std::size_t live) {
-    if (r.length(8) != live) {
-      throw ck::CheckpointError{"checkpoint device state does not match the platform"};
-    }
-  };
-  r.expect_section("DEVS");
-  expect_count(platform.gpu_count());
-  for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
-    const double cap_w = r.f64();
-    const bool busy = r.boolean();
-    const bool failed = r.boolean();
-    const double power_w = r.f64();
-    const double joules = r.f64();
-    const double last_update_s = r.f64();
-    platform.gpu(g).restore_state(cap_w, busy, failed, power_w, joules,
-                                  sim::SimTime::seconds(last_update_s));
-  }
-  expect_count(platform.cpu_count());
-  for (std::size_t p = 0; p < platform.cpu_count(); ++p) {
-    const double cap_w = r.f64();
-    const std::int32_t active_cores = r.i32();
-    const double power_w = r.f64();
-    const double joules = r.f64();
-    const double last_update_s = r.f64();
-    platform.cpu(p).restore_state(cap_w, active_cores, power_w, joules,
-                                  sim::SimTime::seconds(last_update_s));
-  }
-  expect_count(trackers.size());
-  for (hw::MonotonicEnergyTracker& t : trackers) {
-    const double offset_j = r.f64();
-    const double last_raw_j = r.f64();
-    t.restore(offset_j, last_raw_j, r.i32());
-  }
+  io_devices(r, platform, trackers);
 }
 
 void put_observability(ck::Writer& w, const ObsSinks& sinks,
                        const fault::DegradationReport& degradation) {
-  const sim::Trace* trace = sinks.trace;
-  const obs::MetricsRegistry* metrics = sinks.metrics;
-  w.section("OBSS");
-  put_range(w, trace != nullptr ? &trace->spans() : nullptr, [&w](const sim::Span& sp) {
-    w.u8(static_cast<std::uint8_t>(sp.kind));
-    w.i32(sp.resource);
-    w.i64(sp.object);
-    w.str(sp.name);
-    w.f64(sp.begin.sec());
-    w.f64(sp.end.sec());
-  });
-  put_range(w, trace != nullptr ? &trace->markers() : nullptr, [&w](const sim::Marker& m) {
-    w.str(m.name);
-    w.f64(m.when.sec());
-  });
-  put_range(w, metrics != nullptr ? &metrics->counters() : nullptr, [&w](const auto& entry) {
-    w.str(entry.first);
-    w.u64(entry.second.value());
-  });
-  put_range(w, metrics != nullptr ? &metrics->gauges() : nullptr, [&w](const auto& entry) {
-    w.str(entry.first);
-    w.f64(entry.second.value());
-  });
-  put_range(w, metrics != nullptr ? &metrics->histograms() : nullptr, [&w](const auto& entry) {
-    const obs::Histogram& h = entry.second;
-    w.str(entry.first);
-    ck::put_f64_vec(w, h.bounds());
-    ck::put_u64_vec(w, h.buckets());
-    w.u64(h.count());
-    w.f64(h.sum());
-    w.f64(h.min());
-    w.f64(h.max());
-  });
-  put_range(w, sinks.decisions != nullptr ? &sinks.decisions->decisions() : nullptr,
-            [&w](const obs::Decision& d) {
-              w.i64(d.task);
-              w.str(d.codelet);
-              w.str(d.worker_arch);
-              w.i32(d.chosen_worker);
-              w.f64(d.decided_at.sec());
-              w.f64(d.queue_wait_s);
-              w.f64(d.expected_exec_s);
-              w.f64(d.realized_exec_s);
-              w.u64(d.alternatives.size());
-              for (const obs::DecisionAlternative& alt : d.alternatives) {
-                w.i32(alt.worker);
-                w.f64(alt.expected_exec_s);
-                w.f64(alt.expected_transfer_s);
-                w.f64(alt.expected_energy_j);
-              }
-            });
-  put_range(w, sinks.telemetry != nullptr ? &sinks.telemetry->series().samples() : nullptr,
-            [&w](const obs::TelemetrySample& row) {
-              w.f64(row.t.sec());
-              ck::put_f64_vec(w, row.values);
-            });
-  put_degradation(w, degradation.events());
+  io_observability(w, sinks, degradation);
 }
 
 void get_observability(ck::Reader& r, const ObsSinks& sinks,
                        fault::DegradationReport& degradation) {
-  r.expect_section("OBSS");
-  std::vector<sim::Span> spans(sink_length(r, 8, sinks.trace, "trace spans"));
-  for (sim::Span& sp : spans) {
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(sim::SpanKind::kTransfer)) {
-      throw ck::CheckpointError{"checkpoint has a trace span of unknown kind " +
-                                std::to_string(kind)};
-    }
-    sp.kind = static_cast<sim::SpanKind>(kind);
-    sp.resource = r.i32();
-    sp.object = r.i64();
-    sp.name = r.str();
-    sp.begin = sim::SimTime::seconds(r.f64());
-    sp.end = sim::SimTime::seconds(r.f64());
-  }
-  std::vector<sim::Marker> markers(sink_length(r, 8, sinks.trace, "trace markers"));
-  for (sim::Marker& m : markers) {
-    m.name = r.str();
-    m.when = sim::SimTime::seconds(r.f64());
-  }
-  if (sinks.trace != nullptr) {
-    sinks.trace->restore(std::move(spans), std::move(markers));
-  }
-  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
-    const std::string name = r.str();
-    sinks.metrics->counter(name).restore(r.u64());
-  }
-  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
-    const std::string name = r.str();
-    sinks.metrics->gauge(name).set(r.f64());
-  }
-  for (std::size_t n = sink_length(r, 8, sinks.metrics, "metrics"); n > 0; --n) {
-    const std::string name = r.str();
-    const std::vector<double> bounds = ck::get_f64_vec(r);
-    std::vector<std::uint64_t> buckets = ck::get_u64_vec(r);
-    const std::uint64_t count = r.u64();
-    const double sum = r.f64();
-    const double min = r.f64();
-    const double max = r.f64();
-    sinks.metrics->histogram(name, bounds).restore(std::move(buckets), count, sum, min, max);
-  }
-  for (std::size_t n = sink_length(r, 8, sinks.decisions, "decisions"); n > 0; --n) {
-    obs::Decision d;
-    d.task = r.i64();
-    d.codelet = r.str();
-    d.worker_arch = r.str();
-    d.chosen_worker = r.i32();
-    d.decided_at = sim::SimTime::seconds(r.f64());
-    d.queue_wait_s = r.f64();
-    d.expected_exec_s = r.f64();
-    d.realized_exec_s = r.f64();
-    d.alternatives.resize(r.length(4 + 8 * 3));
-    for (obs::DecisionAlternative& alt : d.alternatives) {
-      alt.worker = r.i32();
-      alt.expected_exec_s = r.f64();
-      alt.expected_transfer_s = r.f64();
-      alt.expected_energy_j = r.f64();
-    }
-    sinks.decisions->add(std::move(d));
-  }
-  std::vector<obs::TelemetrySample> rows(sink_length(r, 8, sinks.telemetry, "telemetry"));
-  for (obs::TelemetrySample& row : rows) {
-    row.t = sim::SimTime::seconds(r.f64());
-    row.values = ck::get_f64_vec(r);
-  }
-  if (sinks.telemetry != nullptr) {
-    sinks.telemetry->restore_series(std::move(rows));
-  }
-  for (fault::DegradationEvent& e : get_degradation(r)) {
-    degradation.add(std::move(e));
-  }
+  io_observability(r, sinks, degradation);
 }
 
-void put_events(ck::Writer& w, std::vector<std::pair<std::uint64_t, EventRecord>> pending) {
+void put_events(ck::Writer& w, std::vector<EventRecord> pending) {
   std::sort(pending.begin(), pending.end(),
-            [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
-  w.section("EVTS");
-  w.u64(pending.size());
-  for (const auto& [seq, e] : pending) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.i32(e.index);
-    w.f64(e.when_s);
-  }
+            [](const EventRecord& lhs, const EventRecord& rhs) { return lhs.seq < rhs.seq; });
+  io_events(w, pending);
 }
 
 std::vector<EventRecord> get_events(ck::Reader& r) {
-  r.expect_section("EVTS");
-  std::vector<EventRecord> events(r.length(1 + 4 + 8));
-  for (EventRecord& e : events) {
-    const std::uint8_t kind = r.u8();
-    if (kind < static_cast<std::uint8_t>(EventKind::kWorkerBegin) ||
-        kind > static_cast<std::uint8_t>(EventKind::kCkptTick)) {
-      throw ck::CheckpointError{"checkpoint has a pending event of unknown kind " +
-                                std::to_string(kind)};
-    }
-    e.kind = static_cast<EventKind>(kind);
-    e.index = r.i32();
-    e.when_s = r.f64();
-  }
+  std::vector<EventRecord> events;
+  io_events(r, events);
   return events;
 }
 

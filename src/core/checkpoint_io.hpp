@@ -54,6 +54,9 @@ struct EventRecord {
   EventKind kind = EventKind::kWorkerBegin;
   std::int32_t index = -1;
   double when_s = 0.0;
+  /// Original scheduling order; not encoded (the file holds the events in
+  /// this order).
+  std::uint64_t seq = 0;
 };
 
 /// One captured run state: the "RUN1" encoding and the virtual time it
@@ -103,7 +106,7 @@ void get_observability(ckpt::Reader& r, const ObsSinks& sinks,
 
 /// "EVTS": the pending events, written in ascending original sequence
 /// number. Decoding rejects an unknown event kind.
-void put_events(ckpt::Writer& w, std::vector<std::pair<std::uint64_t, EventRecord>> pending);
+void put_events(ckpt::Writer& w, std::vector<EventRecord> pending);
 [[nodiscard]] std::vector<EventRecord> get_events(ckpt::Reader& r);
 
 }  // namespace greencap::core::ckpt_io

@@ -302,10 +302,10 @@ ckpt_io::RunState RunContext::capture_run_state() {
 
   // Pending simulator events, keyed by their original scheduling order
   // (seq) so the replay preserves every (time, seq) tie-break.
-  std::vector<std::pair<std::uint64_t, ckpt_io::EventRecord>> pending;
+  std::vector<ckpt_io::EventRecord> pending;
   auto add_event = [&](ckpt_io::EventKind kind, std::int32_t index, sim::EventId id) {
     if (simulator_.pending(id)) {
-      pending.push_back({id.seq, {kind, index, simulator_.time_of(id).sec()}});
+      pending.push_back({kind, index, simulator_.time_of(id).sec(), id.seq});
     }
   };
   for (std::size_t i = 0; i < runtime_->worker_count(); ++i) {

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/file.hpp"
 #include "ckpt/serial.hpp"
 
 namespace greencap::fault {
@@ -97,32 +96,21 @@ void FaultInjector::cancel_pending() {
   pending_.clear();
 }
 
-void FaultInjector::save(ckpt::Writer& w) const {
-  ckpt::put_u64_array4(w, rng_.state());
-  w.boolean(armed_);
-  w.f64(origin_.sec());
-  w.u64(remaining_count_.size());
-  for (const int c : remaining_count_) w.i32(c);
-  ckpt::put_bool_vec(w, gpu_dropped_);
-  w.u64(counts_.cap_write_failures);
-  w.u64(counts_.drifts);
-  w.u64(counts_.energy_resets);
-  w.u64(counts_.dropouts);
+template <typename C, typename Self>
+void FaultInjector::io(C& c, Self& f) {
+  c.io(f.rng_);
+  c.io(f.armed_);
+  c.io(f.origin_);
+  c.count(f.remaining_count_.size(), 4, "fault-plan entries");
+  for (auto& n : f.remaining_count_) c.io(n);
+  c.seq(f.gpu_dropped_, 1);
+  io_counts(c, f.counts_);
 }
 
+void FaultInjector::save(ckpt::Writer& w) const { io(w, *this); }
+
 void FaultInjector::load(ckpt::Reader& r, sim::Simulator& sim) {
-  rng_.set_state(ckpt::get_u64_array4(r));
-  armed_ = r.boolean();
-  origin_ = sim::SimTime::seconds(r.f64());
-  if (r.length(4) != remaining_count_.size()) {
-    throw ckpt::CheckpointError{"FaultInjector: checkpoint does not match the fault plan"};
-  }
-  for (int& c : remaining_count_) c = r.i32();
-  gpu_dropped_ = ckpt::get_bool_vec(r);
-  counts_.cap_write_failures = r.u64();
-  counts_.drifts = r.u64();
-  counts_.energy_resets = r.u64();
-  counts_.dropouts = r.u64();
+  io(r, *this);
   sim_ = &sim;
   pending_.clear();
 }

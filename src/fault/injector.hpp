@@ -116,6 +116,15 @@ class FaultInjector {
   /// the clock for subsequent queries and rearm_event() calls.
   void load(ckpt::Reader& r, sim::Simulator& sim);
 
+  /// The checkpoint layout of counts(), shared with experiment results.
+  template <typename C, typename T>
+  static void io_counts(C& c, T& counts) {
+    c.io(counts.cap_write_failures);
+    c.io(counts.drifts);
+    c.io(counts.energy_resets);
+    c.io(counts.dropouts);
+  }
+
   /// Re-creates the timed event for plan entry `plan_index` at absolute
   /// time `when` (checkpoint restore of a not-yet-fired fault).
   void rearm_event(std::size_t plan_index, sim::SimTime when);
@@ -126,6 +135,9 @@ class FaultInjector {
   }
 
  private:
+  /// The layout save() writes and load() reads.
+  template <typename C, typename Self>
+  static void io(C& c, Self& f);
   /// Records the firing of event `e` (metrics, trace marker) at `now`.
   void note_fired(const FaultEvent& e, sim::SimTime now);
   /// Schedules the timed fault for plan entry `index` at absolute `when`.

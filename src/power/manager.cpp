@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/file.hpp"
 #include "ckpt/serial.hpp"
 
 namespace greencap::power {
@@ -214,34 +213,28 @@ void PowerManager::stop_reconciliation() {
   }
 }
 
-void PowerManager::save(ckpt::Writer& w) const {
-  w.section("PWRS");
-  w.u64(best_cap_w_.size());
-  for (const auto& cap : best_cap_w_) {
-    w.boolean(cap.has_value());
-    w.f64(cap.value_or(0.0));
-  }
-  w.u64(target_mw_.size());
-  for (const std::uint32_t mw : target_mw_) w.u32(mw);
-  w.boolean(reconcile_active_);
-  w.f64(reconcile_period_.sec());
+template <typename C, typename Self>
+void PowerManager::io(C& c, Self& m) {
+  c.tag("PWRS");
+  c.seq(m.best_cap_w_, 9, [&c](auto& cap) {
+    bool has = cap.has_value();
+    double watts = cap.value_or(0.0);
+    c.io(has);
+    c.io(watts);
+    if constexpr (C::kReading) {
+      if (has) cap = watts;
+    }
+  });
+  c.count(m.target_mw_.size(), 4, "GPUs");
+  for (auto& mw : m.target_mw_) c.io(mw);
+  c.io(m.reconcile_active_);
+  c.io(m.reconcile_period_);
 }
 
+void PowerManager::save(ckpt::Writer& w) const { io(w, *this); }
+
 void PowerManager::load(ckpt::Reader& r, std::function<void(std::size_t gpu)> on_reassert) {
-  r.expect_section("PWRS");
-  best_cap_w_.assign(r.length(9), std::nullopt);
-  for (auto& cap : best_cap_w_) {
-    const bool has = r.boolean();
-    const double watts = r.f64();
-    if (has) cap = watts;
-  }
-  target_mw_.assign(r.length(4), 0);
-  if (target_mw_.size() != platform_.gpu_count()) {
-    throw ckpt::CheckpointError{"PowerManager: checkpoint does not match the GPU count"};
-  }
-  for (std::uint32_t& mw : target_mw_) mw = r.u32();
-  reconcile_active_ = r.boolean();
-  reconcile_period_ = sim::SimTime::seconds(r.f64());
+  io(r, *this);
   on_reassert_ = std::move(on_reassert);
   reconcile_event_ = sim::EventId{};
 }

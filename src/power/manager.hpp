@@ -154,6 +154,9 @@ class PowerManager {
   void set_logger(sim::Logger* log) { log_ = log; }
 
  private:
+  /// The layout save() writes and load() reads.
+  template <typename C, typename Self>
+  static void io(C& c, Self& m);
   void note_cap_change(const std::string& device, double watts);
   [[nodiscard]] nvml::Device& device(std::size_t gpu);
   /// Blocks (in virtual time) for `delay`; schedules a no-op so the

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <tuple>
+
+#include "ckpt/serial.hpp"
 
 namespace greencap::rt {
 
@@ -40,12 +41,12 @@ const PerfStats* HistoryPerfModel::Slot::history(std::int64_t size) const {
 }
 
 PerfStats& HistoryPerfModel::Slot::history_entry(std::int64_t size) {
-  for (auto& [key, stats] : sizes) {
-    if (key == size) {
-      return stats;
-    }
+  auto it = std::lower_bound(sizes.begin(), sizes.end(), size,
+                             [](const auto& entry, std::int64_t key) { return entry.first < key; });
+  if (it == sizes.end() || it->first != size) {
+    it = sizes.emplace(it, size, PerfStats{});
   }
-  return sizes.emplace_back(size, PerfStats{}).second;
+  return it->second;
 }
 
 CodeletId HistoryPerfModel::intern(const std::string& codelet) {
@@ -141,53 +142,79 @@ void HistoryPerfModel::invalidate_worker(WorkerId worker) {
   }
 }
 
-std::vector<HistoryPerfModel::HistoryEntry> HistoryPerfModel::export_history() const {
-  std::vector<HistoryEntry> out;
-  for (CodeletId c = 0; c < slots_.size(); ++c) {
-    for (std::size_t i = 0; i < slots_[c].size(); ++i) {
-      for (const auto& [size, stats] : slots_[c][i].sizes) {
-        out.push_back({names_[c], static_cast<WorkerId>(i / kPrecisions),
-                       static_cast<std::uint8_t>(i % kPrecisions), size, stats.samples,
-                       stats.mean_s, stats.m2});
-      }
+template <typename F>
+void HistoryPerfModel::for_each_slot(F&& f) const {
+  std::vector<CodeletId> by_name(names_.size());
+  for (CodeletId c = 0; c < by_name.size(); ++c) by_name[c] = c;
+  std::sort(by_name.begin(), by_name.end(),
+            [this](CodeletId a, CodeletId b) { return names_[a] < names_[b]; });
+  for (const CodeletId c : by_name) {
+    for (std::size_t i = 0; c < slots_.size() && i < slots_[c].size(); ++i) {
+      f(names_[c], static_cast<WorkerId>(i / kPrecisions),
+        static_cast<std::uint8_t>(i % kPrecisions), slots_[c][i]);
     }
   }
-  std::sort(out.begin(), out.end(), [](const HistoryEntry& a, const HistoryEntry& b) {
-    return std::tie(a.codelet, a.worker, a.precision, a.size_key) <
-           std::tie(b.codelet, b.worker, b.precision, b.size_key);
-  });
-  return out;
 }
 
-std::vector<HistoryPerfModel::RegressionEntry> HistoryPerfModel::export_regression() const {
-  std::vector<RegressionEntry> out;
-  for (CodeletId c = 0; c < slots_.size(); ++c) {
-    for (std::size_t i = 0; i < slots_[c].size(); ++i) {
-      const Slot& s = slots_[c][i];
-      if (s.regression.samples > 0) {
-        out.push_back({names_[c], static_cast<WorkerId>(i / kPrecisions),
-                       static_cast<std::uint8_t>(i % kPrecisions), s.regression.sum_xt,
-                       s.regression.sum_xx, s.regression.samples});
-      }
+template <typename C, typename Self>
+void HistoryPerfModel::io(C& c, Self& model) {
+  auto history = [&c](auto& name, auto& worker, auto& precision, auto& size, auto& stats) {
+    c.io(name);
+    c.io(worker);
+    c.io(precision);
+    c.io(size);
+    c.io(stats.samples);
+    c.io(stats.mean_s);
+    c.io(stats.m2);
+  };
+  auto regression = [&c](auto& name, auto& worker, auto& precision, auto& reg) {
+    c.io(name);
+    c.io(worker);
+    c.io(precision);
+    c.io(reg.sum_xt);
+    c.io(reg.sum_xx);
+    c.io(reg.samples);
+  };
+
+  if constexpr (C::kReading) {
+    model.slots_.clear();
+    std::size_t n = 0;
+    for (c.length(n, 8); n > 0; --n) {
+      std::string name;
+      WorkerId worker = 0;
+      std::uint8_t precision = 0;
+      std::int64_t size = 0;
+      PerfStats stats;
+      history(name, worker, precision, size, stats);
+      model.slot(model.intern(name), worker, precision).history_entry(size) = stats;
     }
+    for (c.length(n, 8); n > 0; --n) {
+      std::string name;
+      WorkerId worker = 0;
+      std::uint8_t precision = 0;
+      Regression reg;
+      regression(name, worker, precision, reg);
+      model.slot(model.intern(name), worker, precision).regression = reg;
+    }
+  } else {
+    std::size_t regressions = 0;
+    model.for_each_slot([&](const std::string&, WorkerId, std::uint8_t, const Slot& s) {
+      regressions += s.regression.samples > 0 ? 1 : 0;
+    });
+    c.length(model.entry_count(), 8);
+    model.for_each_slot(
+        [&](const std::string& name, WorkerId worker, std::uint8_t precision, const Slot& s) {
+          for (const auto& [size, stats] : s.sizes) history(name, worker, precision, size, stats);
+        });
+    c.length(regressions, 8);
+    model.for_each_slot(
+        [&](const std::string& name, WorkerId worker, std::uint8_t precision, const Slot& s) {
+          if (s.regression.samples > 0) regression(name, worker, precision, s.regression);
+        });
   }
-  std::sort(out.begin(), out.end(), [](const RegressionEntry& a, const RegressionEntry& b) {
-    return std::tie(a.codelet, a.worker, a.precision) < std::tie(b.codelet, b.worker, b.precision);
-  });
-  return out;
 }
 
-void HistoryPerfModel::import_state(const std::vector<HistoryEntry>& history,
-                                    const std::vector<RegressionEntry>& regression) {
-  slots_.clear();
-  for (const HistoryEntry& e : history) {
-    slot(intern(e.codelet), e.worker, e.precision).history_entry(e.size_key) =
-        PerfStats{e.samples, e.mean_s, e.m2};
-  }
-  for (const RegressionEntry& e : regression) {
-    slot(intern(e.codelet), e.worker, e.precision).regression =
-        Regression{e.sum_xt, e.sum_xx, e.samples};
-  }
-}
+template void HistoryPerfModel::io(ckpt::Writer&, const HistoryPerfModel&);
+template void HistoryPerfModel::io(ckpt::Reader&, HistoryPerfModel&);
 
 }  // namespace greencap::rt

@@ -40,7 +40,7 @@ struct PerfStats {
 class HistoryPerfModel {
  public:
   /// Dense id for `codelet`, assigned on first sight. Ids are stable for
-  /// the model's lifetime: invalidate() and import_state() keep them.
+  /// the model's lifetime: invalidate() and decoding a checkpoint keep them.
   CodeletId intern(const std::string& codelet);
 
   /// Id of an already-interned name, kNoCodelet when unknown.
@@ -86,33 +86,13 @@ class HistoryPerfModel {
   /// Number of (codelet, worker, precision, size) history entries.
   [[nodiscard]] std::size_t entry_count() const;
 
-  // -- checkpoint support -------------------------------------------------
-  // Both tables flattened to plain tuples, sorted by (codelet name, worker,
-  // precision[, size]) whatever the recording order — the .gckp layout.
-
-  struct HistoryEntry {
-    std::string codelet;
-    WorkerId worker = 0;
-    std::uint8_t precision = 0;
-    std::int64_t size_key = 0;
-    std::uint64_t samples = 0;
-    double mean_s = 0.0;
-    double m2 = 0.0;
-  };
-  struct RegressionEntry {
-    std::string codelet;
-    WorkerId worker = 0;
-    std::uint8_t precision = 0;
-    double sum_xt = 0.0;
-    double sum_xx = 0.0;
-    std::uint64_t samples = 0;
-  };
-
-  [[nodiscard]] std::vector<HistoryEntry> export_history() const;
-  [[nodiscard]] std::vector<RegressionEntry> export_regression() const;
-  /// Replaces the model contents wholesale (checkpoint restore).
-  void import_state(const std::vector<HistoryEntry>& history,
-                    const std::vector<RegressionEntry>& regression);
+  /// Checkpoint layout of both tables: each entry keyed by (codelet name,
+  /// worker, precision[, size]) and written in that order whatever the
+  /// recording order, so equal models encode to equal bytes. Reading
+  /// replaces the contents wholesale; codelet ids stay stable.
+  /// Instantiated for ckpt::Writer (const model) and ckpt::Reader.
+  template <typename C, typename Self>
+  static void io(C& c, Self& model);
 
  private:
   struct Regression {
@@ -121,15 +101,15 @@ class HistoryPerfModel {
     std::uint64_t samples = 0;
     [[nodiscard]] double slope() const { return sum_xx > 0 ? sum_xt / sum_xx : 0.0; }
   };
-  /// State of one (codelet, worker, precision): per-size history, searched
-  /// linearly (a codelet sees a handful of tile sizes), plus the regression
-  /// (present once it has samples).
+  /// State of one (codelet, worker, precision): per-size history in
+  /// ascending size order, searched linearly (a codelet sees a handful of
+  /// tile sizes), plus the regression (present once it has samples).
   struct Slot {
     std::vector<std::pair<std::int64_t, PerfStats>> sizes;
     Regression regression;
 
     [[nodiscard]] const PerfStats* history(std::int64_t size) const;
-    /// The size's history entry, appended empty on first sight.
+    /// The size's history entry, inserted empty on first sight.
     PerfStats& history_entry(std::int64_t size);
   };
 
@@ -138,6 +118,11 @@ class HistoryPerfModel {
 
   [[nodiscard]] const Slot* find(CodeletId codelet, WorkerId worker, std::uint8_t precision) const;
   Slot& slot(CodeletId codelet, WorkerId worker, std::uint8_t precision);
+
+  /// Calls f(name, worker, precision, slot) for every slot, in (codelet
+  /// name, worker, precision) order.
+  template <typename F>
+  void for_each_slot(F&& f) const;
 
   std::vector<std::string> names_;  // indexed by CodeletId
   std::unordered_map<std::string, CodeletId> ids_;

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/file.hpp"
 #include "ckpt/serial.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/capture.hpp"
@@ -812,102 +811,90 @@ std::uint64_t Runtime::structure_digest() const {
   return f.h;
 }
 
-namespace {
+template <typename C, typename Self>
+void Runtime::io(C& c, Self& rt) {
+  // A task reference is coded as its TaskId; reading resolves it to the
+  // re-submitted task (-1 is "none" where `nullable`).
+  auto task_ref = [&c, &rt](auto& task, bool nullable) {
+    std::int64_t id = task != nullptr ? task->id() : -1;
+    c.io(id);
+    if constexpr (C::kReading) {
+      if (nullable && id < 0) {
+        task = nullptr;
+      } else if (id < 0 || static_cast<std::uint64_t>(id) >= rt.tasks_.size()) {
+        throw ckpt::CheckpointError{"Runtime::load: task id " + std::to_string(id) +
+                                    " is out of range"};
+      } else {
+        task = rt.tasks_[static_cast<std::size_t>(id)].get();
+      }
+    }
+  };
+  auto queued = [&task_ref](auto& task) { task_ref(task, false); };
 
-void put_task_ids(ckpt::Writer& w, const std::vector<TaskId>& ids) {
-  w.u64(ids.size());
-  for (const TaskId id : ids) w.i64(id);
+  c.tag("RTSS");
+  c.count(rt.tasks_.size(), 8, "tasks");
+  for (const auto& t : rt.tasks_) {
+    c.io(t->state, TaskState::kDone, "Runtime::load: unknown task state");
+    c.io(t->unresolved_deps);
+    c.io(t->assigned_worker);
+    c.io(t->ready_at);
+    c.io(t->dispatched_at);
+    c.io(t->data_ready_at);
+    c.io(t->start_time);
+    c.io(t->end_time);
+    c.io(t->attributed_power_w);
+    c.io(t->decision_index);
+  }
+  c.count(rt.workers_.size(), 8, "workers");
+  for (auto& wk : rt.workers_) {
+    c.io(wk.busy);
+    c.io(wk.quarantined);
+    c.io(wk.busy_until);
+    c.io(wk.expected_free);
+    c.io(wk.link_free);
+    task_ref(wk.inflight, true);
+    if constexpr (C::kReading) {
+      // In-flight begin/end events are re-created by the caller's ordered
+      // event replay (reschedule_begin/reschedule_end), not here.
+      wk.begin_event = sim::EventId{};
+      wk.end_event = sim::EventId{};
+    }
+    c.seq(wk.queue, 8, queued);
+    c.io(wk.tasks_executed);
+    c.io(wk.busy_seconds);
+    c.io(wk.flops_done);
+    c.io(wk.transfer_seconds);
+    c.io(wk.bytes_transferred);
+  }
+  c.count(rt.handles_.size(), 8, "data handles");
+  for (const auto& h : rt.handles_) {
+    std::uint64_t mask = h->validity_mask();
+    c.io(mask);
+    if constexpr (C::kReading) h->restore_validity_mask(mask);
+  }
+  c.count(rt.link_free_.size(), 8, "links");
+  for (auto& t : rt.link_free_) c.io(t);
+  c.io(rt.tasks_completed_);
+  c.io(rt.flops_completed_);
+  c.io(rt.last_completion_);
+  c.io(rt.drained_);
+  c.io(rt.rng_);
+  rt.scheduler_->io(c, queued);
+  HistoryPerfModel::io(c, rt.perf_model_);
+
+  const std::uint64_t digest = rt.structure_digest();
+  std::uint64_t stored = digest;
+  c.io(stored);
+  if (stored != digest) {
+    std::ostringstream oss;
+    oss << "Runtime::load: re-submitted DAG does not match the checkpoint "
+        << "(structure digest " << digest << " != " << stored
+        << "); the resumed binary or configuration differs from the checkpointed run";
+    throw ckpt::CheckpointError{oss.str()};
+  }
 }
 
-std::vector<TaskId> get_task_ids(ckpt::Reader& r) {
-  const std::size_t n = r.length(8);
-  std::vector<TaskId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ids.push_back(r.i64());
-  return ids;
-}
-
-/// Reads a container length that must equal the live runtime's count.
-std::size_t expect_count(ckpt::Reader& r, std::size_t min_elem_bytes, std::size_t live,
-                         const char* what) {
-  const std::size_t n = r.length(min_elem_bytes);
-  if (n != live) {
-    throw ckpt::CheckpointError{"Runtime::load: checkpoint shape mismatch: " + std::to_string(n) +
-                                " " + what + " checkpointed, " + std::to_string(live) +
-                                " in the re-submitted run"};
-  }
-  return n;
-}
-
-}  // namespace
-
-void Runtime::save(ckpt::Writer& w) const {
-  w.section("RTSS");
-  w.u64(tasks_.size());
-  for (const auto& t : tasks_) {
-    w.u8(static_cast<std::uint8_t>(t->state));
-    w.i32(t->unresolved_deps);
-    w.i32(t->assigned_worker);
-    w.f64(t->ready_at.sec());
-    w.f64(t->dispatched_at.sec());
-    w.f64(t->data_ready_at.sec());
-    w.f64(t->start_time.sec());
-    w.f64(t->end_time.sec());
-    w.f64(t->attributed_power_w);
-    w.i64(t->decision_index);
-  }
-  w.u64(workers_.size());
-  for (const Worker& wk : workers_) {
-    w.boolean(wk.busy);
-    w.boolean(wk.quarantined);
-    w.f64(wk.busy_until.sec());
-    w.f64(wk.expected_free.sec());
-    w.f64(wk.link_free.sec());
-    w.i64(wk.inflight != nullptr ? static_cast<std::int64_t>(wk.inflight->id()) : -1);
-    w.u64(wk.queue.size());
-    for (const Task* queued : wk.queue) w.i64(queued->id());
-    w.u64(wk.tasks_executed);
-    w.f64(wk.busy_seconds);
-    w.f64(wk.flops_done);
-    w.f64(wk.transfer_seconds);
-    w.u64(wk.bytes_transferred);
-  }
-  w.u64(handles_.size());
-  for (const auto& h : handles_) w.u64(h->validity_mask());
-  w.u64(link_free_.size());
-  for (const sim::SimTime t : link_free_) w.f64(t.sec());
-  w.u64(tasks_completed_);
-  w.f64(flops_completed_);
-  w.f64(last_completion_.sec());
-  w.boolean(drained_);
-  ckpt::put_u64_array4(w, rng_.state());
-  const SchedulerSnapshot queues = scheduler_->snapshot_state();
-  put_task_ids(w, queues.central);
-  w.u64(queues.pending);
-  w.u64(queues.cursor);
-  const auto history = perf_model_.export_history();
-  w.u64(history.size());
-  for (const auto& h : history) {
-    w.str(h.codelet);
-    w.i32(h.worker);
-    w.u8(h.precision);
-    w.i64(h.size_key);
-    w.u64(h.samples);
-    w.f64(h.mean_s);
-    w.f64(h.m2);
-  }
-  const auto regression = perf_model_.export_regression();
-  w.u64(regression.size());
-  for (const auto& g : regression) {
-    w.str(g.codelet);
-    w.i32(g.worker);
-    w.u8(g.precision);
-    w.f64(g.sum_xt);
-    w.f64(g.sum_xx);
-    w.u64(g.samples);
-  }
-  w.u64(structure_digest());
-}
+void Runtime::save(ckpt::Writer& w) const { io(w, *this); }
 
 void Runtime::begin_restore() {
   if (!tasks_.empty() || !handles_.empty()) {
@@ -920,97 +907,7 @@ void Runtime::load(ckpt::Reader& r) {
   if (!restoring_) {
     throw std::logic_error("Runtime::load without begin_restore");
   }
-  auto task_at = [this](std::int64_t id) {
-    if (id < 0 || static_cast<std::uint64_t>(id) >= tasks_.size()) {
-      throw ckpt::CheckpointError{"Runtime::load: task id " + std::to_string(id) +
-                                  " is out of range"};
-    }
-    return tasks_[static_cast<std::size_t>(id)].get();
-  };
-
-  r.expect_section("RTSS");
-  expect_count(r, 8, tasks_.size(), "tasks");
-  for (const auto& t : tasks_) {
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(TaskState::kDone)) {
-      throw ckpt::CheckpointError{"Runtime::load: unknown task state " + std::to_string(state)};
-    }
-    t->state = static_cast<TaskState>(state);
-    t->unresolved_deps = r.i32();
-    t->assigned_worker = r.i32();
-    t->ready_at = sim::SimTime::seconds(r.f64());
-    t->dispatched_at = sim::SimTime::seconds(r.f64());
-    t->data_ready_at = sim::SimTime::seconds(r.f64());
-    t->start_time = sim::SimTime::seconds(r.f64());
-    t->end_time = sim::SimTime::seconds(r.f64());
-    t->attributed_power_w = r.f64();
-    t->decision_index = r.i64();
-  }
-  expect_count(r, 8, workers_.size(), "workers");
-  for (Worker& wk : workers_) {
-    wk.busy = r.boolean();
-    wk.quarantined = r.boolean();
-    wk.busy_until = sim::SimTime::seconds(r.f64());
-    wk.expected_free = sim::SimTime::seconds(r.f64());
-    wk.link_free = sim::SimTime::seconds(r.f64());
-    const std::int64_t inflight = r.i64();
-    wk.inflight = inflight >= 0 ? task_at(inflight) : nullptr;
-    // In-flight begin/end events are re-created by the caller's ordered
-    // event replay (reschedule_begin/reschedule_end), not here.
-    wk.begin_event = sim::EventId{};
-    wk.end_event = sim::EventId{};
-    wk.queue.clear();
-    for (const TaskId id : get_task_ids(r)) wk.queue.push_back(task_at(id));
-    wk.tasks_executed = r.u64();
-    wk.busy_seconds = r.f64();
-    wk.flops_done = r.f64();
-    wk.transfer_seconds = r.f64();
-    wk.bytes_transferred = r.u64();
-  }
-  expect_count(r, 8, handles_.size(), "data handles");
-  for (const auto& h : handles_) h->restore_validity_mask(r.u64());
-  expect_count(r, 8, link_free_.size(), "links");
-  for (sim::SimTime& t : link_free_) t = sim::SimTime::seconds(r.f64());
-  tasks_completed_ = r.u64();
-  flops_completed_ = r.f64();
-  last_completion_ = sim::SimTime::seconds(r.f64());
-  drained_ = r.boolean();
-  rng_.set_state(ckpt::get_u64_array4(r));
-  SchedulerSnapshot queues;
-  queues.central = get_task_ids(r);
-  queues.pending = r.u64();
-  queues.cursor = r.u64();
-  scheduler_->restore_state(queues, task_at);
-  std::vector<HistoryPerfModel::HistoryEntry> history(r.length(8));
-  for (auto& h : history) {
-    h.codelet = r.str();
-    h.worker = r.i32();
-    h.precision = r.u8();
-    h.size_key = r.i64();
-    h.samples = r.u64();
-    h.mean_s = r.f64();
-    h.m2 = r.f64();
-  }
-  std::vector<HistoryPerfModel::RegressionEntry> regression(r.length(8));
-  for (auto& g : regression) {
-    g.codelet = r.str();
-    g.worker = r.i32();
-    g.precision = r.u8();
-    g.sum_xt = r.f64();
-    g.sum_xx = r.f64();
-    g.samples = r.u64();
-  }
-  perf_model_.import_state(history, regression);
-
-  const std::uint64_t stored = r.u64();
-  const std::uint64_t digest = structure_digest();
-  if (digest != stored) {
-    std::ostringstream oss;
-    oss << "Runtime::load: re-submitted DAG does not match the checkpoint "
-        << "(structure digest " << digest << " != " << stored
-        << "); the resumed binary or configuration differs from the checkpointed run";
-    throw ckpt::CheckpointError{oss.str()};
-  }
+  io(r, *this);
   restoring_ = false;
 }
 

@@ -274,6 +274,9 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] double estimate_energy(const Task& task, const Worker& worker) override;
 
  private:
+  /// The layout save() writes and load() reads.
+  template <typename C, typename Self>
+  static void io(C& c, Self& rt);
   void build_workers();
   void make_ready(Task& task);
   void wake_worker(WorkerId id);

@@ -35,7 +35,7 @@ sim::SimTime TransferEstimates::operator()(const Worker& worker) {
 std::vector<Task*> Scheduler::evict(Worker& worker) {
   std::vector<Task*> evicted{worker.queue.begin(), worker.queue.end()};
   worker.queue.clear();
-  note_evicted(evicted.size());
+  pending_ -= evicted.size();
   return evicted;
 }
 
@@ -52,15 +52,15 @@ namespace {
 // ---------------------------------------------------------------------------
 
 WorkerId EagerScheduler::push_ready(Task& task) {
-  fifo_.push_back(&task);
+  central_.push_back(&task);
   return -1;
 }
 
 Task* EagerScheduler::pop(Worker& worker) {
-  for (auto it = fifo_.begin(); it != fifo_.end(); ++it) {
+  for (auto it = central_.begin(); it != central_.end(); ++it) {
     if (eligible(**it, worker)) {
       Task* task = *it;
-      fifo_.erase(it);
+      central_.erase(it);
       return task;
     }
   }
@@ -118,8 +118,8 @@ WorkerId WorkStealingScheduler::push_ready(Task& task) {
   auto& workers = ctx().workers();
   // Round-robin initial placement over eligible workers.
   for (std::size_t tries = 0; tries < workers.size(); ++tries) {
-    Worker& w = workers[next_ % workers.size()];
-    ++next_;
+    Worker& w = workers[cursor_ % workers.size()];
+    ++cursor_;
     if (eligible(task, w)) {
       w.queue.push_back(&task);
       ++pending_;
@@ -197,19 +197,19 @@ Task* WorkStealingScheduler::pop(Worker& worker) {
 // ---------------------------------------------------------------------------
 
 WorkerId PrioScheduler::push_ready(Task& task) {
-  auto it = queue_.begin();
-  for (; it != queue_.end(); ++it) {
+  auto it = central_.begin();
+  for (; it != central_.end(); ++it) {
     if ((*it)->priority < task.priority) break;
   }
-  queue_.insert(it, &task);
+  central_.insert(it, &task);
   return -1;
 }
 
 Task* PrioScheduler::pop(Worker& worker) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+  for (auto it = central_.begin(); it != central_.end(); ++it) {
     if (eligible(**it, worker)) {
       Task* t = *it;
-      queue_.erase(it);
+      central_.erase(it);
       return t;
     }
   }

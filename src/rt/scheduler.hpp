@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,16 +69,6 @@ class TransferEstimates {
   std::array<sim::SimTime, kNodes> by_node_{};
 };
 
-/// Policy-agnostic checkpoint of a scheduler's queue state. Shared-queue
-/// contents are stored as TaskIds in queue order; per-worker queues are
-/// checkpointed with the workers themselves, so counter-mirroring policies
-/// only need their counters here.
-struct SchedulerSnapshot {
-  std::vector<TaskId> central;  ///< shared-queue tasks, front first
-  std::uint64_t pending = 0;    ///< mirrored ready-task count
-  std::uint64_t cursor = 0;     ///< round-robin position (work stealing)
-};
-
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -97,30 +86,38 @@ class Scheduler {
   virtual Task* pop(Worker& worker) = 0;
 
   /// Any task waiting anywhere in this policy's queues?
-  [[nodiscard]] virtual bool has_pending() const = 0;
+  [[nodiscard]] bool has_pending() const { return pending_count() != 0; }
 
   /// Number of tasks waiting in this policy's queues (telemetry's
-  /// ready-queue depth). The default lower-bounds it from has_pending();
-  /// the built-in policies all report exact counts.
-  [[nodiscard]] virtual std::size_t pending_count() const { return has_pending() ? 1 : 0; }
+  /// ready-queue depth).
+  [[nodiscard]] std::size_t pending_count() const { return central_.size() + pending_; }
 
   /// Removes and returns every task queued on `worker` (quarantine path).
   /// Tasks parked in shared queues are untouched — they simply stop being
   /// eligible for the worker once it is marked quarantined.
-  [[nodiscard]] virtual std::vector<Task*> evict(Worker& worker);
+  [[nodiscard]] std::vector<Task*> evict(Worker& worker);
 
-  /// Checkpoint capture/restore of the policy's queue state. `resolve`
-  /// maps a checkpointed TaskId back to the live task object.
-  [[nodiscard]] virtual SchedulerSnapshot snapshot_state() const { return {}; }
-  virtual void restore_state(const SchedulerSnapshot& /*snapshot*/,
-                             const std::function<Task*(TaskId)>& /*resolve*/) {}
+  /// Checkpoint layout of the queue state, one for every policy: the
+  /// shared queue (`task` codes one queued task as its TaskId), the
+  /// worker-queue task count and the round-robin cursor. Worker queues
+  /// are checkpointed with the workers themselves.
+  template <typename C, typename TaskRef>
+  void io(C& c, TaskRef&& task) {
+    c.seq(central_, 8, task);
+    c.io(pending_);
+    c.io(cursor_);
+  }
 
  protected:
   SchedulerContext& ctx() { return *ctx_; }
 
-  /// Policies that mirror queue contents in a pending counter adjust it
-  /// here when evict() drains a worker's queue.
-  virtual void note_evicted(std::size_t /*count*/) {}
+  /// Shared-queue policies (eager, prio): the tasks waiting for any
+  /// eligible worker, front first.
+  std::deque<Task*> central_;
+  /// Worker-queue policies: the number of tasks waiting in worker queues.
+  std::size_t pending_ = 0;
+  /// Round-robin placement position (work stealing).
+  std::size_t cursor_ = 0;
 
  private:
   SchedulerContext* ctx_ = nullptr;
@@ -132,21 +129,6 @@ class EagerScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "eager"; }
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
-  [[nodiscard]] bool has_pending() const override { return !fifo_.empty(); }
-  [[nodiscard]] std::size_t pending_count() const override { return fifo_.size(); }
-  [[nodiscard]] SchedulerSnapshot snapshot_state() const override {
-    SchedulerSnapshot s;
-    for (const Task* t : fifo_) s.central.push_back(t->id());
-    return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& resolve) override {
-    fifo_.clear();
-    for (const TaskId id : snapshot.central) fifo_.push_back(resolve(id));
-  }
-
- private:
-  std::deque<Task*> fifo_;
 };
 
 /// "random": weighted-random worker choice, proportional to the worker's
@@ -156,23 +138,6 @@ class RandomScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "random"; }
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
-  [[nodiscard]] bool has_pending() const override { return pending_ != 0; }
-  [[nodiscard]] std::size_t pending_count() const override { return pending_; }
-  [[nodiscard]] SchedulerSnapshot snapshot_state() const override {
-    SchedulerSnapshot s;
-    s.pending = pending_;
-    return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
-  }
-
- protected:
-  void note_evicted(std::size_t count) override { pending_ -= count; }
-
- private:
-  std::size_t pending_ = 0;
 };
 
 /// "ws": per-worker deques with work stealing from the most loaded victim.
@@ -181,29 +146,11 @@ class WorkStealingScheduler : public Scheduler {
   [[nodiscard]] std::string name() const override { return "ws"; }
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
-  [[nodiscard]] bool has_pending() const override { return pending_ != 0; }
-  [[nodiscard]] std::size_t pending_count() const override { return pending_; }
-  [[nodiscard]] SchedulerSnapshot snapshot_state() const override {
-    SchedulerSnapshot s;
-    s.pending = pending_;
-    s.cursor = next_;
-    return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
-    next_ = static_cast<std::size_t>(snapshot.cursor);
-  }
 
  protected:
   /// lws steals from the victim with the best data locality instead of
   /// the most loaded one.
   [[nodiscard]] virtual bool locality_aware() const { return false; }
-  void note_evicted(std::size_t count) override { pending_ -= count; }
-
- private:
-  std::size_t next_ = 0;
-  std::size_t pending_ = 0;
 };
 
 /// "lws": locality work stealing — steals from the victim whose stolen
@@ -221,23 +168,9 @@ class LwsScheduler final : public WorkStealingScheduler {
 class PrioScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "prio"; }
+  /// Keeps the shared queue sorted by priority, descending.
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
-  [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
-  [[nodiscard]] std::size_t pending_count() const override { return queue_.size(); }
-  [[nodiscard]] SchedulerSnapshot snapshot_state() const override {
-    SchedulerSnapshot s;
-    for (const Task* t : queue_) s.central.push_back(t->id());
-    return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& resolve) override {
-    queue_.clear();
-    for (const TaskId id : snapshot.central) queue_.push_back(resolve(id));
-  }
-
- private:
-  std::deque<Task*> queue_;  // kept sorted by priority, descending
 };
 
 /// "dm" (dequeue model / heft-tm): earliest expected completion time using
@@ -247,17 +180,6 @@ class DmScheduler : public Scheduler {
   [[nodiscard]] std::string name() const override { return "dm"; }
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
-  [[nodiscard]] bool has_pending() const override { return pending_ != 0; }
-  [[nodiscard]] std::size_t pending_count() const override { return pending_; }
-  [[nodiscard]] SchedulerSnapshot snapshot_state() const override {
-    SchedulerSnapshot s;
-    s.pending = pending_;
-    return s;
-  }
-  void restore_state(const SchedulerSnapshot& snapshot,
-                     const std::function<Task*(TaskId)>& /*resolve*/) override {
-    pending_ = static_cast<std::size_t>(snapshot.pending);
-  }
 
  protected:
   /// Whether transfer estimates join the completion-time objective (dmda+).
@@ -267,7 +189,6 @@ class DmScheduler : public Scheduler {
   /// Completion-time slack within which the lowest-energy worker wins
   /// (dmdae); 0 disables the energy objective.
   [[nodiscard]] virtual double energy_slack() const { return 0.0; }
-  void note_evicted(std::size_t count) override { pending_ -= count; }
 
  private:
   struct Candidate {
@@ -275,7 +196,6 @@ class DmScheduler : public Scheduler {
     sim::SimTime finish;
   };
 
-  std::size_t pending_ = 0;
   /// push_ready's per-call scratch, kept to avoid an allocation per task.
   std::vector<Candidate> candidates_;
 };

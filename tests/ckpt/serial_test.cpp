@@ -13,6 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint_io.hpp"
+#include "power/config.hpp"
+#include "sim/rng.hpp"
+#include "sim/time.hpp"
+
 namespace ckpt = greencap::ckpt;
 
 namespace {
@@ -167,19 +172,237 @@ TEST(Serial, AbsurdLengthPrefixFailsInsteadOfAllocating) {
 }
 
 TEST(Serial, VectorHelpersRoundTrip) {
+  const std::vector<double> doubles{1.5, -2.5, 0.0};
+  const std::vector<std::uint64_t> words{1, 2, 3, 4};
+  const std::vector<bool> flags{true, false, true};
+  const greencap::sim::Xoshiro256 rng{7};
   ckpt::Writer w;
-  ckpt::put_f64_vec(w, {1.5, -2.5, 0.0});
-  ckpt::put_u64_vec(w, {1, 2, 3, 4});
-  ckpt::put_bool_vec(w, {true, false, true});
-  ckpt::put_u64_array4(w, {10, 20, 30, 40});
+  w.seq(doubles, 8);
+  w.seq(words, 8);
+  w.seq(flags, 1);
+  w.io(rng);
 
+  // Decoding replaces whatever the containers held.
+  std::vector<double> doubles_in{9.0};
+  std::vector<std::uint64_t> words_in;
+  std::vector<bool> flags_in{false, false, false, false};
+  greencap::sim::Xoshiro256 rng_in{8};
   ckpt::Reader r{w.data()};
-  EXPECT_EQ(ckpt::get_f64_vec(r), (std::vector<double>{1.5, -2.5, 0.0}));
-  EXPECT_EQ(ckpt::get_u64_vec(r), (std::vector<std::uint64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(ckpt::get_bool_vec(r), (std::vector<bool>{true, false, true}));
-  const auto arr = ckpt::get_u64_array4(r);
-  EXPECT_EQ(arr, (std::array<std::uint64_t, 4>{10, 20, 30, 40}));
+  r.seq(doubles_in, 8);
+  r.seq(words_in, 8);
+  r.seq(flags_in, 1);
+  r.io(rng_in);
   EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(doubles_in, doubles);
+  EXPECT_EQ(words_in, words);
+  EXPECT_EQ(flags_in, flags);
+  EXPECT_EQ(rng_in.state(), rng.state());
+}
+
+namespace {
+
+enum class Color : std::uint8_t { kRed, kGreen, kBlue };
+
+struct Item {
+  std::int32_t id = 0;
+  std::string name;
+};
+
+struct Record {
+  bool flag = false;
+  std::uint8_t byte = 0;
+  std::int32_t i32 = 0;
+  std::uint32_t u32 = 0;
+  std::int64_t i64 = 0;
+  std::uint64_t u64 = 0;
+  double f64 = 0.0;
+  std::string text;
+  greencap::sim::SimTime when;
+  Color color = Color::kRed;
+  std::vector<double> values;
+  std::vector<Item> items;
+};
+
+template <typename C, typename T>
+void io_record(C& c, T& r) {
+  c.tag("RECD");
+  c.io(r.flag);
+  c.io(r.byte);
+  c.io(r.i32);
+  c.io(r.u32);
+  c.io(r.i64);
+  c.io(r.u64);
+  c.io(r.f64);
+  c.io(r.text);
+  c.io(r.when);
+  c.io(r.color, Color::kBlue, "record has an unknown color");
+  c.seq(r.values, 8);
+  c.seq(r.items, 4 + 8, [&c](auto& item) {
+    c.io(item.id);
+    c.io(item.name);
+  });
+}
+
+Record sample_record() {
+  Record r;
+  r.flag = true;
+  r.byte = 0xAB;
+  r.i32 = -42;
+  r.u32 = 0xDEADBEEFu;
+  r.i64 = -1234567890123LL;
+  r.u64 = 0x0123456789ABCDEFULL;
+  r.f64 = 3.141592653589793;
+  r.text = "hello checkpoint";
+  r.when = greencap::sim::SimTime::seconds(2.5);
+  r.color = Color::kGreen;
+  r.values = {1.0, -0.0, 1e300};
+  r.items = {{7, "seven"}, {-1, ""}};
+  return r;
+}
+
+std::string encode(const Record& record) {
+  ckpt::Writer w;
+  io_record(w, record);
+  return w.take();
+}
+
+}  // namespace
+
+TEST(Serial, OneIoTemplateRoundTripsARecord) {
+  const Record in = sample_record();
+  const std::string bytes = encode(in);
+
+  // The template writes exactly the primitive layout, field by field.
+  ckpt::Writer manual;
+  manual.section("RECD");
+  manual.boolean(in.flag);
+  manual.u8(in.byte);
+  manual.i32(in.i32);
+  manual.u32(in.u32);
+  manual.i64(in.i64);
+  manual.u64(in.u64);
+  manual.f64(in.f64);
+  manual.str(in.text);
+  manual.f64(in.when.sec());
+  manual.u8(1);
+  manual.u64(3);
+  for (const double v : in.values) manual.f64(v);
+  manual.u64(2);
+  for (const Item& item : in.items) {
+    manual.i32(item.id);
+    manual.str(item.name);
+  }
+  EXPECT_EQ(bytes, manual.data());
+
+  Record out;
+  out.items = {{99, "stale"}};
+  ckpt::Reader r{bytes};
+  io_record(r, out);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(out.flag, in.flag);
+  EXPECT_EQ(out.byte, in.byte);
+  EXPECT_EQ(out.i32, in.i32);
+  EXPECT_EQ(out.u32, in.u32);
+  EXPECT_EQ(out.i64, in.i64);
+  EXPECT_EQ(out.u64, in.u64);
+  EXPECT_EQ(out.f64, in.f64);
+  EXPECT_EQ(out.text, in.text);
+  EXPECT_EQ(out.when, in.when);
+  EXPECT_EQ(out.color, in.color);
+  EXPECT_EQ(out.values, in.values);
+  ASSERT_EQ(out.items.size(), 2u);
+  EXPECT_EQ(out.items[0].id, 7);
+  EXPECT_EQ(out.items[0].name, "seven");
+  EXPECT_EQ(out.items[1].id, -1);
+  EXPECT_EQ(encode(out), bytes);
+}
+
+TEST(Serial, EnumByteOutOfRangeThrowsCheckpointError) {
+  std::string bytes = encode(sample_record());
+  const std::size_t color_at = 4 + 1 + 1 + 4 + 4 + 8 + 8 + 8 + (8 + 16) + 8;
+  ASSERT_EQ(bytes[color_at], 1);
+  bytes[color_at] = 3;
+  ckpt::Reader r{bytes};
+  Record out;
+  try {
+    io_record(r, out);
+    FAIL() << "expected CheckpointError";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_STREQ(e.what(), "record has an unknown color 3");
+  }
+}
+
+TEST(Serial, CountMismatchNamesBothCounts) {
+  ckpt::Writer w;
+  w.count(3, 8, "tasks");
+  for (int i = 0; i < 3; ++i) w.u64(0);
+  ckpt::Reader r{w.data()};
+  try {
+    r.count(4, 8, "tasks");
+    FAIL() << "expected CheckpointError";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_STREQ(e.what(),
+                 "checkpoint shape mismatch: 3 tasks checkpointed, 4 in the re-submitted run");
+  }
+  // A count the payload cannot hold is a framing error, not a mismatch.
+  const std::string truncated = w.data().substr(0, 16);
+  ckpt::Reader short_read{truncated};
+  EXPECT_THROW(short_read.count(3, 8, "tasks"), ckpt::CorruptError);
+}
+
+namespace {
+
+namespace core = greencap::core;
+
+/// Decodes `bytes` after setting the byte at `at` to `value`.
+template <typename Decode>
+void expect_rejected(std::string bytes, std::size_t at, Decode decode, const char* message) {
+  bytes.at(at) = static_cast<char>(200);
+  ckpt::Reader r{bytes};
+  try {
+    (void)decode(r);
+    FAIL() << "expected CheckpointError for " << message;
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_EQ(std::string{e.what()}, std::string{message} + " 200");
+  }
+}
+
+core::ExperimentConfig sample_config() {
+  core::ExperimentConfig config;
+  config.platform = "P";
+  config.op = core::Operation::kPotrf;
+  config.n = 11520;
+  config.nb = 2880;
+  config.gpu_config = greencap::power::GpuConfig::parse("HB");
+  return config;
+}
+
+}  // namespace
+
+TEST(Serial, ConfigEnumBytesOutOfRangeThrowCheckpointError) {
+  const std::string bytes = core::ckpt_io::config_bytes(sample_config());
+  const std::size_t op_at = 4 + 8 + 1;  // "CFG1", then the platform string
+  const std::size_t levels_at = op_at + 1 + 1 + 8 + 4 + 8;
+  ASSERT_EQ(bytes[op_at], static_cast<char>(core::Operation::kPotrf));
+  ASSERT_EQ(bytes[levels_at + 1], static_cast<char>(greencap::power::Level::kBest));
+  auto decode = [](ckpt::Reader& r) { return core::ckpt_io::decode_config(r); };
+  expect_rejected(bytes, op_at, decode, "checkpoint has a config of unknown operation");
+  expect_rejected(bytes, op_at + 1, decode, "checkpoint has a config of unknown precision");
+  expect_rejected(bytes, levels_at, decode, "checkpoint has a config of unknown GPU level");
+  expect_rejected(bytes, levels_at + 1, decode, "checkpoint has a config of unknown GPU level");
+}
+
+TEST(Serial, ResultWorkerArchOutOfRangeThrowsCheckpointError) {
+  core::ExperimentResult result;
+  result.config = sample_config();
+  result.stats.per_worker.push_back({0x5A5A5A5A, greencap::rt::WorkerArch::kCuda, 3, 0.5});
+  ckpt::Writer w;
+  core::ckpt_io::encode_result(w, result);
+  const std::string bytes = w.take();
+  const std::size_t id_at = bytes.find("\x5A\x5A\x5A\x5A");
+  ASSERT_NE(id_at, std::string::npos);
+  auto decode = [](ckpt::Reader& r) { return core::ckpt_io::decode_result(r); };
+  expect_rejected(bytes, id_at + 4, decode, "checkpoint has a result of unknown worker arch");
 }
 
 TEST(Serial, Crc32MatchesKnownVector) {

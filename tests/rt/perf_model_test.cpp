@@ -2,14 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include "ckpt/serial.hpp"
 
 namespace greencap::rt {
 namespace {
 
 using sim::SimTime;
+
+std::string encode(const HistoryPerfModel& model) {
+  ckpt::Writer w;
+  HistoryPerfModel::io(w, model);
+  return w.take();
+}
+
+void decode(const std::string& bytes, HistoryPerfModel& model) {
+  ckpt::Reader r{bytes};
+  HistoryPerfModel::io(r, model);
+  EXPECT_TRUE(r.at_end());
+}
 
 hw::KernelWork work_of(double dim, double flops = 0.0) {
   return hw::KernelWork{hw::KernelClass::kGemm, hw::Precision::kDouble,
@@ -108,9 +123,9 @@ TEST(HistoryPerfModel, EntryCountTracksDistinctKeys) {
   EXPECT_EQ(model.entry_count(), 3u);
 }
 
-TEST(HistoryPerfModel, ExportIsSortedByNameWorkerPrecisionSize) {
+TEST(HistoryPerfModel, BytesAreSortedByNameWorkerPrecisionSize) {
   // Record in an order that differs from the sorted one on every key
-  // component; checkpoints rely on the sorted export.
+  // component; checkpoints rely on the sorted layout.
   HistoryPerfModel model;
   hw::KernelWork single = work_of(512);
   single.precision = hw::Precision::kSingle;
@@ -121,27 +136,52 @@ TEST(HistoryPerfModel, ExportIsSortedByNameWorkerPrecisionSize) {
   model.record("gemm", 1, single, SimTime::seconds(5.0));
   model.record("geqrt", 2, work_of(512), SimTime::seconds(6.0));
 
-  const auto history = model.export_history();
-  ASSERT_EQ(history.size(), 6u);
-  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t, std::int64_t>> keys{
-      {"gemm", 0, 1, 512}, {"gemm", 1, 0, 512},  {"gemm", 1, 1, 512},
-      {"gemm", 1, 1, 1024}, {"geqrt", 2, 1, 512}, {"trsm", 1, 1, 512}};
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto& e = history[i];
-    EXPECT_EQ(std::tie(e.codelet, e.worker, e.precision, e.size_key), keys[i]) << "entry " << i;
+  const std::string bytes = encode(model);
+  ckpt::Reader r{bytes};
+  ASSERT_EQ(r.u64(), 6u);
+  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t, std::int64_t, double>> history{
+      {"gemm", 0, 1, 512, 4.0},  {"gemm", 1, 0, 512, 5.0},  {"gemm", 1, 1, 512, 3.0},
+      {"gemm", 1, 1, 1024, 2.0}, {"geqrt", 2, 1, 512, 6.0}, {"trsm", 1, 1, 512, 1.0}};
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const std::string codelet = r.str();
+    const WorkerId worker = r.i32();
+    const std::uint8_t precision = r.u8();
+    const std::int64_t size = r.i64();
+    EXPECT_EQ(r.u64(), 1u) << "entry " << i;  // samples
+    const double mean_s = r.f64();
+    (void)r.f64();  // m2
+    EXPECT_EQ(std::tie(codelet, worker, precision, size, mean_s), history[i]) << "entry " << i;
   }
-  EXPECT_DOUBLE_EQ(history[0].mean_s, 4.0);
-  EXPECT_DOUBLE_EQ(history[2].mean_s, 3.0);
 
-  const auto regression = model.export_regression();
-  ASSERT_EQ(regression.size(), 5u);
-  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t>> reg_keys{
-      {"gemm", 0, 1}, {"gemm", 1, 0}, {"gemm", 1, 1}, {"geqrt", 2, 1}, {"trsm", 1, 1}};
-  for (std::size_t i = 0; i < reg_keys.size(); ++i) {
-    const auto& e = regression[i];
-    EXPECT_EQ(std::tie(e.codelet, e.worker, e.precision), reg_keys[i]) << "entry " << i;
+  ASSERT_EQ(r.u64(), 5u);
+  const std::vector<std::tuple<std::string, WorkerId, std::uint8_t, std::uint64_t>> regression{
+      {"gemm", 0, 1, 1}, {"gemm", 1, 0, 1}, {"gemm", 1, 1, 2}, {"geqrt", 2, 1, 1}, {"trsm", 1, 1, 1}};
+  for (std::size_t i = 0; i < regression.size(); ++i) {
+    const std::string codelet = r.str();
+    const WorkerId worker = r.i32();
+    const std::uint8_t precision = r.u8();
+    (void)r.f64();  // sum_xt
+    (void)r.f64();  // sum_xx
+    const std::uint64_t samples = r.u64();
+    EXPECT_EQ(std::tie(codelet, worker, precision, samples), regression[i]) << "entry " << i;
   }
-  EXPECT_EQ(regression[2].samples, 2u);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(HistoryPerfModel, BytesDoNotDependOnRecordingOrder) {
+  // The same samples per key, interleaved across keys in two orders.
+  HistoryPerfModel a;
+  a.record("trsm", 1, work_of(512), SimTime::seconds(1.0));
+  a.record("gemm", 0, work_of(1024), SimTime::seconds(2.0));
+  a.record("gemm", 0, work_of(512), SimTime::seconds(3.0));
+  a.record("gemm", 0, work_of(512), SimTime::seconds(3.5));
+  HistoryPerfModel b;
+  b.intern("gemm");  // different codelet ids, too
+  b.record("gemm", 0, work_of(512), SimTime::seconds(3.0));
+  b.record("gemm", 0, work_of(1024), SimTime::seconds(2.0));
+  b.record("trsm", 1, work_of(512), SimTime::seconds(1.0));
+  b.record("gemm", 0, work_of(512), SimTime::seconds(3.5));
+  EXPECT_EQ(encode(a), encode(b));
 }
 
 TEST(HistoryPerfModel, IdAndNameApisAgree) {
@@ -169,26 +209,36 @@ TEST(HistoryPerfModel, IdsSurviveInvalidateAndImport) {
   const CodeletId gemm = model.intern("gemm");
   const CodeletId trsm = model.intern("trsm");
   model.record(trsm, 1, work_of(512), SimTime::seconds(2.0));
-  const auto history = model.export_history();
-  const auto regression = model.export_regression();
+  const std::string bytes = encode(model);
 
   model.invalidate();
   EXPECT_EQ(model.id_of("gemm"), gemm);
   EXPECT_EQ(model.id_of("trsm"), trsm);
   EXPECT_FALSE(model.expected(trsm, 1, work_of(512)).has_value());
 
-  model.import_state(history, regression);
+  decode(bytes, model);
   EXPECT_EQ(model.id_of("gemm"), gemm);
   EXPECT_EQ(model.id_of("trsm"), trsm);
   EXPECT_DOUBLE_EQ(model.expected(trsm, 1, work_of(512))->sec(), 2.0);
-  EXPECT_EQ(model.export_history().size(), 1u);
-  EXPECT_EQ(model.export_regression().size(), 1u);
+  EXPECT_EQ(model.entry_count(), 1u);
+  EXPECT_EQ(encode(model), bytes);
 
-  // Importing into a fresh model interns the checkpointed names.
+  // Decoding into a fresh model interns the checkpointed names.
   HistoryPerfModel restored;
-  restored.import_state(history, regression);
+  decode(bytes, restored);
   EXPECT_NE(restored.id_of("trsm"), kNoCodelet);
   EXPECT_DOUBLE_EQ(restored.expected("trsm", 1, work_of(512))->sec(), 2.0);
+  EXPECT_EQ(encode(restored), bytes);
+}
+
+TEST(HistoryPerfModel, DecodeReplacesEverything) {
+  HistoryPerfModel source;
+  source.record("gemm", 0, work_of(512), SimTime::seconds(1.0));
+  HistoryPerfModel model;
+  model.record("trsm", 1, work_of(512), SimTime::seconds(2.0));
+  decode(encode(source), model);
+  EXPECT_FALSE(model.expected("trsm", 1, work_of(1024)).has_value());
+  EXPECT_DOUBLE_EQ(model.expected("gemm", 0, work_of(512))->sec(), 1.0);
 }
 
 TEST(HistoryPerfModel, InvalidateWorkerKeepsOtherWorkers) {
@@ -198,7 +248,9 @@ TEST(HistoryPerfModel, InvalidateWorkerKeepsOtherWorkers) {
   model.invalidate_worker(0);
   EXPECT_FALSE(model.expected("gemm", 0, work_of(512)).has_value());
   EXPECT_DOUBLE_EQ(model.expected("gemm", 1, work_of(512))->sec(), 2.0);
-  EXPECT_EQ(model.export_regression().size(), 1u);
+  // The regression went with the history: no extrapolation on worker 0.
+  EXPECT_FALSE(model.expected("gemm", 0, work_of(1024)).has_value());
+  EXPECT_TRUE(model.expected("gemm", 1, work_of(1024)).has_value());
 }
 
 }  // namespace

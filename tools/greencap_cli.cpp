@@ -15,9 +15,12 @@
 // reported, like the paper's figures. The observability flags capture the
 // run as a Perfetto-loadable trace, a metrics snapshot, a power/occupancy
 // time-series, or a scheduler decision log (all =VALUE or space-separated).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,21 @@ namespace {
   std::exit(code);
 }
 
+/// FlagParser callback body for a flag whose value must be a positive
+/// integer that fits `Int`.
+template <typename Int>
+std::string positive(const std::string& value, Int* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE || parsed <= 0 ||
+      parsed > std::numeric_limits<Int>::max()) {
+    return "expects a positive integer, got '" + value + "'";
+  }
+  *out = static_cast<Int>(parsed);
+  return {};
+}
+
 void print_result(const char* title, const core::ExperimentResult& r) {
   std::printf("%s  [%s]\n", title, r.config.describe().c_str());
   std::printf("  time        : %.3f s\n", r.time_s);
@@ -75,8 +93,8 @@ int main(int argc, char** argv) {
   core::ExperimentConfig cfg;
   cfg.platform = "32-AMD-4-A100";
   bool baseline = false;
-  std::int64_t n_value = 0;   // 0 = use the paper's Table II default
-  int nb_value = 0;           // 0 = use the paper's Table II default
+  std::int64_t n_value = 0;   // 0 = unset: use the paper's Table II default
+  int nb_value = 0;           // 0 = unset: use the paper's Table II default
   std::string config_text;
   std::string telemetry_json, telemetry_csv, decisions_json, degradation_json;
   bool model_report = false;
@@ -88,7 +106,15 @@ int main(int argc, char** argv) {
   }
 
   core::FlagParser parser;
-  parser.str("--platform", &cfg.platform);
+  parser.value("--platform", "NAME", [&cfg](const std::string& name) -> std::string {
+    try {
+      (void)hw::presets::platform_by_name(name);
+    } catch (const std::invalid_argument&) {
+      return "expects 24-Intel-2-V100|64-AMD-2-A100|32-AMD-4-A100, got '" + name + "'";
+    }
+    cfg.platform = name;
+    return {};
+  });
   parser.value("--op", "NAME", [&cfg](const std::string& op) -> std::string {
     if (op == "gemm") cfg.op = core::Operation::kGemm;
     else if (op == "potrf") cfg.op = core::Operation::kPotrf;
@@ -104,9 +130,17 @@ int main(int argc, char** argv) {
     else return "expects single|double, got '" + p + "'";
     return {};
   });
-  parser.i64("--n", &n_value);
-  parser.i32("--nb", &nb_value);
-  parser.str("--config", &config_text);
+  parser.value("--n", "N", [&n_value](const std::string& v) { return positive(v, &n_value); });
+  parser.value("--nb", "NB", [&nb_value](const std::string& v) { return positive(v, &nb_value); });
+  parser.value("--config", "CFG", [&cfg, &config_text](const std::string& text) -> std::string {
+    try {
+      cfg.gpu_config = power::GpuConfig::parse(text);
+    } catch (const std::invalid_argument&) {
+      return "expects H/B/L letters, one per GPU, got '" + text + "'";
+    }
+    config_text = text;
+    return {};
+  });
   parser.value("--cpu-cap", "PKG:FRAC", [&cfg](const std::string& spec) -> std::string {
     const auto colon = spec.find(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
@@ -161,9 +195,13 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
-  cfg.gpu_config = config_text.empty()
-                       ? power::GpuConfig::uniform(gpus, power::Level::kHigh)
-                       : power::GpuConfig::parse(config_text);
+  if (config_text.empty()) {
+    cfg.gpu_config = power::GpuConfig::uniform(gpus, power::Level::kHigh);
+  } else if (cfg.gpu_config.size() != gpus) {
+    std::fprintf(stderr, "%s: flag '--config' expects one H/B/L letter per GPU (%zu on %s), got '%s'\n",
+                 argv[0], gpus, cfg.platform.c_str(), config_text.c_str());
+    return 2;
+  }
 
   cfg.resilience = flags.resilience;
   cfg.obs = flags.observability(!telemetry_json.empty() || !telemetry_csv.empty());
