@@ -80,28 +80,27 @@ class SweepCli {
     core::export_artifact(
         summary_json, "summary",
         [&](std::ostream& os) {
-          auto strings = [&os](const std::vector<std::string>& cells) {
-            os << "[";
+          obs::JsonWriter w{os};
+          auto strings = [&w](const std::vector<std::string>& cells) {
+            w.raw('[');
             for (std::size_t c = 0; c < cells.size(); ++c) {
-              os << (c ? "," : "") << obs::json_string(cells[c]);
+              w.raw(c ? "," : "").str(cells[c]);
             }
-            os << "]";
+            w.raw(']');
           };
-          os << "{\"schema_version\":1,\"binary\":" << obs::json_string(binary)
-             << ",\"figures\":[";
+          w.raw("{\"schema_version\":1,\"binary\":").str(binary).raw(",\"figures\":[");
           for (std::size_t f = 0; f < figures_.size(); ++f) {
             const auto& [title, table] = figures_[f];
-            os << (f ? ",\n" : "\n") << "{\"title\":" << obs::json_string(title)
-               << ",\"columns\":";
+            w.raw(f ? ",\n" : "\n").raw("{\"title\":").str(title).raw(",\"columns\":");
             strings(table.headers());
-            os << ",\"rows\":[";
+            w.raw(",\"rows\":[");
             for (std::size_t r = 0; r < table.row_cells().size(); ++r) {
-              os << (r ? "," : "");
+              w.raw(r ? "," : "");
               strings(table.row_cells()[r]);
             }
-            os << "]}";
+            w.raw("]}");
           }
-          os << "\n]}\n";
+          w.raw("\n]}\n");
         },
         wrote_to_stderr);
   }

@@ -23,17 +23,16 @@ std::string DegradationReport::to_string() const {
 }
 
 void DegradationReport::write_json(std::ostream& os) const {
-  os << "{\"degradations\": [";
-  const char* sep = "";
-  for (const DegradationEvent& e : events_) {
-    os << sep << "{\"component\": " << obs::json_string(e.component)
-       << ", \"detail\": " << obs::json_string(e.detail)
-       << ", \"from\": " << obs::json_string(e.from) << ", \"to\": " << obs::json_string(e.to)
-       << ", \"reason\": " << obs::json_string(e.reason)
-       << ", \"at_s\": " << obs::json_number(e.at_s) << "}";
-    sep = ", ";
+  obs::JsonWriter w{os};
+  w.raw("{\"degradations\": [");
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const DegradationEvent& e = events_[i];
+    w.raw(i != 0 ? ", {\"component\": " : "{\"component\": ").str(e.component);
+    w.raw(", \"detail\": ").str(e.detail).raw(", \"from\": ").str(e.from);
+    w.raw(", \"to\": ").str(e.to).raw(", \"reason\": ").str(e.reason);
+    w.raw(", \"at_s\": ").number(e.at_s).raw('}');
   }
-  os << "]}\n";
+  w.raw("]}\n");
 }
 
 }  // namespace greencap::fault

@@ -73,37 +73,27 @@ double DecisionLog::overall_mean_rel_error() const {
 }
 
 void DecisionLog::write_json(std::ostream& os) const {
-  std::string out;
-  out.reserve(160 * decisions_.size() + 256);
-  out += "{\n  \"decisions\": [";
+  JsonWriter w{os};
+  w.raw("{\n  \"decisions\": [");
   for (std::size_t i = 0; i < decisions_.size(); ++i) {
     const Decision& d = decisions_[i];
-    out += i == 0 ? "\n    {" : ",\n    {";
-    out += "\"task\": " + std::to_string(d.task);
-    out += ", \"codelet\": ";
-    json_append_string(out, d.codelet);
-    out += ", \"arch\": ";
-    json_append_string(out, d.worker_arch);
-    out += ", \"worker\": " + std::to_string(d.chosen_worker);
-    out += ", \"decided_at_s\": " + json_number(d.decided_at.sec());
-    out += ", \"queue_wait_s\": " + json_number(d.queue_wait_s);
-    out += ", \"expected_exec_s\": " + json_number(d.expected_exec_s);
-    out += ", \"realized_exec_s\": " + json_number(d.realized_exec_s);
-    out += ", \"alternatives\": [";
+    w.raw(i == 0 ? "\n    {" : ",\n    {").raw("\"task\": ").integer(d.task);
+    w.raw(", \"codelet\": ").str(d.codelet).raw(", \"arch\": ").str(d.worker_arch);
+    w.raw(", \"worker\": ").integer(d.chosen_worker);
+    w.raw(", \"decided_at_s\": ").number(d.decided_at.sec());
+    w.raw(", \"queue_wait_s\": ").number(d.queue_wait_s);
+    w.raw(", \"expected_exec_s\": ").number(d.expected_exec_s);
+    w.raw(", \"realized_exec_s\": ").number(d.realized_exec_s).raw(", \"alternatives\": [");
     for (std::size_t k = 0; k < d.alternatives.size(); ++k) {
       const DecisionAlternative& alt = d.alternatives[k];
-      if (k > 0) out += ", ";
-      out += "{\"worker\": " + std::to_string(alt.worker);
-      out += ", \"exec_s\": " + json_number(alt.expected_exec_s);
-      out += ", \"transfer_s\": " + json_number(alt.expected_transfer_s);
-      out += ", \"energy_j\": " + json_number(alt.expected_energy_j);
-      out += "}";
+      w.raw(k > 0 ? ", {\"worker\": " : "{\"worker\": ").integer(alt.worker);
+      w.raw(", \"exec_s\": ").number(alt.expected_exec_s);
+      w.raw(", \"transfer_s\": ").number(alt.expected_transfer_s);
+      w.raw(", \"energy_j\": ").number(alt.expected_energy_j).raw('}');
     }
-    out += "]}";
+    w.raw("]}");
   }
-  out += decisions_.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  os << out;
+  w.raw(decisions_.empty() ? "]\n" : "\n  ]\n").raw("}\n");
 }
 
 void DecisionLog::print_accuracy(std::ostream& os) const {

@@ -1,73 +1,141 @@
-// Tiny JSON-writing helpers shared by the observability exporters.
+// The one JSON writer every exporter uses.
 //
-// The exporters (metrics registry, telemetry series, Chrome trace) emit
-// JSON by hand — the format is flat and the writers are hot enough that a
-// DOM library would be overkill — but string escaping and non-finite
-// doubles must be handled once, correctly, here.
+// The exporters (Chrome trace, metrics, telemetry, decisions, profile,
+// degradation report, bench summary) emit JSON by hand: the format is flat
+// and an observed run writes ~300k numbers, so a DOM library would be
+// overkill. JsonWriter appends into a bounded buffer that it flushes to the
+// stream whenever it fills (and on destruction), so no exporter holds a
+// whole artifact in memory, and it formats every value in place:
+//   number(v)        == printf "%.9g"   (std::to_chars general, precision 9)
+//   number_exact(v)  == printf "%.17g"  (std::to_chars general, precision 17)
+//   integer(v)       the decimal digits std::to_string gives
+//   str(s)           a string literal, escaped per RFC 8259
+// The standard defines to_chars with a precision as printf in the "C"
+// locale, so the bytes match the snprintf formatting this replaced. JSON has
+// no inf/nan tokens: non-finite numbers are written as null (the convention
+// Perfetto accepts).
 #pragma once
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
+#include <cstring>
+#include <memory>
 #include <ostream>
-#include <string>
 #include <string_view>
 
 namespace greencap::obs {
 
-/// Appends `s` to `out` as a JSON string literal (quotes included),
-/// escaping quotes, backslashes and control characters per RFC 8259.
-inline void json_append_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+class JsonWriter {
+ public:
+  static constexpr std::size_t kCapacity = 64 * 1024;
+
+  /// `script_safe` writes "</" inside strings as the JSON-legal "<\/", so
+  /// the output can sit in an HTML <script> data island. Only string
+  /// contents can hold a '<'; raw() text is written as given.
+  explicit JsonWriter(std::ostream& os, bool script_safe = false)
+      : os_{os},
+        buf_{std::make_unique_for_overwrite<char[]>(kCapacity)},
+        script_safe_{script_safe} {}
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+  ~JsonWriter() { flush(); }
+
+  JsonWriter& raw(std::string_view s) {
+    if (s.size() > kCapacity - len_) {
+      flush();
+      if (s.size() >= kCapacity) {
+        os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        return *this;
+      }
     }
+    std::memcpy(buf_.get() + len_, s.data(), s.size());
+    len_ += s.size();
+    return *this;
   }
-  out.push_back('"');
-}
-
-[[nodiscard]] inline std::string json_string(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  json_append_string(out, s);
-  return out;
-}
-
-/// Formats a double as a valid JSON number. JSON has no inf/nan tokens;
-/// non-finite values degrade to null (the convention Perfetto accepts).
-[[nodiscard]] inline std::string json_number(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
+  JsonWriter& raw(char c) {
+    room(1)[0] = c;
+    ++len_;
+    return *this;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
-/// Full round-trip precision (%.17g) variant, for exports whose consumers
-/// re-verify exact accounting identities (profile.json's energy
-/// conservation check reads back the same doubles that were summed).
-[[nodiscard]] inline std::string json_number_exact(double v) {
-  if (!std::isfinite(v)) {
-    return "null";
+  JsonWriter& str(std::string_view s) {
+    raw('"');
+    std::size_t run = 0;  // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const auto c = static_cast<unsigned char>(s[i]);
+      const bool close_tag = script_safe_ && c == '<' && i + 1 < s.size() && s[i + 1] == '/';
+      if (c >= 0x20 && c != '"' && c != '\\' && !close_tag) {
+        continue;
+      }
+      raw(s.substr(run, i - run));
+      run = i + 1;
+      switch (c) {
+        case '"': raw("\\\""); break;
+        case '\\': raw("\\\\"); break;
+        case '\b': raw("\\b"); break;
+        case '\f': raw("\\f"); break;
+        case '\n': raw("\\n"); break;
+        case '\r': raw("\\r"); break;
+        case '\t': raw("\\t"); break;
+        case '<':  // only a "</" pair gets here; both bytes are consumed
+          raw("<\\/");
+          run = ++i + 1;
+          break;
+        default: {
+          constexpr char kHex[] = "0123456789abcdef";
+          const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+          raw(std::string_view{esc, sizeof esc});
+        }
+      }
+    }
+    return raw(s.substr(run)).raw('"');
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  JsonWriter& integer(T v) {
+    char* p = room(kMaxNumber);
+    len_ = static_cast<std::size_t>(std::to_chars(p, p + kMaxNumber, v).ptr - buf_.get());
+    return *this;
+  }
+
+  JsonWriter& number(double v) { return real(v, 9); }
+  JsonWriter& number_exact(double v) { return real(v, 17); }
+
+  /// Hands the buffered bytes to the stream. Stream failures are left on
+  /// the stream's state for the caller (write_artifact) to check.
+  void flush() {
+    os_.write(buf_.get(), static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
+ private:
+  /// Longest value integer()/real() write: "-1.2345678901234567e-308" is 24.
+  static constexpr std::size_t kMaxNumber = 32;
+
+  char* room(std::size_t n) {
+    if (kCapacity - len_ < n) {
+      flush();
+    }
+    return buf_.get() + len_;
+  }
+
+  JsonWriter& real(double v, int precision) {
+    if (!std::isfinite(v)) {
+      return raw("null");
+    }
+    char* p = room(kMaxNumber);
+    len_ = static_cast<std::size_t>(
+        std::to_chars(p, p + kMaxNumber, v, std::chars_format::general, precision).ptr -
+        buf_.get());
+    return *this;
+  }
+
+  std::ostream& os_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t len_ = 0;
+  bool script_safe_;
+};
 
 }  // namespace greencap::obs

@@ -89,56 +89,41 @@ void MetricsRegistry::clear() {
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"counters\": {";
+  JsonWriter w{os};
+  w.raw("{\n  \"counters\": {");
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    out += first ? "\n    " : ",\n    ";
+    w.raw(first ? "\n    " : ",\n    ").str(name).raw(": ").integer(c.value());
     first = false;
-    json_append_string(out, name);
-    out += ": ";
-    out += std::to_string(c.value());
   }
-  out += counters_.empty() ? "},\n" : "\n  },\n";
+  w.raw(counters_.empty() ? "},\n" : "\n  },\n");
 
-  out += "  \"gauges\": {";
+  w.raw("  \"gauges\": {");
   first = true;
   for (const auto& [name, g] : gauges_) {
-    out += first ? "\n    " : ",\n    ";
+    w.raw(first ? "\n    " : ",\n    ").str(name).raw(": ").number(g.value());
     first = false;
-    json_append_string(out, name);
-    out += ": ";
-    out += json_number(g.value());
   }
-  out += gauges_.empty() ? "},\n" : "\n  },\n";
+  w.raw(gauges_.empty() ? "},\n" : "\n  },\n");
 
-  out += "  \"histograms\": {";
+  w.raw("  \"histograms\": {");
   first = true;
   for (const auto& [name, h] : histograms_) {
-    out += first ? "\n    " : ",\n    ";
+    w.raw(first ? "\n    " : ",\n    ").str(name);
     first = false;
-    json_append_string(out, name);
-    out += ": {\"count\": " + std::to_string(h.count());
-    out += ", \"sum\": " + json_number(h.sum());
-    out += ", \"mean\": " + json_number(h.mean());
-    out += ", \"min\": " + json_number(h.min());
-    out += ", \"max\": " + json_number(h.max());
-    out += ", \"bounds\": [";
+    w.raw(": {\"count\": ").integer(h.count()).raw(", \"sum\": ").number(h.sum());
+    w.raw(", \"mean\": ").number(h.mean()).raw(", \"min\": ").number(h.min());
+    w.raw(", \"max\": ").number(h.max()).raw(", \"bounds\": [");
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-      if (i > 0) out += ", ";
-      out += json_number(h.bounds()[i]);
+      w.raw(i > 0 ? ", " : "").number(h.bounds()[i]);
     }
-    out += "], \"buckets\": [";
+    w.raw("], \"buckets\": [");
     for (std::size_t i = 0; i < h.buckets().size(); ++i) {
-      if (i > 0) out += ", ";
-      out += std::to_string(h.buckets()[i]);
+      w.raw(i > 0 ? ", " : "").integer(h.buckets()[i]);
     }
-    out += "]}";
+    w.raw("]}");
   }
-  out += histograms_.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
-  os << out;
+  w.raw(histograms_.empty() ? "}\n" : "\n  }\n").raw("}\n");
 }
 
 }  // namespace greencap::obs

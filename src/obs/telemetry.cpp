@@ -35,31 +35,21 @@ double TelemetrySeries::max_value(std::size_t channel) const {
 }
 
 void TelemetrySeries::write_json(std::ostream& os) const {
-  std::string out;
-  out.reserve(64 * samples_.size() + 1024);
-  out += "{\n  \"channels\": [";
+  JsonWriter w{os};
+  w.raw("{\n  \"channels\": [");
   for (std::size_t i = 0; i < channels_.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += "{\"name\": ";
-    json_append_string(out, channels_[i].name);
-    out += ", \"unit\": ";
-    json_append_string(out, channels_[i].unit);
-    out += "}";
+    w.raw(i == 0 ? "\n    " : ",\n    ").raw("{\"name\": ").str(channels_[i].name);
+    w.raw(", \"unit\": ").str(channels_[i].unit).raw('}');
   }
-  out += channels_.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"samples\": [";
+  w.raw(channels_.empty() ? "],\n" : "\n  ],\n").raw("  \"samples\": [");
   for (std::size_t i = 0; i < samples_.size(); ++i) {
-    out += i == 0 ? "\n    [" : ",\n    [";
-    out += json_number(samples_[i].t.sec());
+    w.raw(i == 0 ? "\n    [" : ",\n    [").number(samples_[i].t.sec());
     for (const double v : samples_[i].values) {
-      out += ", ";
-      out += json_number(v);
+      w.raw(", ").number(v);
     }
-    out += "]";
+    w.raw(']');
   }
-  out += samples_.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  os << out;
+  w.raw(samples_.empty() ? "]\n" : "\n  ]\n").raw("}\n");
 }
 
 void TelemetrySeries::write_csv(std::ostream& os) const {

@@ -17,28 +17,24 @@ constexpr int kTelemetryPid = 3;
 /// Trace convention: transfer spans use resource = 1000 + gpu index.
 constexpr std::int32_t kLinkResourceBase = 1000;
 
-void append_meta(std::string& out, bool& first, const char* kind, int pid, int tid,
-                 const std::string& label) {
-  out += first ? "\n    " : ",\n    ";
+/// Writes a metadata event up to its "name" argument; the caller writes the
+/// label and closes the event with "}}".
+JsonWriter& meta(JsonWriter& w, bool& first, const char* kind, int pid, int tid) {
+  w.raw(first ? "\n    " : ",\n    ").raw("{\"name\": \"").raw(kind);
   first = false;
-  out += "{\"name\": \"";
-  out += kind;
-  out += "\", \"ph\": \"M\", \"pid\": " + std::to_string(pid);
+  w.raw("\", \"ph\": \"M\", \"pid\": ").integer(pid);
   if (tid >= 0) {
-    out += ", \"tid\": " + std::to_string(tid);
+    w.raw(", \"tid\": ").integer(tid);
   }
-  out += ", \"args\": {\"name\": ";
-  json_append_string(out, label);
-  out += "}}";
+  return w.raw(", \"args\": {\"name\": ");
 }
 
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
                         const ChromeTraceOptions& options) {
-  std::string out;
-  out.reserve(160 * trace.spans().size() + 1024);
-  out += "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
+  JsonWriter w{os};
+  w.raw("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
   bool first = true;
 
   // -- metadata: process/thread names ------------------------------------
@@ -51,51 +47,46 @@ void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
       workers.insert(s.resource);
     }
   }
-  append_meta(out, first, "process_name", kWorkersPid, -1, "workers");
-  for (const std::int32_t w : workers) {
-    const auto idx = static_cast<std::size_t>(w);
-    const std::string label = w >= 0 && idx < options.worker_names.size()
-                                  ? options.worker_names[idx]
-                                  : "worker" + std::to_string(w);
-    append_meta(out, first, "thread_name", kWorkersPid, w, label);
+  meta(w, first, "process_name", kWorkersPid, -1).str("workers").raw("}}");
+  for (const std::int32_t worker : workers) {
+    meta(w, first, "thread_name", kWorkersPid, worker);
+    const auto idx = static_cast<std::size_t>(worker);
+    if (worker >= 0 && idx < options.worker_names.size()) {
+      w.str(options.worker_names[idx]);
+    } else {
+      w.raw("\"worker").integer(worker).raw('"');
+    }
+    w.raw("}}");
   }
   if (!links.empty()) {
-    append_meta(out, first, "process_name", kLinksPid, -1, "links");
+    meta(w, first, "process_name", kLinksPid, -1).str("links").raw("}}");
     for (const std::int32_t l : links) {
-      append_meta(out, first, "thread_name", kLinksPid, l, "gpu" + std::to_string(l) + " link");
+      meta(w, first, "thread_name", kLinksPid, l).raw("\"gpu").integer(l).raw(" link\"}}");
     }
   }
   if (options.telemetry != nullptr && !options.telemetry->empty()) {
-    append_meta(out, first, "process_name", kTelemetryPid, -1, "telemetry");
+    meta(w, first, "process_name", kTelemetryPid, -1).str("telemetry").raw("}}");
   }
 
   // -- spans as complete ("X") events ------------------------------------
   for (const sim::Span& s : trace.spans()) {
     const bool is_link = s.kind == sim::SpanKind::kTransfer && s.resource >= kLinkResourceBase;
-    const int pid = is_link ? kLinksPid : kWorkersPid;
-    const int tid = is_link ? s.resource - kLinkResourceBase : s.resource;
-    out += first ? "\n    {" : ",\n    {";
+    w.raw(first ? "\n    {" : ",\n    {").raw("\"name\": ").str(s.name);
     first = false;
-    out += "\"name\": ";
-    json_append_string(out, s.name);
-    out += ", \"cat\": \"";
-    out += sim::to_string(s.kind);
-    out += "\", \"ph\": \"X\", \"ts\": " + json_number(s.begin.us());
-    out += ", \"dur\": " + json_number(std::max(0.0, s.duration().us()));
-    out += ", \"pid\": " + std::to_string(pid);
-    out += ", \"tid\": " + std::to_string(tid);
-    out += ", \"args\": {\"object\": " + std::to_string(s.object) + "}}";
+    w.raw(", \"cat\": \"").raw(sim::to_string(s.kind));
+    w.raw("\", \"ph\": \"X\", \"ts\": ").number(s.begin.us());
+    w.raw(", \"dur\": ").number(std::max(0.0, s.duration().us()));
+    w.raw(", \"pid\": ").integer(is_link ? kLinksPid : kWorkersPid);
+    w.raw(", \"tid\": ").integer(is_link ? s.resource - kLinkResourceBase : s.resource);
+    w.raw(", \"args\": {\"object\": ").integer(s.object).raw("}}");
   }
 
   // -- markers as global instant events ----------------------------------
   for (const sim::Marker& m : trace.markers()) {
-    out += first ? "\n    {" : ",\n    {";
+    w.raw(first ? "\n    {" : ",\n    {").raw("\"name\": ").str(m.name);
     first = false;
-    out += "\"name\": ";
-    json_append_string(out, m.name);
-    out += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": " + json_number(m.when.us());
-    out += ", \"pid\": " + std::to_string(kWorkersPid);
-    out += ", \"tid\": 0}";
+    w.raw(", \"ph\": \"i\", \"s\": \"g\", \"ts\": ").number(m.when.us());
+    w.raw(", \"pid\": ").integer(kWorkersPid).raw(", \"tid\": 0}");
   }
 
   // -- telemetry channels as counter tracks ------------------------------
@@ -103,23 +94,18 @@ void write_chrome_trace(std::ostream& os, const sim::Trace& trace,
     const TelemetrySeries& series = *options.telemetry;
     for (std::size_t c = 0; c < series.channels().size(); ++c) {
       const TelemetryChannel& chan = series.channels()[c];
+      const std::string_view unit = chan.unit.empty() ? std::string_view{"value"} : chan.unit;
       for (const TelemetrySample& sample : series.samples()) {
-        out += first ? "\n    {" : ",\n    {";
+        w.raw(first ? "\n    {" : ",\n    {").raw("\"name\": ").str(chan.name);
         first = false;
-        out += "\"name\": ";
-        json_append_string(out, chan.name);
-        out += ", \"ph\": \"C\", \"ts\": " + json_number(sample.t.us());
-        out += ", \"pid\": " + std::to_string(kTelemetryPid);
-        out += ", \"args\": {";
-        json_append_string(out, chan.unit.empty() ? std::string{"value"} : chan.unit);
-        out += ": " + json_number(sample.values.at(c)) + "}}";
+        w.raw(", \"ph\": \"C\", \"ts\": ").number(sample.t.us());
+        w.raw(", \"pid\": ").integer(kTelemetryPid).raw(", \"args\": {").str(unit);
+        w.raw(": ").number(sample.values.at(c)).raw("}}");
       }
     }
   }
 
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  os << out;
+  w.raw(first ? "]\n" : "\n  ]\n").raw("}\n");
 }
 
 }  // namespace greencap::obs

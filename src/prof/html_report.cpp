@@ -1,28 +1,12 @@
 #include "prof/html_report.hpp"
 
 #include <ostream>
-#include <sstream>
-#include <string>
+
+#include "obs/json.hpp"
 
 namespace greencap::prof {
 
 namespace {
-
-// The JSON data island must not terminate the <script> element early;
-// escaping "</" as the JSON-legal "<\/" makes any embedded string safe.
-std::string escape_for_script(std::string json) {
-  std::string out;
-  out.reserve(json.size());
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    if (json[i] == '<' && i + 1 < json.size() && json[i + 1] == '/') {
-      out += "<\\/";
-      ++i;
-    } else {
-      out.push_back(json[i]);
-    }
-  }
-  return out;
-}
 
 constexpr const char* kHead = R"html(<!doctype html>
 <html lang="en"><head><meta charset="utf-8">
@@ -194,12 +178,12 @@ if (P.model_accuracy.length) {
 }  // namespace
 
 void write_html_report(std::ostream& os, const Profile& profile) {
-  std::ostringstream json;
-  profile.write_json(json);
-  os << kHead;
-  os << "<script id=\"profile\" type=\"application/json\">" << escape_for_script(json.str())
-     << "</script>\n";
-  os << kScript;
+  // The JSON data island must not terminate the <script> element early,
+  // so the writer escapes "</" in strings as the JSON-legal "<\/".
+  obs::JsonWriter w{os, /*script_safe=*/true};
+  w.raw(kHead).raw("<script id=\"profile\" type=\"application/json\">");
+  profile.write_json(w);
+  w.raw("</script>\n").raw(kScript);
 }
 
 }  // namespace greencap::prof

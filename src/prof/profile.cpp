@@ -12,12 +12,6 @@ namespace greencap::prof {
 
 namespace {
 
-using obs::json_string;
-
-// profile.json readers re-verify the conservation identity from the
-// serialized numbers, so every double goes out at round-trip precision.
-std::string json_number(double v) { return obs::json_number_exact(v); }
-
 void summarize_decisions(const obs::DecisionLog& log, Profile& profile) {
   for (const obs::ModelAccuracy& acc : log.accuracy_report()) {
     ModelAccuracyRow row;
@@ -49,163 +43,145 @@ void summarize_telemetry(const obs::TelemetrySeries& series, Profile& profile) {
   }
 }
 
-void write_device_json(std::ostream& os, const DeviceRecord& dev, const DeviceAttribution& att) {
-  os << "{\"kind\":" << json_string(to_string(dev.kind)) << ",\"index\":" << dev.index
-     << ",\"name\":" << json_string(dev.name) << ",\"level\":" << json_string(std::string(1, dev.level))
-     << ",\"cap_w\":" << json_number(dev.cap_w) << ",\"static_w\":" << json_number(dev.static_w)
-     << ",\"metered_j\":" << json_number(dev.metered_j)
-     << ",\"tasks_j\":" << json_number(att.tasks_j)
-     << ",\"static_j\":" << json_number(att.static_j)
-     << ",\"residual_j\":" << json_number(att.residual_j)
-     << ",\"busy_s\":" << json_number(att.busy_s) << ",\"idle_s\":" << json_number(att.idle_s)
-     << ",\"task_count\":" << att.task_count << ",\"rate_scale\":{\"H\":"
-     << json_number(dev.rate_scale_h) << ",\"B\":" << json_number(dev.rate_scale_b)
-     << ",\"L\":" << json_number(dev.rate_scale_l) << "}}";
+void write_device_json(obs::JsonWriter& w, const DeviceRecord& dev, const DeviceAttribution& att) {
+  w.raw("{\"kind\":").str(to_string(dev.kind)).raw(",\"index\":").integer(dev.index);
+  w.raw(",\"name\":").str(dev.name).raw(",\"level\":").str({&dev.level, 1});
+  w.raw(",\"cap_w\":").number_exact(dev.cap_w).raw(",\"static_w\":").number_exact(dev.static_w);
+  w.raw(",\"metered_j\":").number_exact(dev.metered_j);
+  w.raw(",\"tasks_j\":").number_exact(att.tasks_j);
+  w.raw(",\"static_j\":").number_exact(att.static_j);
+  w.raw(",\"residual_j\":").number_exact(att.residual_j);
+  w.raw(",\"busy_s\":").number_exact(att.busy_s).raw(",\"idle_s\":").number_exact(att.idle_s);
+  w.raw(",\"task_count\":").integer(att.task_count).raw(",\"rate_scale\":{\"H\":");
+  w.number_exact(dev.rate_scale_h).raw(",\"B\":").number_exact(dev.rate_scale_b);
+  w.raw(",\"L\":").number_exact(dev.rate_scale_l).raw("}}");
 }
 
 }  // namespace
 
 void Profile::write_json(std::ostream& os) const {
-  os << "{\"schema_version\":1,\n\"run\":{";
-  os << "\"platform\":" << json_string(capture.platform)
-     << ",\"operation\":" << json_string(capture.operation)
-     << ",\"precision\":" << json_string(capture.precision) << ",\"n\":" << capture.n
-     << ",\"nb\":" << capture.nb << ",\"gpu_config\":" << json_string(capture.gpu_config)
-     << ",\"scheduler\":" << json_string(capture.scheduler)
-     << ",\"window\":{\"begin_s\":" << json_number(capture.t_begin_s)
-     << ",\"end_s\":" << json_number(capture.t_end_s) << "}"
-     << ",\"makespan_s\":" << json_number(capture.makespan_s)
-     << ",\"total_flops\":" << json_number(capture.total_flops)
-     << ",\"metrics\":{\"time_s\":" << json_number(metrics.time_s)
-     << ",\"energy_j\":" << json_number(metrics.energy_j)
-     << ",\"gflops\":" << json_number(metrics.gflops)
-     << ",\"gflops_per_w\":" << json_number(metrics.gflops_per_w)
-     << ",\"edp_js\":" << json_number(metrics.edp_js)
-     << ",\"eds_js2\":" << json_number(metrics.eds_js2) << "}}";
+  obs::JsonWriter w{os};
+  write_json(w);
+}
+
+// profile.json readers re-verify the conservation identity from the
+// serialized numbers, so every double goes out at round-trip precision.
+void Profile::write_json(obs::JsonWriter& w) const {
+  w.raw("{\"schema_version\":1,\n\"run\":{");
+  w.raw("\"platform\":").str(capture.platform).raw(",\"operation\":").str(capture.operation);
+  w.raw(",\"precision\":").str(capture.precision).raw(",\"n\":").integer(capture.n);
+  w.raw(",\"nb\":").integer(capture.nb).raw(",\"gpu_config\":").str(capture.gpu_config);
+  w.raw(",\"scheduler\":").str(capture.scheduler);
+  w.raw(",\"window\":{\"begin_s\":").number_exact(capture.t_begin_s);
+  w.raw(",\"end_s\":").number_exact(capture.t_end_s).raw('}');
+  w.raw(",\"makespan_s\":").number_exact(capture.makespan_s);
+  w.raw(",\"total_flops\":").number_exact(capture.total_flops);
+  w.raw(",\"metrics\":{\"time_s\":").number_exact(metrics.time_s);
+  w.raw(",\"energy_j\":").number_exact(metrics.energy_j);
+  w.raw(",\"gflops\":").number_exact(metrics.gflops);
+  w.raw(",\"gflops_per_w\":").number_exact(metrics.gflops_per_w);
+  w.raw(",\"edp_js\":").number_exact(metrics.edp_js);
+  w.raw(",\"eds_js2\":").number_exact(metrics.eds_js2).raw("}}");
 
   // -- attribution ----------------------------------------------------------
-  os << ",\n\"attribution\":{\"total_metered_j\":" << json_number(attribution.total_metered_j)
-     << ",\"total_tasks_j\":" << json_number(attribution.total_tasks_j)
-     << ",\"total_static_j\":" << json_number(attribution.total_static_j)
-     << ",\"total_residual_j\":" << json_number(attribution.total_residual_j) << "}";
+  w.raw(",\n\"attribution\":{\"total_metered_j\":").number_exact(attribution.total_metered_j);
+  w.raw(",\"total_tasks_j\":").number_exact(attribution.total_tasks_j);
+  w.raw(",\"total_static_j\":").number_exact(attribution.total_static_j);
+  w.raw(",\"total_residual_j\":").number_exact(attribution.total_residual_j).raw('}');
 
-  os << ",\n\"devices\":[";
+  w.raw(",\n\"devices\":[");
   for (std::size_t d = 0; d < capture.devices.size(); ++d) {
-    if (d != 0) {
-      os << ',';
-    }
-    write_device_json(os, capture.devices[d], attribution.devices[d]);
+    write_device_json(w.raw(d != 0 ? "," : ""), capture.devices[d], attribution.devices[d]);
   }
-  os << "]";
+  w.raw(']');
 
   // -- workers --------------------------------------------------------------
-  os << ",\n\"workers\":[";
-  for (std::size_t w = 0; w < capture.workers.size(); ++w) {
-    const WorkerRecord& wr = capture.workers[w];
-    const WorkerBreakdown& b = critical_path.workers[w];
-    if (w != 0) {
-      os << ',';
-    }
-    os << "{\"id\":" << wr.id << ",\"name\":" << json_string(wr.name)
-       << ",\"arch\":" << json_string(wr.is_cuda ? "cuda" : "cpu")
-       << ",\"device\":{\"kind\":" << json_string(to_string(wr.device_kind))
-       << ",\"index\":" << wr.device_index << "},\"tasks\":" << b.tasks
-       << ",\"busy_s\":" << json_number(b.busy_s)
-       << ",\"transfer_wait_s\":" << json_number(b.transfer_wait_s)
-       << ",\"starvation_s\":" << json_number(b.starvation_s)
-       << ",\"flops\":" << json_number(b.flops) << ",\"energy_j\":" << json_number(b.energy_j)
-       << "}";
+  w.raw(",\n\"workers\":[");
+  for (std::size_t i = 0; i < capture.workers.size(); ++i) {
+    const WorkerRecord& wr = capture.workers[i];
+    const WorkerBreakdown& b = critical_path.workers[i];
+    w.raw(i != 0 ? ",{\"id\":" : "{\"id\":").integer(wr.id).raw(",\"name\":").str(wr.name);
+    w.raw(",\"arch\":").str(wr.is_cuda ? "cuda" : "cpu");
+    w.raw(",\"device\":{\"kind\":").str(to_string(wr.device_kind));
+    w.raw(",\"index\":").integer(wr.device_index).raw("},\"tasks\":").integer(b.tasks);
+    w.raw(",\"busy_s\":").number_exact(b.busy_s);
+    w.raw(",\"transfer_wait_s\":").number_exact(b.transfer_wait_s);
+    w.raw(",\"starvation_s\":").number_exact(b.starvation_s);
+    w.raw(",\"flops\":").number_exact(b.flops).raw(",\"energy_j\":").number_exact(b.energy_j);
+    w.raw('}');
   }
-  os << "]";
+  w.raw(']');
 
   // -- tasks ----------------------------------------------------------------
-  os << ",\n\"tasks\":[";
+  w.raw(",\n\"tasks\":[");
   for (std::size_t i = 0; i < capture.tasks.size(); ++i) {
     const TaskRecord& t = capture.tasks[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"id\":" << t.id << ",\"label\":" << json_string(t.label)
-       << ",\"codelet\":" << json_string(t.codelet) << ",\"worker\":" << t.worker
-       << ",\"start_s\":" << json_number(t.start_s) << ",\"end_s\":" << json_number(t.end_s)
-       << ",\"flops\":" << json_number(t.flops)
-       << ",\"energy_j\":" << json_number(attribution.task_energy_j[i])
-       << ",\"slack_s\":" << json_number(critical_path.slack_s[i]) << "}";
+    w.raw(i != 0 ? ",{\"id\":" : "{\"id\":").integer(t.id).raw(",\"label\":").str(t.label);
+    w.raw(",\"codelet\":").str(t.codelet).raw(",\"worker\":").integer(t.worker);
+    w.raw(",\"start_s\":").number_exact(t.start_s).raw(",\"end_s\":").number_exact(t.end_s);
+    w.raw(",\"flops\":").number_exact(t.flops);
+    w.raw(",\"energy_j\":").number_exact(attribution.task_energy_j[i]);
+    w.raw(",\"slack_s\":").number_exact(critical_path.slack_s[i]).raw('}');
   }
-  os << "]";
+  w.raw(']');
 
   // -- critical paths -------------------------------------------------------
-  os << ",\n\"critical_path\":{\"time\":{\"length_s\":" << json_number(critical_path.length_s)
-     << ",\"exec_s\":" << json_number(critical_path.exec_s)
-     << ",\"transfer_wait_s\":" << json_number(critical_path.transfer_wait_s)
-     << ",\"other_wait_s\":" << json_number(critical_path.other_wait_s) << ",\"steps\":[";
+  w.raw(",\n\"critical_path\":{\"time\":{\"length_s\":").number_exact(critical_path.length_s);
+  w.raw(",\"exec_s\":").number_exact(critical_path.exec_s);
+  w.raw(",\"transfer_wait_s\":").number_exact(critical_path.transfer_wait_s);
+  w.raw(",\"other_wait_s\":").number_exact(critical_path.other_wait_s).raw(",\"steps\":[");
   for (std::size_t i = 0; i < critical_path.time_path.size(); ++i) {
     const PathStep& step = critical_path.time_path[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"task\":" << step.task << ",\"link\":" << json_string(to_string(step.link))
-       << ",\"gap_s\":" << json_number(step.gap_s)
-       << ",\"transfer_wait_s\":" << json_number(step.transfer_wait_s) << "}";
+    w.raw(i != 0 ? ",{\"task\":" : "{\"task\":").integer(step.task);
+    w.raw(",\"link\":").str(to_string(step.link)).raw(",\"gap_s\":").number_exact(step.gap_s);
+    w.raw(",\"transfer_wait_s\":").number_exact(step.transfer_wait_s).raw('}');
   }
-  os << "]},\"energy\":{\"joules\":" << json_number(critical_path.energy_path_j) << ",\"tasks\":[";
+  w.raw("]},\"energy\":{\"joules\":").number_exact(critical_path.energy_path_j);
+  w.raw(",\"tasks\":[");
   for (std::size_t i = 0; i < critical_path.energy_path.size(); ++i) {
-    if (i != 0) {
-      os << ',';
-    }
-    os << critical_path.energy_path[i];
+    w.raw(i != 0 ? "," : "").integer(critical_path.energy_path[i]);
   }
-  os << "]}}";
+  w.raw("]}}");
 
   // -- efficiency table -----------------------------------------------------
-  os << ",\n\"efficiency\":[";
+  w.raw(",\n\"efficiency\":[");
   for (std::size_t i = 0; i < efficiency.size(); ++i) {
     const EfficiencyCell& cell = efficiency[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"codelet\":" << json_string(cell.codelet)
-       << ",\"device\":{\"kind\":" << json_string(to_string(cell.kind))
-       << ",\"index\":" << cell.device_index << "}"
-       << ",\"level\":" << json_string(std::string(1, cell.level))
-       << ",\"cap_w\":" << json_number(cell.cap_w) << ",\"tasks\":" << cell.tasks
-       << ",\"flops\":" << json_number(cell.flops) << ",\"exec_s\":" << json_number(cell.exec_s)
-       << ",\"energy_j\":" << json_number(cell.energy_j)
-       << ",\"gflops\":" << json_number(cell.gflops())
-       << ",\"gflops_per_w\":" << json_number(cell.gflops_per_w())
-       << ",\"j_per_task\":" << json_number(cell.j_per_task())
-       << ",\"edp_js\":" << json_number(cell.edp_js()) << "}";
+    w.raw(i != 0 ? ",{\"codelet\":" : "{\"codelet\":").str(cell.codelet);
+    w.raw(",\"device\":{\"kind\":").str(to_string(cell.kind));
+    w.raw(",\"index\":").integer(cell.device_index).raw('}');
+    w.raw(",\"level\":").str({&cell.level, 1});
+    w.raw(",\"cap_w\":").number_exact(cell.cap_w).raw(",\"tasks\":").integer(cell.tasks);
+    w.raw(",\"flops\":").number_exact(cell.flops).raw(",\"exec_s\":").number_exact(cell.exec_s);
+    w.raw(",\"energy_j\":").number_exact(cell.energy_j);
+    w.raw(",\"gflops\":").number_exact(cell.gflops());
+    w.raw(",\"gflops_per_w\":").number_exact(cell.gflops_per_w());
+    w.raw(",\"j_per_task\":").number_exact(cell.j_per_task());
+    w.raw(",\"edp_js\":").number_exact(cell.edp_js()).raw('}');
   }
-  os << "]";
+  w.raw(']');
 
   // -- what-if --------------------------------------------------------------
-  os << ",\n\"whatif\":[";
+  w.raw(",\n\"whatif\":[");
   for (std::size_t i = 0; i < whatif.size(); ++i) {
     const WhatIfEntry& entry = whatif[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"config\":" << json_string(entry.config)
-       << ",\"lower_bound_s\":" << json_number(entry.lower_bound_s)
-       << ",\"dag_bound_s\":" << json_number(entry.dag_bound_s)
-       << ",\"work_bound_s\":" << json_number(entry.work_bound_s)
-       << ",\"vs_measured\":" << json_number(entry.vs_measured) << "}";
+    w.raw(i != 0 ? ",{\"config\":" : "{\"config\":").str(entry.config);
+    w.raw(",\"lower_bound_s\":").number_exact(entry.lower_bound_s);
+    w.raw(",\"dag_bound_s\":").number_exact(entry.dag_bound_s);
+    w.raw(",\"work_bound_s\":").number_exact(entry.work_bound_s);
+    w.raw(",\"vs_measured\":").number_exact(entry.vs_measured).raw('}');
   }
-  os << "]";
+  w.raw(']');
 
   // -- optional PR 1 enrichments -------------------------------------------
-  os << ",\n\"model_accuracy\":[";
+  w.raw(",\n\"model_accuracy\":[");
   for (std::size_t i = 0; i < model_accuracy.size(); ++i) {
     const ModelAccuracyRow& row = model_accuracy[i];
-    if (i != 0) {
-      os << ',';
-    }
-    os << "{\"codelet\":" << json_string(row.codelet) << ",\"arch\":" << json_string(row.arch)
-       << ",\"samples\":" << row.samples
-       << ",\"mean_rel_error\":" << json_number(row.mean_rel_error) << "}";
+    w.raw(i != 0 ? ",{\"codelet\":" : "{\"codelet\":").str(row.codelet);
+    w.raw(",\"arch\":").str(row.arch).raw(",\"samples\":").integer(row.samples);
+    w.raw(",\"mean_rel_error\":").number_exact(row.mean_rel_error).raw('}');
   }
-  os << "],\"peak_node_power_w\":" << json_number(peak_node_power_w);
-  os << "}\n";
+  w.raw("],\"peak_node_power_w\":").number_exact(peak_node_power_w).raw("}\n");
 }
 
 Profile analyze(const RunCapture& capture, const AnalyzeOptions& options) {

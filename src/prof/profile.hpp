@@ -14,6 +14,7 @@
 
 namespace greencap::obs {
 class DecisionLog;
+class JsonWriter;
 class TelemetrySeries;
 }
 
@@ -46,6 +47,9 @@ struct Profile {
 
   /// Writes profile.json (stable schema, schema_version bumped on change).
   void write_json(std::ostream& os) const;
+  /// The same document into a caller's writer (the HTML report streams it
+  /// into its data island).
+  void write_json(obs::JsonWriter& w) const;
 };
 
 /// Runs every analysis over `capture`. The capture is copied into the

@@ -157,7 +157,7 @@ void HistoryPerfModel::for_each_slot(F&& f) const {
 }
 
 template <typename C, typename Self>
-void HistoryPerfModel::io(C& c, Self& model) {
+void HistoryPerfModel::io(C& c, Self& model, std::size_t workers) {
   auto history = [&c](auto& name, auto& worker, auto& precision, auto& size, auto& stats) {
     c.io(name);
     c.io(worker);
@@ -177,6 +177,17 @@ void HistoryPerfModel::io(C& c, Self& model) {
   };
 
   if constexpr (C::kReading) {
+    // The key is checked before slot() sees it: slot() sizes a vector
+    // from the worker id, so a corrupt id must not reach it.
+    auto decoded_slot = [&model, workers](const std::string& name, WorkerId worker,
+                                          std::uint8_t precision) -> Slot& {
+      if (worker < 0 || static_cast<std::size_t>(worker) >= workers || precision >= kPrecisions) {
+        throw ckpt::CheckpointError{"checkpoint perf-model entry for " + name + " has worker " +
+                                    std::to_string(worker) + " of " + std::to_string(workers) +
+                                    " and precision " + std::to_string(precision)};
+      }
+      return model.slot(model.intern(name), worker, precision);
+    };
     model.slots_.clear();
     std::size_t n = 0;
     for (c.length(n, 8); n > 0; --n) {
@@ -186,7 +197,7 @@ void HistoryPerfModel::io(C& c, Self& model) {
       std::int64_t size = 0;
       PerfStats stats;
       history(name, worker, precision, size, stats);
-      model.slot(model.intern(name), worker, precision).history_entry(size) = stats;
+      decoded_slot(name, worker, precision).history_entry(size) = stats;
     }
     for (c.length(n, 8); n > 0; --n) {
       std::string name;
@@ -194,7 +205,7 @@ void HistoryPerfModel::io(C& c, Self& model) {
       std::uint8_t precision = 0;
       Regression reg;
       regression(name, worker, precision, reg);
-      model.slot(model.intern(name), worker, precision).regression = reg;
+      decoded_slot(name, worker, precision).regression = reg;
     }
   } else {
     std::size_t regressions = 0;
@@ -214,7 +225,7 @@ void HistoryPerfModel::io(C& c, Self& model) {
   }
 }
 
-template void HistoryPerfModel::io(ckpt::Writer&, const HistoryPerfModel&);
-template void HistoryPerfModel::io(ckpt::Reader&, HistoryPerfModel&);
+template void HistoryPerfModel::io(ckpt::Writer&, const HistoryPerfModel&, std::size_t);
+template void HistoryPerfModel::io(ckpt::Reader&, HistoryPerfModel&, std::size_t);
 
 }  // namespace greencap::rt

@@ -90,9 +90,11 @@ class HistoryPerfModel {
   /// worker, precision[, size]) and written in that order whatever the
   /// recording order, so equal models encode to equal bytes. Reading
   /// replaces the contents wholesale; codelet ids stay stable.
-  /// Instantiated for ckpt::Writer (const model) and ckpt::Reader.
+  /// Reading rejects an entry whose worker is outside [0, workers) or whose
+  /// precision is unknown with ckpt::CheckpointError. Instantiated for
+  /// ckpt::Writer (const model) and ckpt::Reader.
   template <typename C, typename Self>
-  static void io(C& c, Self& model);
+  static void io(C& c, Self& model, std::size_t workers);
 
  private:
   struct Regression {

@@ -880,7 +880,7 @@ void Runtime::io(C& c, Self& rt) {
   c.io(rt.drained_);
   c.io(rt.rng_);
   rt.scheduler_->io(c, queued);
-  HistoryPerfModel::io(c, rt.perf_model_);
+  HistoryPerfModel::io(c, rt.perf_model_, rt.workers_.size());
 
   const std::uint64_t digest = rt.structure_digest();
   std::uint64_t stored = digest;

@@ -14,16 +14,41 @@ namespace {
 
 using sim::SimTime;
 
+/// Worker count the coder checks decoded entries against.
+constexpr WorkerId kWorkers = 4;
+
 std::string encode(const HistoryPerfModel& model) {
   ckpt::Writer w;
-  HistoryPerfModel::io(w, model);
+  HistoryPerfModel::io(w, model, std::size_t{kWorkers});
   return w.take();
 }
 
 void decode(const std::string& bytes, HistoryPerfModel& model) {
   ckpt::Reader r{bytes};
-  HistoryPerfModel::io(r, model);
+  HistoryPerfModel::io(r, model, std::size_t{kWorkers});
   EXPECT_TRUE(r.at_end());
+}
+
+/// One history entry and one regression entry for `gemm` under the given
+/// key, laid out as HistoryPerfModel::io writes them.
+std::string entry_bytes(WorkerId worker, std::uint8_t precision) {
+  ckpt::Writer w;
+  w.u64(1);
+  w.str("gemm");
+  w.i32(worker);
+  w.u8(precision);
+  w.i64(512);
+  w.u64(1);
+  w.f64(1.0);
+  w.f64(0.0);
+  w.u64(1);
+  w.str("gemm");
+  w.i32(worker);
+  w.u8(precision);
+  w.f64(1.0);
+  w.f64(1.0);
+  w.u64(1);
+  return w.take();
 }
 
 hw::KernelWork work_of(double dim, double flops = 0.0) {
@@ -239,6 +264,31 @@ TEST(HistoryPerfModel, DecodeReplacesEverything) {
   decode(encode(source), model);
   EXPECT_FALSE(model.expected("trsm", 1, work_of(1024)).has_value());
   EXPECT_DOUBLE_EQ(model.expected("gemm", 0, work_of(512))->sec(), 1.0);
+}
+
+TEST(HistoryPerfModel, DecodeAcceptsTheLastWorkerAndPrecision) {
+  HistoryPerfModel model;
+  decode(entry_bytes(kWorkers - 1, 1), model);
+  EXPECT_EQ(model.entry_count(), 1u);
+  EXPECT_DOUBLE_EQ(model.expected("gemm", kWorkers - 1, work_of(512))->sec(), 1.0);
+}
+
+TEST(HistoryPerfModel, DecodeRejectsNegativeWorker) {
+  HistoryPerfModel model;
+  EXPECT_THROW(decode(entry_bytes(-1, 1), model), ckpt::CheckpointError);
+}
+
+TEST(HistoryPerfModel, DecodeRejectsWorkerBeyondTheRun) {
+  // 0x7fffffff used to pass the check and size a slot vector from it.
+  HistoryPerfModel model;
+  EXPECT_THROW(decode(entry_bytes(kWorkers, 1), model), ckpt::CheckpointError);
+  EXPECT_THROW(decode(entry_bytes(0x7fffffff, 1), model), ckpt::CheckpointError);
+}
+
+TEST(HistoryPerfModel, DecodeRejectsUnknownPrecision) {
+  HistoryPerfModel model;
+  EXPECT_THROW(decode(entry_bytes(0, 2), model), ckpt::CheckpointError);
+  EXPECT_THROW(decode(entry_bytes(0, 255), model), ckpt::CheckpointError);
 }
 
 TEST(HistoryPerfModel, InvalidateWorkerKeepsOtherWorkers) {
