@@ -18,19 +18,6 @@ void Checkpointer::arm() {
   }
 }
 
-void Checkpointer::rearm_tick_at(sim::SimTime when) {
-  tick_armed_ = true;
-  tick_event_ = sim_.at(when, [this] { tick(); });
-}
-
-void Checkpointer::rearm_watchdog_at(sim::SimTime when, std::uint64_t last_progress) {
-  watchdog_armed_ = true;
-  watchdog_progress_ = last_progress;
-  watchdog_event_ = sim_.at(when, [this] { watchdog_fire(); });
-}
-
-void Checkpointer::arm_missing() { arm(); }
-
 void Checkpointer::cancel() {
   if (tick_armed_) {
     sim_.cancel(tick_event_);
@@ -43,14 +30,11 @@ void Checkpointer::cancel() {
 }
 
 void Checkpointer::tick() {
-  // The firing event was already removed from the pending set, so the
-  // capture inside write_() does not see this tick — on resume the next
-  // tick is freshly armed by arm_missing().
   tick_armed_ = false;
   if (sim_.callback_depth() > 1) {
     // Nested dispatch (a callback re-entered the loop via run_until): the
-    // outer callback's continuation is on the stack and cannot be
-    // captured. Skip this tick and try again one period later.
+    // outer callback is still mid-flight. Skip this tick and try again one
+    // period later, so every checkpoint lands between top-level events.
     tick_armed_ = true;
     tick_event_ = sim_.after(options_.period, [this] { tick(); });
     return;
@@ -68,8 +52,8 @@ void Checkpointer::tick() {
 void Checkpointer::watchdog_fire() {
   watchdog_armed_ = false;
   if (sim_.callback_depth() > 1) {
-    // Nested dispatch: capture is impossible here (see tick()), and the
-    // nested window is itself forward progress. Re-sample one period on.
+    // Nested dispatch (see tick()): the nested window is itself forward
+    // progress. Re-sample one period on.
     watchdog_armed_ = true;
     watchdog_event_ = sim_.after(options_.watchdog, [this] { watchdog_fire(); });
     return;

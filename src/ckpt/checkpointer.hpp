@@ -17,11 +17,9 @@
 //    so a deadlocked experiment aborts with its state preserved instead
 //    of spinning forever.
 //
-// Restore protocol: the events pending at capture time are re-created by
-// the experiment driver via rearm_tick_at()/rearm_watchdog_at() in the
-// global seq-preserving replay; arm_missing() then freshly arms whichever
-// of the two was not in the pending set (the tick is absent from its own
-// capture — EventQueue nulls an event before invoking it).
+// A resume re-runs the in-flight experiment from its start, so both events
+// are armed fresh by arm() on every run; the write callback decides whether
+// a tick writes (see core::RunContext).
 #pragma once
 
 #include <cstdint>
@@ -58,29 +56,15 @@ class Checkpointer {
         write_{std::move(write)},
         progress_{std::move(progress)} {}
 
-  /// Fresh start: schedules the first tick and watchdog sample one full
-  /// period from now.
+  /// Schedules the first tick and watchdog sample one full period from now.
   void arm();
-
-  /// Restore: re-creates the pending tick/watchdog at their original
-  /// absolute times (called during the seq-ordered event replay).
-  void rearm_tick_at(sim::SimTime when);
-  void rearm_watchdog_at(sim::SimTime when, std::uint64_t last_progress);
-
-  /// Restore epilogue: arms whichever event the replay did not re-create.
-  void arm_missing();
 
   /// Cancels both events (installed as a runtime drain hook, so neither
   /// outlives the DAG and extends the virtual clock).
   void cancel();
 
-  [[nodiscard]] sim::EventId tick_event() const { return tick_event_; }
-  [[nodiscard]] sim::EventId watchdog_event() const { return watchdog_event_; }
   [[nodiscard]] bool tick_armed() const { return tick_armed_; }
   [[nodiscard]] bool watchdog_armed() const { return watchdog_armed_; }
-  [[nodiscard]] std::uint64_t watchdog_progress() const { return watchdog_progress_; }
-  [[nodiscard]] sim::SimTime period() const { return options_.period; }
-  [[nodiscard]] sim::SimTime watchdog_period() const { return options_.watchdog; }
 
  private:
   void tick();

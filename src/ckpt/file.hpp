@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       4     magic "GCKP"
-//   4       4     format version (currently 1)
+//   4       4     format version (currently 2)
 //   8       8     manifest length M
 //   16      M     manifest — one-line JSON (kind, reason, progress, CRCs)
 //   16+M    8     payload length P
@@ -34,7 +34,8 @@
 namespace greencap::ckpt {
 
 inline constexpr char kMagic[5] = "GCKP";
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2: a run checkpoint holds a run marker, not the run's state.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// The manifest fields GreenCap writes. `extra` (if any) is appended
 /// verbatim inside the JSON object — the experiment layer uses it for

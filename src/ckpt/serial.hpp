@@ -77,10 +77,6 @@ class Writer {
   void str(const std::string& v);
   void bytes(const void* data, std::size_t size);
 
-  /// Sizes the buffer for `size` bytes up front, so an encoding of about
-  /// that length never regrows it (each regrowth copies everything so far).
-  void reserve(std::size_t size) { buf_.reserve(size); }
-
   /// Writes a 4-character section tag. Sections carry no length — they
   /// only let the Reader fail fast with the name of the first section
   /// that does not line up.

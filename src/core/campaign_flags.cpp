@@ -1,6 +1,8 @@
 #include "core/campaign_flags.hpp"
 
 #include <cstdlib>
+#include <sstream>
+#include <utility>
 
 #include "obs/artifact.hpp"
 #include "obs/trace_export.hpp"
@@ -45,6 +47,23 @@ std::string CampaignFlags::parse(const FlagParser& parser, int argc, char* const
   }
   if (jobs < 0) {
     return "--jobs expects a non-negative value, got " + std::to_string(jobs);
+  }
+  // Negative periods, budgets and kill points have no meaning; NaN fails
+  // the comparison too.
+  const std::pair<const char*, double> non_negative[] = {
+      {"--telemetry-period-ms", telemetry_period_ms},
+      {"--cap-retries", resilience.max_cap_retries},
+      {"--reconcile-ms", resilience.reconcile_ms},
+      {"--checkpoint-every-ms", ckpt.every_ms},
+      {"--watchdog-ms", ckpt.watchdog_ms},
+      {"--ckpt-kill-after", ckpt.kill_after},
+  };
+  for (const auto& [flag, value] : non_negative) {
+    if (!(value >= 0.0)) {
+      std::ostringstream got;
+      got << value;
+      return std::string{flag} + " expects a non-negative value, got " + got.str();
+    }
   }
   if (checkpointing(ckpt) && jobs != 1) {
     // A session replays a strictly serial campaign prefix and commits each

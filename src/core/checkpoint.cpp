@@ -37,11 +37,18 @@ void CheckpointSession::load_resume_file() {
   ck::Reader r{file.payload};
   io_campaign(r, completed_);
   if (r.boolean()) {
+    // The run marker closes the payload: decode_marker rejects any other
+    // length, trailing bytes included.
     pending_run_config_ = r.str();
-    pending_run_.bytes = r.str();
-    pending_run_.t_virtual_s = file.manifest.t_virtual_s;
-  }
-  if (!r.at_end()) {
+    pending_run_.bytes = file.payload.substr(r.offset());
+    const ckpt_io::RunMarker marker = ckpt_io::decode_marker(pending_run_.bytes);
+    if (marker.experiment != completed_.size()) {
+      throw ck::CheckpointError{"checkpoint run marker is for experiment #" +
+                                std::to_string(marker.experiment) + " but " +
+                                std::to_string(completed_.size()) + " experiments completed"};
+    }
+    pending_run_.t_virtual_s = marker.t_virtual_s;
+  } else if (!r.at_end()) {
     throw ck::CheckpointError{"checkpoint payload has " + std::to_string(r.remaining()) +
                               " trailing bytes after the campaign section"};
   }
@@ -117,21 +124,20 @@ std::optional<ckpt_io::RunState> CheckpointSession::take_pending_run(
 
 void CheckpointSession::write_run_checkpoint(const char* reason, const ExperimentConfig& config,
                                              const ckpt_io::RunState& state) {
-  // The run state goes to the file as its own payload piece behind its
-  // length prefix, the same bytes as w.str(state.bytes) without the copy.
+  ckpt_io::RunMarker marker = ckpt_io::decode_marker(state.bytes);
+  marker.experiment = completed_.size();
   ck::Writer w;
   append_campaign_section(w);
   w.boolean(true);
   w.str(ckpt_io::config_bytes(config));
-  w.u64(state.bytes.size());
 
   ck::Manifest manifest;
   manifest.kind = "run";
   manifest.reason = reason;
   manifest.signature = signature();
   manifest.completed = completed_.size();
-  manifest.t_virtual_s = state.t_virtual_s;
-  write_file(std::move(manifest), {w.data(), state.bytes});
+  manifest.t_virtual_s = marker.t_virtual_s;
+  write_file(std::move(manifest), {w.data(), ckpt_io::encode_marker(marker)});
 }
 
 void CheckpointSession::write_campaign(const char* reason) {

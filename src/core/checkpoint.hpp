@@ -10,9 +10,10 @@
 //    of re-running them, byte-identically;
 //
 //  * during an experiment (when --checkpoint-every-ms / --watchdog-ms are
-//    set) run_experiment() calls back into write_run_checkpoint() with the
-//    encoded ckpt_io::RunState, producing a *run* checkpoint from which the
-//    in-flight experiment resumes mid-DAG;
+//    set) run_experiment() calls back into write_run_checkpoint() with an
+//    encoded run marker, producing a *run* checkpoint. A resume re-runs
+//    the in-flight experiment from its start and checks the marker's digest
+//    when the replay reaches the marked tick;
 //
 //  * a SIGINT/SIGTERM latch is honoured between experiments (and at the
 //    next periodic tick inside one): a final "signal" checkpoint is
@@ -80,14 +81,15 @@ class CheckpointSession {
   /// writes a "signal" campaign checkpoint and throws ckpt::InterruptedError.
   void check_interrupt();
 
-  /// Consumes the resume file's mid-run state, if it carries one. Throws
-  /// ckpt::CheckpointError when the state belongs to a different config
+  /// Consumes the resume file's run marker, if it carries one. Throws
+  /// ckpt::CheckpointError when the marker belongs to a different config
   /// than the experiment about to run.
   [[nodiscard]] std::optional<ckpt_io::RunState> take_pending_run(
       const ExperimentConfig& config);
 
   /// Mid-run write path (periodic tick / watchdog / signal), called from
-  /// inside run_experiment() with the captured state.
+  /// inside run_experiment() with a captured marker, which is stamped with
+  /// the in-flight experiment's campaign index.
   void write_run_checkpoint(const char* reason, const ExperimentConfig& config,
                             const ckpt_io::RunState& state);
 
@@ -111,13 +113,13 @@ class CheckpointSession {
   std::vector<CompletedBlob> completed_;
   std::size_t cursor_ = 0;
   std::string pending_run_config_;
-  ckpt_io::RunState pending_run_;  ///< mid-run state to resume; empty bytes = none
+  ckpt_io::RunState pending_run_;  ///< run marker to resume to; empty bytes = none
   int writes_ = 0;
 };
 
-/// run_experiment() with checkpoint support: resumes from the session's
-/// pending mid-run state when present, and arms the periodic ticker and
-/// hang watchdog when the session enables them. `session == nullptr` is
+/// run_experiment() with checkpoint support: replays to the session's
+/// pending run marker when present, and arms the periodic ticker and hang
+/// watchdog when the session enables them. `session == nullptr` is
 /// exactly the plain run_experiment().
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               CheckpointSession* session,

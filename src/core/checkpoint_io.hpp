@@ -1,6 +1,6 @@
-// Encoding/decoding of experiment state for checkpoint payloads.
+// Encodings of experiment state for checkpoint payloads.
 //
-// Three kinds of blob live inside a checkpoint file (docs/CHECKPOINTING.md):
+// Three kinds of record live inside a checkpoint file (docs/CHECKPOINTING.md):
 //
 //  * an ExperimentConfig encoding — the campaign's identity. A resume
 //    re-derives its experiment sequence from the same binary+flags and
@@ -11,69 +11,46 @@
 //    resume instead of re-run. Every double is stored by bit pattern, so
 //    replayed results reproduce the original artifact bytes exactly;
 //
-//  * a run state — the complete mid-flight state of one experiment:
-//    runtime state (DAG progress, workers, perf models, RNG),
-//    device/meter states, monotonic energy trackers, power-manager and
-//    fault-injector state, observability series, and the pending
-//    simulator events in their original scheduling order. There is no
-//    in-memory copy of it: RunContext::capture_run_state() encodes each
-//    piece straight from the live object that owns it, and
-//    RunContext::restore() decodes each piece straight back into it. The
-//    runtime, power manager and fault injector write their private state
-//    through their own save()/load() members; the codecs below cover the
-//    state reachable through public getters and restore calls.
+//  * a run marker — where a mid-run checkpoint was taken. A run is a pure
+//    function of its config and seed, so a resume re-runs the in-flight
+//    experiment from its start instead of restoring its state, and checks
+//    the marker's digest of cheap state when it reaches the marked tick.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "ckpt/serial.hpp"
 #include "core/experiment.hpp"
-#include "hw/energy_meter.hpp"
-#include "hw/platform.hpp"
-#include "obs/telemetry.hpp"
 
 namespace greencap::core::ckpt_io {
 
-/// Pending simulator events are captured sorted by their original event
-/// sequence number and re-created on resume in exactly that order, which
-/// preserves the (time, seq) tie-break of the original run.
-enum class EventKind : std::uint8_t {
-  kWorkerBegin = 1,  ///< index = worker id
-  kWorkerEnd = 2,    ///< index = worker id
-  kReconcile = 3,    ///< power-manager reconciliation tick
-  kTelemetry = 4,    ///< telemetry sampling tick
-  kFault = 5,        ///< index = fault-plan event index
-  kWatchdog = 6,     ///< hang-watchdog probe
-  kCkptTick = 7,     ///< periodic checkpoint tick
-};
-
-struct EventRecord {
-  EventKind kind = EventKind::kWorkerBegin;
-  std::int32_t index = -1;
-  double when_s = 0.0;
-  /// Original scheduling order; not encoded (the file holds the events in
-  /// this order).
-  std::uint64_t seq = 0;
-};
-
-/// One captured run state: the "RUN1" encoding and the virtual time it
-/// was taken at.
+/// One run checkpoint as the checkpointer hands it to the session: the
+/// encoded RunMarker and the virtual time it was taken at.
 struct RunState {
   double t_virtual_s = 0.0;
   std::string bytes;
 };
 
-/// Live observability sinks of one run; a null member is not recorded,
-/// and a checkpoint that carries data for it is rejected on decode.
-struct ObsSinks {
-  sim::Trace* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::DecisionLog* decisions = nullptr;
-  obs::TelemetrySampler* telemetry = nullptr;
+/// "MARK": where a run checkpoint was taken, and a digest of the run's
+/// cheap state there, which a replay must reproduce bit for bit.
+struct RunMarker {
+  std::uint64_t experiment = 0;        ///< campaign index of the in-flight experiment
+  double t_virtual_s = 0.0;            ///< virtual clock at the tick
+  std::uint64_t events = 0;            ///< simulator events processed, the tick's own included
+  std::uint64_t tasks_completed = 0;
+  double energy_j = 0.0;               ///< every device meter's joules, GPUs then CPU packages
+  std::array<std::uint64_t, 4> rng{};  ///< the runtime's RNG state
 };
+
+/// The encoded size of every RunMarker: the tag and nine 8-byte fields.
+inline constexpr std::size_t kRunMarkerBytes = 4 + 9 * 8;
+
+[[nodiscard]] std::string encode_marker(const RunMarker& marker);
+/// Throws ckpt::CheckpointError unless `bytes` is exactly one marker.
+[[nodiscard]] RunMarker decode_marker(std::string_view bytes);
 
 void encode_config(ckpt::Writer& w, const ExperimentConfig& config);
 [[nodiscard]] ExperimentConfig decode_config(ckpt::Reader& r);
@@ -84,29 +61,5 @@ void encode_config(ckpt::Writer& w, const ExperimentConfig& config);
 /// result has no capture: its artifacts were exported before its commit.
 void encode_result(ckpt::Writer& w, const ExperimentResult& result);
 [[nodiscard]] ExperimentResult decode_result(ckpt::Reader& r);
-
-void put_energy_reading(ckpt::Writer& w, const hw::EnergyReading& reading);
-[[nodiscard]] hw::EnergyReading get_energy_reading(ckpt::Reader& r);
-
-/// "DEVS": GPU/CPU caps, busy/failed flags, energy meters, and the GPUs'
-/// monotonic energy trackers. Decoding throws ckpt::CheckpointError when
-/// the device counts differ from the live platform's.
-void put_devices(ckpt::Writer& w, const hw::Platform& platform,
-                 const std::vector<hw::MonotonicEnergyTracker>& trackers);
-void get_devices(ckpt::Reader& r, hw::Platform& platform,
-                 std::vector<hw::MonotonicEnergyTracker>& trackers);
-
-/// "OBSS": trace spans and markers, metrics, decisions, telemetry rows and
-/// degradation events. Decoding restores them into the sinks (telemetry
-/// rows only: re-arming the sampler is the caller's job).
-void put_observability(ckpt::Writer& w, const ObsSinks& sinks,
-                       const fault::DegradationReport& degradation);
-void get_observability(ckpt::Reader& r, const ObsSinks& sinks,
-                       fault::DegradationReport& degradation);
-
-/// "EVTS": the pending events, written in ascending original sequence
-/// number. Decoding rejects an unknown event kind.
-void put_events(ckpt::Writer& w, std::vector<EventRecord> pending);
-[[nodiscard]] std::vector<EventRecord> get_events(ckpt::Reader& r);
 
 }  // namespace greencap::core::ckpt_io

@@ -103,22 +103,12 @@ std::string calibration_key(const ExperimentConfig& config) {
 template <typename T>
 ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* session,
                            const RunServices& services) {
-  // A resume consumes the checkpoint's mid-run state up front; everything
-  // below is then constructed exactly as in a fresh run (same platform,
-  // same DAG, same component wiring) and the saved dynamic state overlaid
-  // on top, so restored pointers and indices line up by construction.
+  // A resume re-runs the in-flight experiment from its start: a run is a
+  // pure function of its config and seed, and checkpoint ticks never
+  // perturb it. Only the check at the marked tick differs (RunContext).
   std::optional<ckpt_io::RunState> resume;
   if (session != nullptr) {
     resume = session->take_pending_run(config);
-  }
-  const bool restoring = resume.has_value();
-  const bool use_checkpointer =
-      session != nullptr &&
-      (session->options().every_ms > 0.0 || session->options().watchdog_ms > 0.0);
-  if (config.execute_kernels && (restoring || use_checkpointer)) {
-    throw std::invalid_argument(
-        "run_experiment: mid-run checkpoint/resume is incompatible with execute_kernels "
-        "(numeric tile data is not captured)");
   }
 
   RunContext ctx{config, services};
@@ -164,32 +154,24 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
       rt::replay_calibration(runtime, record);
     }
   };
-  if (!restoring) {
-    if (config.stale_models) {
-      // Maladaptation ablation: models measured at default power, caps
-      // applied afterwards, no recalibration.
+  if (config.stale_models) {
+    // Maladaptation ablation: models measured at default power, caps
+    // applied afterwards, no recalibration.
+    warm_models();
+    ctx.apply_caps();
+  } else {
+    // Paper protocol: caps first, then calibration, so the history models
+    // see the capped speeds (section III-B).
+    ctx.apply_caps();
+    if (config.recalibrate) {
       warm_models();
-      ctx.apply_caps();
-    } else {
-      // Paper protocol: caps first, then calibration, so the history models
-      // see the capped speeds (section III-B).
-      ctx.apply_caps();
-      if (config.recalibrate) {
-        warm_models();
-      }
     }
   }
 
-  ctx.start_resilience(restoring);
+  ctx.start_resilience(false);
 
   // -- build the operation's data and task graph -------------------------------
-  // On a resume the same registrations and submissions rebuild the static
-  // DAG under begin_restore(), which suppresses execution until the
-  // checkpointed dynamic state is overlaid.
   const bool allocate = config.execute_kernels;
-  if (restoring) {
-    runtime.begin_restore();
-  }
   la::TileMatrix<T> a{config.n, config.nb, allocate, "A"};
   a.register_with(runtime);
   sim::Xoshiro256 rng{config.seed};
@@ -229,9 +211,7 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
       break;
   }
 
-  if (!restoring) {
-    ctx.begin_measurement();
-  }
+  ctx.begin_measurement();
 
   switch (config.op) {
     case Operation::kGemm: la::submit_gemm<T>(runtime, codelets, a, *b, *c); break;
@@ -241,14 +221,12 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
     case Operation::kGelqf: la::submit_gelqf<T>(runtime, lq_codelets, a, *workspace); break;
   }
 
-  // -- checkpoint capture / restore --------------------------------------------
-  if (use_checkpointer) {
+  // -- mid-run checkpoints ------------------------------------------------------
+  if (session != nullptr) {
     ctx.attach_checkpointer(*session);
   }
-  if (restoring) {
-    ctx.restore(std::move(*resume));
-  } else {
-    ctx.arm_checkpointer();
+  if (resume) {
+    ctx.replay_to(std::move(*resume));
   }
 
   return ctx.finish();

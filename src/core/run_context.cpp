@@ -1,5 +1,7 @@
 #include "core/run_context.hpp"
 
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "ckpt/file.hpp"
@@ -214,8 +216,7 @@ void RunContext::start_resilience(bool restoring) {
   // Reconciliation and the injector's timed faults start only now, after
   // calibration, so plan times mean "seconds into the measured run"; drain
   // hooks stop both at the instant the DAG retires, keeping the makespan
-  // free of stray bookkeeping events. On a resume neither is armed here:
-  // their pending events come back through the ordered event replay.
+  // free of stray bookkeeping events.
   if (config.resilience.reconcile_ms > 0.0) {
     if (!restoring) {
       manager_.start_reconciliation(
@@ -251,189 +252,82 @@ void RunContext::attach_checkpointer(CheckpointSession& session) {
   ckpt::Checkpointer::Options copt;
   copt.period = sim::SimTime::millis(session.options().every_ms);
   copt.watchdog = sim::SimTime::millis(session.options().watchdog_ms);
-  CheckpointSession* sess = &session;
   checkpointer_ = std::make_unique<ckpt::Checkpointer>(
       simulator_, copt,
-      [this, sess](const char* reason) {
-        if (sess->writes_enabled()) {
-          sess->write_run_checkpoint(reason, result_.config, capture_run_state());
-        }
-      },
+      [this, &session](const char* reason) { on_checkpoint(session, reason); },
       [this] { return runtime_->stats().tasks_completed; });
   runtime_->add_drain_hook([this] { checkpointer_->cancel(); });
-}
-
-ckpt_io::ObsSinks RunContext::obs_sinks() {
-  const ExperimentConfig& config = result_.config;
-  ckpt_io::ObsSinks sinks;
-  if (config.obs.trace) {
-    sinks.trace = &runtime_->trace();
-  }
-  if (obs_data_ != nullptr && config.obs.metrics) {
-    sinks.metrics = &obs_data_->metrics;
-  }
-  if (obs_data_ != nullptr && config.obs.decision_log) {
-    sinks.decisions = &obs_data_->decisions;
-  }
-  if (obs_data_ != nullptr && config.obs.telemetry_period_ms > 0.0) {
-    sinks.telemetry = &sampler_;
-  }
-  return sinks;
+  checkpointer_->arm();
 }
 
 ckpt_io::RunState RunContext::capture_run_state() {
-  const double now_s = simulator_.now().sec();
-  ckpt::Writer w;
-  w.reserve(last_capture_bytes_ + last_capture_bytes_ / 4);
-  w.section("RUN1");
-  w.f64(now_s);
-  w.f64(t_begin_.sec());
-  w.u64(checkpointer_ != nullptr ? checkpointer_->watchdog_progress() : 0);
-  ckpt_io::put_energy_reading(w, start_energy_);
-  runtime_->save(w);
-  ckpt_io::put_devices(w, platform_, gpu_energy_);
-  manager_.save(w);
-  w.section("FLTS");
-  w.boolean(injector_ != nullptr);
-  if (injector_ != nullptr) {
-    injector_->save(w);
+  ckpt_io::RunMarker marker;
+  marker.t_virtual_s = simulator_.now().sec();
+  marker.events = simulator_.executed_events();
+  marker.tasks_completed = runtime_->stats().tasks_completed;
+  for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
+    marker.energy_j += platform_.gpu(g).energy_joules();
   }
-  ckpt_io::put_observability(w, obs_sinks(), result_.degradation);
-
-  // Pending simulator events, keyed by their original scheduling order
-  // (seq) so the replay preserves every (time, seq) tie-break.
-  std::vector<ckpt_io::EventRecord> pending;
-  auto add_event = [&](ckpt_io::EventKind kind, std::int32_t index, sim::EventId id) {
-    if (simulator_.pending(id)) {
-      pending.push_back({kind, index, simulator_.time_of(id).sec(), id.seq});
-    }
-  };
-  for (std::size_t i = 0; i < runtime_->worker_count(); ++i) {
-    const rt::Worker& wk = runtime_->worker(i);
-    if (wk.inflight == nullptr) {
-      continue;
-    }
-    if (wk.begin_event.seq != wk.end_event.seq) {
-      add_event(ckpt_io::EventKind::kWorkerBegin, wk.id(), wk.begin_event);
-    }
-    add_event(ckpt_io::EventKind::kWorkerEnd, wk.id(), wk.end_event);
+  for (std::size_t p = 0; p < platform_.cpu_count(); ++p) {
+    marker.energy_j += platform_.cpu(p).energy_joules();
   }
-  if (manager_.reconciling()) {
-    add_event(ckpt_io::EventKind::kReconcile, -1, manager_.reconcile_event());
-  }
-  if (sampler_.running()) {
-    add_event(ckpt_io::EventKind::kTelemetry, -1, sampler_.pending_event());
-  }
-  if (injector_ != nullptr) {
-    for (const auto& [plan_index, id] : injector_->pending()) {
-      add_event(ckpt_io::EventKind::kFault, static_cast<std::int32_t>(plan_index), id);
-    }
-  }
-  if (checkpointer_ != nullptr && checkpointer_->watchdog_armed()) {
-    add_event(ckpt_io::EventKind::kWatchdog, -1, checkpointer_->watchdog_event());
-  }
-  if (checkpointer_ != nullptr && checkpointer_->tick_armed()) {
-    add_event(ckpt_io::EventKind::kCkptTick, -1, checkpointer_->tick_event());
-  }
-  ckpt_io::put_events(w, std::move(pending));
-  last_capture_bytes_ = w.data().size();
-  return {now_s, w.take()};
+  marker.rng = runtime_->rng().state();
+  return {marker.t_virtual_s, ckpt_io::encode_marker(marker)};
 }
 
-void RunContext::restore(ckpt_io::RunState resume) {
-  const ExperimentConfig& config = result_.config;
-  ckpt::Reader r{resume.bytes};
-  r.expect_section("RUN1");
-  const double t_virtual_s = r.f64();
-  const double t_begin_s = r.f64();
-  const std::uint64_t watchdog_progress = r.u64();
-  hw::EnergyReading start_energy = ckpt_io::get_energy_reading(r);
-  runtime_->load(r);
-  ckpt_io::get_devices(r, platform_, gpu_energy_);
-  manager_.load(r, [this](std::size_t gpu) { runtime_->invalidate_gpu_history(gpu); });
-  r.expect_section("FLTS");
-  if (r.boolean() != (injector_ != nullptr)) {
-    throw ckpt::CheckpointError{"checkpoint fault-injector state does not match the fault plan"};
+void RunContext::replay_to(ckpt_io::RunState resume) {
+  if (checkpointer_ == nullptr) {
+    throw ckpt::CheckpointError{
+        "the checkpoint was taken mid-run: resume with the same --checkpoint-every-ms / "
+        "--watchdog-ms as the checkpointed run"};
   }
-  if (injector_ != nullptr) {
-    injector_->load(r, simulator_);
-  }
-  const ckpt_io::ObsSinks sinks = obs_sinks();
-  ckpt_io::get_observability(r, sinks, result_.degradation);
-  if (sinks.telemetry != nullptr) {
-    sampler_.resume(simulator_, sim::SimTime::millis(config.obs.telemetry_period_ms));
-  }
-  const std::vector<ckpt_io::EventRecord> events = ckpt_io::get_events(r);
-  if (!r.at_end()) {
-    throw ckpt::CheckpointError{"checkpoint run state has " + std::to_string(r.remaining()) +
-                                " trailing bytes"};
-  }
-  t_begin_ = sim::SimTime::seconds(t_begin_s);
-  start_energy_ = std::move(start_energy);
-  simulator_.restore_clock(sim::SimTime::seconds(t_virtual_s));
-
-  // Ordered replay: events re-created in ascending original seq occupy
-  // the lowest new seqs, so every same-instant tie resolves as it did in
-  // the checkpointed run.
-  std::vector<bool> begin_replayed(runtime_->worker_count(), false);
-  for (const ckpt_io::EventRecord& e : events) {
-    if (e.kind == ckpt_io::EventKind::kWorkerBegin) {
-      begin_replayed.at(static_cast<std::size_t>(e.index)) = true;
-    }
-  }
-  for (const ckpt_io::EventRecord& e : events) {
-    const sim::SimTime when = sim::SimTime::seconds(e.when_s);
-    switch (e.kind) {
-      case ckpt_io::EventKind::kWorkerBegin:
-        runtime_->reschedule_begin(e.index);
-        break;
-      case ckpt_io::EventKind::kWorkerEnd:
-        runtime_->reschedule_end(e.index, begin_replayed.at(static_cast<std::size_t>(e.index)));
-        break;
-      case ckpt_io::EventKind::kReconcile:
-        manager_.rearm_reconcile_at(when);
-        break;
-      case ckpt_io::EventKind::kTelemetry:
-        sampler_.rearm_at(when);
-        break;
-      case ckpt_io::EventKind::kFault:
-        if (injector_ == nullptr) {
-          throw ckpt::CheckpointError{"checkpoint has a pending fault but no fault plan"};
-        }
-        injector_->rearm_event(static_cast<std::size_t>(e.index), when);
-        break;
-      case ckpt_io::EventKind::kWatchdog:
-        if (checkpointer_ == nullptr) {
-          throw ckpt::CheckpointError{
-              "checkpoint has a pending watchdog probe: resume with the same "
-              "--watchdog-ms as the checkpointed run"};
-        }
-        checkpointer_->rearm_watchdog_at(when, watchdog_progress);
-        break;
-      case ckpt_io::EventKind::kCkptTick:
-        if (checkpointer_ == nullptr) {
-          throw ckpt::CheckpointError{
-              "checkpoint has a pending checkpoint tick: resume with the same "
-              "--checkpoint-every-ms as the checkpointed run"};
-        }
-        checkpointer_->rearm_tick_at(when);
-        break;
-    }
-  }
-  if (checkpointer_ != nullptr) {
-    checkpointer_->arm_missing();
-  }
+  replay_to_ = std::move(resume);
 }
 
-void RunContext::arm_checkpointer() {
-  if (checkpointer_ != nullptr) {
-    checkpointer_->arm();
+void RunContext::on_checkpoint(CheckpointSession& session, const char* reason) {
+  if (!replay_to_) {
+    if (session.writes_enabled()) {
+      session.write_run_checkpoint(reason, result_.config, capture_run_state());
+    }
+    return;
+  }
+  // Replaying. Up to the marked tick the resume file's marker supersedes
+  // every tick: they write nothing, and an abort re-writes that marker.
+  const ckpt_io::RunMarker want = ckpt_io::decode_marker(replay_to_->bytes);
+  const bool reached = simulator_.executed_events() >= want.events;
+  if (reached) {
+    const ckpt_io::RunMarker have = ckpt_io::decode_marker(capture_run_state().bytes);
+    const std::pair<bool, const char*> checks[] = {
+        {have.events == want.events, "processed-event count"},
+        {have.t_virtual_s == want.t_virtual_s, "virtual time"},
+        {have.tasks_completed == want.tasks_completed, "completed-task count"},
+        {have.energy_j == want.energy_j, "metered energy"},
+        {have.rng == want.rng, "runtime RNG state"},
+    };
+    for (const auto& [same, what] : checks) {
+      if (!same) {
+        throw ckpt::CheckpointError{
+            std::string{"resume diverged from the checkpoint: the replayed run's "} + what +
+            " at the marked tick differs from the marker's — resume with the identical "
+            "binary and command line"};
+      }
+    }
+  }
+  if (std::string_view{reason} != "periodic" && session.writes_enabled()) {
+    session.write_run_checkpoint(reason, result_.config, *replay_to_);
+  }
+  if (reached) {
+    replay_to_.reset();
   }
 }
 
 ExperimentResult RunContext::finish() {
   const ExperimentConfig& config = result_.config;
   runtime_->wait_all();
+  if (replay_to_) {
+    throw ckpt::CheckpointError{
+        "resume diverged from the checkpoint: the replayed run ended before its marked tick"};
+  }
   result_.energy = read_energy(simulator_.now()) - start_energy_;
   sampler_.stop();
   result_.stats = runtime_->stats();

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ckpt/checkpointer.hpp"
@@ -68,43 +69,44 @@ class RunContext {
   void apply_caps();
 
   /// Starts reconciliation and arms the fault plan per the measurement
-  /// protocol (both skipped mid-run state when `restoring`; drain hooks are
-  /// registered either way).
+  /// protocol (both skipped when `restoring`; drain hooks are registered
+  /// either way).
   void start_resilience(bool restoring);
 
   /// Opens the measured window: arms telemetry, stamps t_begin, and takes
-  /// the start-of-window energy reading. Fresh runs only — a resume
-  /// restores the window from the checkpoint instead.
+  /// the start-of-window energy reading.
   void begin_measurement();
 
-  /// Creates the periodic/watchdog checkpointer writing into `session`, if
-  /// its options ask for mid-run checkpoints. Call after task submission.
+  /// Creates and arms the periodic/watchdog checkpointer writing into
+  /// `session`, if its options ask for mid-run checkpoints. Call after
+  /// task submission.
   void attach_checkpointer(CheckpointSession& session);
 
-  /// Encodes the complete resumable state straight from the live
-  /// components. Pure read: never advances meters or the clock, so a run
-  /// with checkpointing on stays byte-identical.
+  /// Encodes a run marker (ckpt_io::RunMarker) for the run as it stands:
+  /// its virtual time and processed-event count, and a digest of its cheap
+  /// state. The session stamps the campaign index when it writes the
+  /// marker. Pure read: never advances meters or the clock, so a run with
+  /// checkpointing on stays byte-identical.
   [[nodiscard]] ckpt_io::RunState capture_run_state();
 
-  /// Decodes a captured state straight into the freshly built component
-  /// graph and replays pending events in original (time, seq) order. The
-  /// runtime must hold the re-submitted static DAG under begin_restore().
-  /// Throws ckpt::CheckpointError, before the run continues, when the
-  /// state does not match this run or carries bytes it cannot account for.
-  void restore(ckpt_io::RunState resume);
-
-  /// Arms the checkpointer's fresh-run events (no-op without one; a resume
-  /// re-creates them through restore()'s event replay instead).
-  void arm_checkpointer();
+  /// Resume: this run re-executes from its start with checkpoint writes
+  /// suppressed until the tick `resume` marks. There its digest must equal
+  /// the marker's, or ckpt::CheckpointError is thrown; later ticks write as
+  /// usual. A signal or watchdog abort before the marked tick re-writes
+  /// `resume` itself. Needs the checkpointer attached.
+  void replay_to(ckpt_io::RunState resume);
 
   /// Drains the DAG, closes the measured window, and fills the result
   /// (energy, stats, fault counts, observability payload). Returns the
-  /// completed result by move; the context is spent afterwards.
+  /// completed result by move; the context is spent afterwards. Throws
+  /// ckpt::CheckpointError when the run ends before a replay reached its
+  /// marked tick.
   ExperimentResult finish();
 
  private:
-  /// The observability sinks this run records into (null = off).
-  [[nodiscard]] ckpt_io::ObsSinks obs_sinks();
+  /// Checkpointer callback: writes a marker, or, while replaying, checks
+  /// for the marked tick.
+  void on_checkpoint(CheckpointSession& session, const char* reason);
 
   RunServices services_;
   sim::Logger log_;
@@ -120,10 +122,8 @@ class RunContext {
   sim::SimTime t_begin_;
   hw::EnergyReading start_energy_;
   std::unique_ptr<ckpt::Checkpointer> checkpointer_;
-  /// Size of the last captured run state. The next capture reserves a
-  /// quarter more, since a run's state grows as it progresses, so its
-  /// buffer is not regrown (and copied) while it is encoded.
-  std::size_t last_capture_bytes_ = 0;
+  /// The marker a resume replays to; empty once reached (or on a fresh run).
+  std::optional<ckpt_io::RunState> replay_to_;
 };
 
 }  // namespace greencap::core

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/serial.hpp"
-
 namespace greencap::fault {
 
 namespace {
@@ -37,32 +35,32 @@ void FaultInjector::set_metrics(obs::MetricsRegistry* metrics) {
 
 void FaultInjector::schedule_timed(std::size_t index, sim::SimTime when) {
   const FaultEvent& e = plan_.events()[index];
-  pending_.push_back({index, sim_->at(when, [this, &e] {
-                        const sim::SimTime now = sim_->now();
-                        note_fired(e, now);
-                        switch (e.kind) {
-                          case FaultKind::kCapDrift:
-                            ++counts_.drifts;
-                            for (const auto& fn : drift_handlers_) fn(e.gpu, e.factor, e.watts, now);
-                            break;
-                          case FaultKind::kEnergyReset:
-                            ++counts_.energy_resets;
-                            for (const auto& fn : energy_reset_handlers_) fn(e.gpu, now);
-                            break;
-                          case FaultKind::kGpuDropout:
-                            ++counts_.dropouts;
-                            if (e.gpu >= 0) {
-                              if (static_cast<std::size_t>(e.gpu) >= gpu_dropped_.size()) {
-                                gpu_dropped_.resize(static_cast<std::size_t>(e.gpu) + 1, false);
-                              }
-                              gpu_dropped_[static_cast<std::size_t>(e.gpu)] = true;
-                            }
-                            for (const auto& fn : dropout_handlers_) fn(e.gpu, now);
-                            break;
-                          default:
-                            break;
-                        }
-                      })});
+  pending_.push_back(sim_->at(when, [this, &e] {
+    const sim::SimTime now = sim_->now();
+    note_fired(e, now);
+    switch (e.kind) {
+      case FaultKind::kCapDrift:
+        ++counts_.drifts;
+        for (const auto& fn : drift_handlers_) fn(e.gpu, e.factor, e.watts, now);
+        break;
+      case FaultKind::kEnergyReset:
+        ++counts_.energy_resets;
+        for (const auto& fn : energy_reset_handlers_) fn(e.gpu, now);
+        break;
+      case FaultKind::kGpuDropout:
+        ++counts_.dropouts;
+        if (e.gpu >= 0) {
+          if (static_cast<std::size_t>(e.gpu) >= gpu_dropped_.size()) {
+            gpu_dropped_.resize(static_cast<std::size_t>(e.gpu) + 1, false);
+          }
+          gpu_dropped_[static_cast<std::size_t>(e.gpu)] = true;
+        }
+        for (const auto& fn : dropout_handlers_) fn(e.gpu, now);
+        break;
+      default:
+        break;
+    }
+  }));
 }
 
 void FaultInjector::arm(sim::Simulator& sim) {
@@ -89,37 +87,11 @@ void FaultInjector::arm(sim::Simulator& sim) {
 
 void FaultInjector::cancel_pending() {
   if (sim_ != nullptr) {
-    for (const auto& [index, id] : pending_) {
+    for (const sim::EventId id : pending_) {
       sim_->cancel(id);
     }
   }
   pending_.clear();
-}
-
-template <typename C, typename Self>
-void FaultInjector::io(C& c, Self& f) {
-  c.io(f.rng_);
-  c.io(f.armed_);
-  c.io(f.origin_);
-  c.count(f.remaining_count_.size(), 4, "fault-plan entries");
-  for (auto& n : f.remaining_count_) c.io(n);
-  c.seq(f.gpu_dropped_, 1);
-  io_counts(c, f.counts_);
-}
-
-void FaultInjector::save(ckpt::Writer& w) const { io(w, *this); }
-
-void FaultInjector::load(ckpt::Reader& r, sim::Simulator& sim) {
-  io(r, *this);
-  sim_ = &sim;
-  pending_.clear();
-}
-
-void FaultInjector::rearm_event(std::size_t plan_index, sim::SimTime when) {
-  if (plan_index >= plan_.size()) {
-    throw std::invalid_argument("FaultInjector::rearm_event: plan index out of range");
-  }
-  schedule_timed(plan_index, when);
 }
 
 bool FaultInjector::in_window(const FaultEvent& e, sim::SimTime now, bool relative) const {

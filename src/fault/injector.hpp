@@ -33,11 +33,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
-namespace greencap::ckpt {
-class Reader;
-class Writer;
-}
-
 namespace greencap::fault {
 
 class FaultInjector {
@@ -105,17 +100,6 @@ class FaultInjector {
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] sim::SimTime origin() const { return origin_; }
 
-  // -- checkpoint support ---------------------------------------------------
-
-  /// Appends the complete mutable state apart from the pending simulator
-  /// events, which are checkpointed (by plan index + fire time) with the
-  /// global event set and re-created via rearm_event().
-  void save(ckpt::Writer& w) const;
-
-  /// Reads what save() wrote, without scheduling anything; `sim` becomes
-  /// the clock for subsequent queries and rearm_event() calls.
-  void load(ckpt::Reader& r, sim::Simulator& sim);
-
   /// The checkpoint layout of counts(), shared with experiment results.
   template <typename C, typename T>
   static void io_counts(C& c, T& counts) {
@@ -125,19 +109,7 @@ class FaultInjector {
     c.io(counts.dropouts);
   }
 
-  /// Re-creates the timed event for plan entry `plan_index` at absolute
-  /// time `when` (checkpoint restore of a not-yet-fired fault).
-  void rearm_event(std::size_t plan_index, sim::SimTime when);
-
-  /// Not-yet-fired timed faults as (plan index, event id) pairs.
-  [[nodiscard]] const std::vector<std::pair<std::size_t, sim::EventId>>& pending() const {
-    return pending_;
-  }
-
  private:
-  /// The layout save() writes and load() reads.
-  template <typename C, typename Self>
-  static void io(C& c, Self& f);
   /// Records the firing of event `e` (metrics, trace marker) at `now`.
   void note_fired(const FaultEvent& e, sim::SimTime now);
   /// Schedules the timed fault for plan entry `index` at absolute `when`.
@@ -153,7 +125,8 @@ class FaultInjector {
   /// Per-plan-event remaining forced-failure budget (capfail count=N).
   std::vector<int> remaining_count_;
   std::vector<bool> gpu_dropped_;
-  std::vector<std::pair<std::size_t, sim::EventId>> pending_;
+  /// Not-yet-fired timed faults.
+  std::vector<sim::EventId> pending_;
   sim::Simulator* sim_ = nullptr;
 
   std::vector<std::function<void(int, double, double, sim::SimTime)>> drift_handlers_;

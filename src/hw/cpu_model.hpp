@@ -91,16 +91,6 @@ class CpuModel {
   [[nodiscard]] double current_power_w() const { return meter_.power_w(); }
   void reset_energy(sim::SimTime now) { meter_.reset_energy(now); }
 
-  [[nodiscard]] const EnergyMeter& meter() const { return meter_; }
-
-  /// Overwrites the full mutable package state (checkpoint restore).
-  void restore_state(double cap_w, int active_cores, double meter_power_w, double meter_joules,
-                     sim::SimTime meter_last_update) {
-    cap_w_ = cap_w;
-    active_cores_ = active_cores;
-    meter_.restore(meter_power_w, meter_joules, meter_last_update);
-  }
-
  private:
   [[nodiscard]] double package_power(int active) const;
   void refresh_power(sim::SimTime now);

@@ -28,16 +28,6 @@ class EnergyMeter {
   /// experiment reuses a platform instance across runs.
   void reset_energy(sim::SimTime now);
 
-  /// Overwrites the full meter state (checkpoint restore). The caller is
-  /// responsible for `last_update` being consistent with the restored
-  /// virtual clock; the next advance() then integrates exactly the same
-  /// P * dt increment the uninterrupted run would have.
-  void restore(double power_w, double joules, sim::SimTime last_update) {
-    power_w_ = power_w;
-    joules_ = joules;
-    last_update_ = last_update;
-  }
-
  private:
   double power_w_ = 0.0;
   double joules_ = 0.0;
@@ -80,16 +70,6 @@ class MonotonicEnergyTracker {
 
   [[nodiscard]] double total() const { return offset_ + last_raw_; }
   [[nodiscard]] int resets_seen() const { return resets_; }
-
-  [[nodiscard]] double offset() const { return offset_; }
-  [[nodiscard]] double last_raw() const { return last_raw_; }
-
-  /// Overwrites the tracker state (checkpoint restore).
-  void restore(double offset, double last_raw, int resets) {
-    offset_ = offset;
-    last_raw_ = last_raw;
-    resets_ = resets;
-  }
 
  private:
   double offset_ = 0.0;

@@ -131,19 +131,6 @@ class GpuModel {
   [[nodiscard]] double current_power_w() const { return meter_.power_w(); }
   void reset_energy(sim::SimTime now) { meter_.reset_energy(now); }
 
-  [[nodiscard]] const EnergyMeter& meter() const { return meter_; }
-
-  /// Overwrites the full mutable device state (checkpoint restore). Writes
-  /// cap_w_ directly — the checkpointed value was already clamped when it
-  /// was first applied, and re-clamping would advance the meter.
-  void restore_state(double cap_w, bool busy, bool failed, double meter_power_w,
-                     double meter_joules, sim::SimTime meter_last_update) {
-    cap_w_ = cap_w;
-    busy_ = busy;
-    failed_ = failed;
-    meter_.restore(meter_power_w, meter_joules, meter_last_update);
-  }
-
  private:
   GpuArchSpec spec_;
   std::int32_t index_;

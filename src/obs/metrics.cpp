@@ -32,18 +32,6 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
-void Histogram::restore(std::vector<std::uint64_t> buckets, std::uint64_t count, double sum,
-                        double min, double max) {
-  if (buckets.size() != bounds_.size() + 1) {
-    throw std::invalid_argument("Histogram: restored bucket vector does not match the bounds");
-  }
-  buckets_ = std::move(buckets);
-  count_ = count;
-  sum_ = sum;
-  min_ = min;
-  max_ = max;
-}
-
 std::vector<double> duration_buckets_s() {
   // 1 us .. 100 s in half-decade steps.
   std::vector<double> bounds;

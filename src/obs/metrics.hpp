@@ -27,9 +27,6 @@ class Counter {
   void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
-  /// Overwrites the count (checkpoint restore).
-  void restore(std::uint64_t value) { value_ = value; }
-
  private:
   std::uint64_t value_ = 0;
 };
@@ -61,11 +58,6 @@ class Histogram {
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-
-  /// Overwrites the observation state (checkpoint restore). `buckets` must
-  /// have bounds().size() + 1 entries.
-  void restore(std::vector<std::uint64_t> buckets, std::uint64_t count, double sum, double min,
-               double max);
 
  private:
   std::vector<double> bounds_;   // ascending upper edges

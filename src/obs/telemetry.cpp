@@ -53,17 +53,19 @@ void TelemetrySeries::write_json(std::ostream& os) const {
 }
 
 void TelemetrySeries::write_csv(std::ostream& os) const {
-  os << "time_s";
+  // Numbers as the JSON export writes them (%.9g), so both files agree.
+  JsonWriter w{os};
+  w.raw("time_s");
   for (const TelemetryChannel& c : channels_) {
-    os << ',' << c.name;
+    w.raw(',').raw(c.name);
   }
-  os << '\n';
+  w.raw('\n');
   for (const TelemetrySample& s : samples_) {
-    os << s.t.sec();
+    w.number(s.t.sec());
     for (const double v : s.values) {
-      os << ',' << v;
+      w.raw(',').number(v);
     }
-    os << '\n';
+    w.raw('\n');
   }
 }
 
@@ -117,29 +119,6 @@ void TelemetrySampler::stop() {
   sim_ = nullptr;
 }
 
-void TelemetrySampler::restore_series(std::vector<TelemetrySample> samples) {
-  for (const TelemetrySample& s : samples) {
-    if (s.values.size() != series_.channels_.size()) {
-      throw std::invalid_argument(
-          "TelemetrySampler: restored sample row does not match the channel count");
-    }
-  }
-  series_.samples_ = std::move(samples);
-}
-
-void TelemetrySampler::resume(sim::Simulator& sim, sim::SimTime period) {
-  if (period <= sim::SimTime::zero()) {
-    throw std::invalid_argument("TelemetrySampler: period must be positive");
-  }
-  sim_ = &sim;
-  period_ = period;
-  pending_ = sim::EventId{};
-}
-
-void TelemetrySampler::rearm_at(sim::SimTime when) {
-  pending_ = sim_->at(when, [this] { tick(); });
-}
-
 void attach_platform_channels(TelemetrySampler& sampler, hw::Platform& platform) {
   // The power probes report the energy delta over the elapsed interval
   // divided by its length — the time-weighted average draw — seeded with
@@ -148,8 +127,7 @@ void attach_platform_channels(TelemetrySampler& sampler, hw::Platform& platform)
   // Probes are deliberately stateless: the previous instant's joules are
   // read back from the recorded series (the sibling energy channel of the
   // last row, which is complete because sample_now pushes a row only after
-  // all probes ran). A sampler restored from a checkpointed series then
-  // produces the exact rows the uninterrupted run would have.
+  // all probes ran).
   const TelemetrySampler* self = &sampler;
   auto interval_power = [self](auto* device, std::size_t power_channel) {
     return [self, device, power_channel](sim::SimTime now) {

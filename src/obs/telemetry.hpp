@@ -64,7 +64,8 @@ class TelemetrySeries {
 
   /// {"channels":[{"name","unit"}...], "samples":[[t_s, v...], ...]}
   void write_json(std::ostream& os) const;
-  /// Header "time_s,<chan>,..." then one row per sample.
+  /// Header "time_s,<chan>,..." then one row per sample, numbers written
+  /// as write_json writes them (%.9g).
   void write_csv(std::ostream& os) const;
 
  private:
@@ -97,23 +98,6 @@ class TelemetrySampler {
   [[nodiscard]] const TelemetrySeries& series() const { return series_; }
 
   [[nodiscard]] std::size_t channel_count() const { return probes_.size(); }
-
-  // -- checkpoint support -------------------------------------------------
-
-  /// Replaces the recorded rows wholesale (checkpoint restore). Every row
-  /// must carry exactly one value per registered channel.
-  void restore_series(std::vector<TelemetrySample> samples);
-
-  /// Arms the sampler without taking an initial sample or scheduling a
-  /// tick — restore only. The pending tick, if any, is re-created
-  /// separately via rearm_at() so it lands at its checkpointed time.
-  void resume(sim::Simulator& sim, sim::SimTime period);
-
-  /// Schedules the next tick at absolute time `when` (restore only).
-  void rearm_at(sim::SimTime when);
-
-  /// Pending-tick handle for checkpoint capture.
-  [[nodiscard]] sim::EventId pending_event() const { return pending_; }
 
  private:
   void tick();

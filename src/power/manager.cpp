@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/serial.hpp"
-
 namespace greencap::power {
 
 namespace {
@@ -211,36 +209,6 @@ void PowerManager::stop_reconciliation() {
     sim_.cancel(reconcile_event_);
     reconcile_active_ = false;
   }
-}
-
-template <typename C, typename Self>
-void PowerManager::io(C& c, Self& m) {
-  c.tag("PWRS");
-  c.seq(m.best_cap_w_, 9, [&c](auto& cap) {
-    bool has = cap.has_value();
-    double watts = cap.value_or(0.0);
-    c.io(has);
-    c.io(watts);
-    if constexpr (C::kReading) {
-      if (has) cap = watts;
-    }
-  });
-  c.count(m.target_mw_.size(), 4, "GPUs");
-  for (auto& mw : m.target_mw_) c.io(mw);
-  c.io(m.reconcile_active_);
-  c.io(m.reconcile_period_);
-}
-
-void PowerManager::save(ckpt::Writer& w) const { io(w, *this); }
-
-void PowerManager::load(ckpt::Reader& r, std::function<void(std::size_t gpu)> on_reassert) {
-  io(r, *this);
-  on_reassert_ = std::move(on_reassert);
-  reconcile_event_ = sim::EventId{};
-}
-
-void PowerManager::rearm_reconcile_at(sim::SimTime when) {
-  reconcile_event_ = sim_.at(when, [this] { reconcile_once(); });
 }
 
 void PowerManager::reconcile_once() {

@@ -33,11 +33,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
-namespace greencap::ckpt {
-class Reader;
-class Writer;
-}
-
 namespace greencap::power {
 
 /// Knobs for the cap-write resilience machinery. Defaults keep the
@@ -115,27 +110,6 @@ class PowerManager {
   void stop_reconciliation();
   [[nodiscard]] bool reconciling() const { return reconcile_active_; }
 
-  // -- checkpoint support --------------------------------------------------
-
-  /// Appends the complete mutable manager state apart from the pending
-  /// reconcile event, which is checkpointed with the global event set and
-  /// re-created via rearm_reconcile_at().
-  void save(ckpt::Writer& w) const;
-
-  /// Reads what save() wrote, without scheduling anything. `on_reassert`
-  /// re-attaches the caller's reconciliation callback (closures cannot be
-  /// checkpointed). Throws ckpt::CheckpointError if the checkpoint was
-  /// taken on a platform with a different GPU count.
-  void load(ckpt::Reader& r, std::function<void(std::size_t gpu)> on_reassert = {});
-
-  /// Re-creates the pending reconcile event at absolute time `when`
-  /// (checkpoint restore; load() must have run first).
-  void rearm_reconcile_at(sim::SimTime when);
-
-  /// Pending-reconcile handle for checkpoint capture.
-  [[nodiscard]] sim::EventId reconcile_event() const { return reconcile_event_; }
-  [[nodiscard]] sim::SimTime reconcile_period() const { return reconcile_period_; }
-
   // -- observability (optional, not owned) ---------------------------------
 
   /// Counts cap changes into `metrics` ("power.gpu_cap_changes",
@@ -154,9 +128,6 @@ class PowerManager {
   void set_logger(sim::Logger* log) { log_ = log; }
 
  private:
-  /// The layout save() writes and load() reads.
-  template <typename C, typename Self>
-  static void io(C& c, Self& m);
   void note_cap_change(const std::string& device, double watts);
   [[nodiscard]] nvml::Device& device(std::size_t gpu);
   /// Blocks (in virtual time) for `delay`; schedules a no-op so the

@@ -50,11 +50,6 @@ class DataHandle {
   /// Number of nodes currently holding a valid copy.
   [[nodiscard]] std::size_t copy_count() const { return valid_.count(); }
 
-  /// Validity bitmask over memory nodes, for checkpointing. kMaxNodes fits
-  /// a u64 by construction.
-  [[nodiscard]] std::uint64_t validity_mask() const { return valid_.to_ullong(); }
-  void restore_validity_mask(std::uint64_t mask) { valid_ = std::bitset<kMaxNodes>{mask}; }
-
   // -- implicit-dependency bookkeeping (used by DependencyTracker) --------
   TaskId last_writer = kInvalidTask;
   std::vector<TaskId> readers_since_write;

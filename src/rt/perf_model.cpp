@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ckpt/serial.hpp"
 
 namespace greencap::rt {
 
@@ -141,91 +140,5 @@ void HistoryPerfModel::invalidate_worker(WorkerId worker) {
     }
   }
 }
-
-template <typename F>
-void HistoryPerfModel::for_each_slot(F&& f) const {
-  std::vector<CodeletId> by_name(names_.size());
-  for (CodeletId c = 0; c < by_name.size(); ++c) by_name[c] = c;
-  std::sort(by_name.begin(), by_name.end(),
-            [this](CodeletId a, CodeletId b) { return names_[a] < names_[b]; });
-  for (const CodeletId c : by_name) {
-    for (std::size_t i = 0; c < slots_.size() && i < slots_[c].size(); ++i) {
-      f(names_[c], static_cast<WorkerId>(i / kPrecisions),
-        static_cast<std::uint8_t>(i % kPrecisions), slots_[c][i]);
-    }
-  }
-}
-
-template <typename C, typename Self>
-void HistoryPerfModel::io(C& c, Self& model, std::size_t workers) {
-  auto history = [&c](auto& name, auto& worker, auto& precision, auto& size, auto& stats) {
-    c.io(name);
-    c.io(worker);
-    c.io(precision);
-    c.io(size);
-    c.io(stats.samples);
-    c.io(stats.mean_s);
-    c.io(stats.m2);
-  };
-  auto regression = [&c](auto& name, auto& worker, auto& precision, auto& reg) {
-    c.io(name);
-    c.io(worker);
-    c.io(precision);
-    c.io(reg.sum_xt);
-    c.io(reg.sum_xx);
-    c.io(reg.samples);
-  };
-
-  if constexpr (C::kReading) {
-    // The key is checked before slot() sees it: slot() sizes a vector
-    // from the worker id, so a corrupt id must not reach it.
-    auto decoded_slot = [&model, workers](const std::string& name, WorkerId worker,
-                                          std::uint8_t precision) -> Slot& {
-      if (worker < 0 || static_cast<std::size_t>(worker) >= workers || precision >= kPrecisions) {
-        throw ckpt::CheckpointError{"checkpoint perf-model entry for " + name + " has worker " +
-                                    std::to_string(worker) + " of " + std::to_string(workers) +
-                                    " and precision " + std::to_string(precision)};
-      }
-      return model.slot(model.intern(name), worker, precision);
-    };
-    model.slots_.clear();
-    std::size_t n = 0;
-    for (c.length(n, 8); n > 0; --n) {
-      std::string name;
-      WorkerId worker = 0;
-      std::uint8_t precision = 0;
-      std::int64_t size = 0;
-      PerfStats stats;
-      history(name, worker, precision, size, stats);
-      decoded_slot(name, worker, precision).history_entry(size) = stats;
-    }
-    for (c.length(n, 8); n > 0; --n) {
-      std::string name;
-      WorkerId worker = 0;
-      std::uint8_t precision = 0;
-      Regression reg;
-      regression(name, worker, precision, reg);
-      decoded_slot(name, worker, precision).regression = reg;
-    }
-  } else {
-    std::size_t regressions = 0;
-    model.for_each_slot([&](const std::string&, WorkerId, std::uint8_t, const Slot& s) {
-      regressions += s.regression.samples > 0 ? 1 : 0;
-    });
-    c.length(model.entry_count(), 8);
-    model.for_each_slot(
-        [&](const std::string& name, WorkerId worker, std::uint8_t precision, const Slot& s) {
-          for (const auto& [size, stats] : s.sizes) history(name, worker, precision, size, stats);
-        });
-    c.length(regressions, 8);
-    model.for_each_slot(
-        [&](const std::string& name, WorkerId worker, std::uint8_t precision, const Slot& s) {
-          if (s.regression.samples > 0) regression(name, worker, precision, s.regression);
-        });
-  }
-}
-
-template void HistoryPerfModel::io(ckpt::Writer&, const HistoryPerfModel&, std::size_t);
-template void HistoryPerfModel::io(ckpt::Reader&, HistoryPerfModel&, std::size_t);
 
 }  // namespace greencap::rt

@@ -40,7 +40,7 @@ struct PerfStats {
 class HistoryPerfModel {
  public:
   /// Dense id for `codelet`, assigned on first sight. Ids are stable for
-  /// the model's lifetime: invalidate() and decoding a checkpoint keep them.
+  /// the model's lifetime: invalidate() keeps them.
   CodeletId intern(const std::string& codelet);
 
   /// Id of an already-interned name, kNoCodelet when unknown.
@@ -86,16 +86,6 @@ class HistoryPerfModel {
   /// Number of (codelet, worker, precision, size) history entries.
   [[nodiscard]] std::size_t entry_count() const;
 
-  /// Checkpoint layout of both tables: each entry keyed by (codelet name,
-  /// worker, precision[, size]) and written in that order whatever the
-  /// recording order, so equal models encode to equal bytes. Reading
-  /// replaces the contents wholesale; codelet ids stay stable.
-  /// Reading rejects an entry whose worker is outside [0, workers) or whose
-  /// precision is unknown with ckpt::CheckpointError. Instantiated for
-  /// ckpt::Writer (const model) and ckpt::Reader.
-  template <typename C, typename Self>
-  static void io(C& c, Self& model, std::size_t workers);
-
  private:
   struct Regression {
     double sum_xt = 0.0;  ///< sum(flops * time)
@@ -120,11 +110,6 @@ class HistoryPerfModel {
 
   [[nodiscard]] const Slot* find(CodeletId codelet, WorkerId worker, std::uint8_t precision) const;
   Slot& slot(CodeletId codelet, WorkerId worker, std::uint8_t precision);
-
-  /// Calls f(name, worker, precision, slot) for every slot, in (codelet
-  /// name, worker, precision) order.
-  template <typename F>
-  void for_each_slot(F&& f) const;
 
   std::vector<std::string> names_;  // indexed by CodeletId
   std::unordered_map<std::string, CodeletId> ids_;

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/serial.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/capture.hpp"
 #include "sim/log.hpp"
@@ -81,7 +80,6 @@ void Runtime::build_workers() {
 }
 
 DataHandle* Runtime::register_data(std::uint64_t bytes, void* host_ptr, std::string name) {
-  structure_digest_.reset();
   const HandleId id = static_cast<HandleId>(handles_.size());
   if (name.empty()) {
     name = "data" + std::to_string(id);
@@ -91,7 +89,6 @@ DataHandle* Runtime::register_data(std::uint64_t bytes, void* host_ptr, std::str
 }
 
 TaskId Runtime::submit(TaskDesc desc) {
-  structure_digest_.reset();
   if (desc.codelet == nullptr) {
     throw std::invalid_argument("Runtime::submit: null codelet");
   }
@@ -135,9 +132,7 @@ TaskId Runtime::submit(TaskDesc desc) {
 
   ref.unresolved_deps = pending;
   drained_ = false;  // new work re-arms the drain hooks
-  // In restore mode the re-submitted DAG is structure only; true task
-  // states (including readiness) are overlaid by load().
-  if (pending == 0 && !restoring_) {
+  if (pending == 0) {
     make_ready(ref);
   }
   return id;
@@ -757,181 +752,6 @@ void Runtime::export_capture(prof::RunCapture& capture) const {
         preds.push_back(task->id());
       }
     }
-  }
-}
-
-namespace {
-
-// FNV-1a (64-bit) over the static DAG structure. Local to the digest:
-// checkpoints are consumed on the machine that wrote them, so hashing raw
-// little-endian integer bytes is fine.
-struct StructureHash {
-  std::uint64_t h = 14695981039346656037ULL;
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-}  // namespace
-
-std::uint64_t Runtime::structure_digest() const {
-  if (structure_digest_) return *structure_digest_;
-  StructureHash f;
-  f.u64(tasks_.size());
-  f.u64(handles_.size());
-  for (const auto& h : handles_) {
-    f.u64(static_cast<std::uint64_t>(h->id()));
-    f.u64(h->bytes());
-    f.str(h->name());
-  }
-  for (const auto& t : tasks_) {
-    f.str(t->codelet().name);
-    f.str(t->label);
-    f.u64(static_cast<std::uint64_t>(t->priority));
-    f.u64(t->accesses().size());
-    for (const TaskAccess& a : t->accesses()) {
-      f.u64(static_cast<std::uint64_t>(a.handle->id()));
-      f.u64(static_cast<std::uint64_t>(a.mode));
-    }
-    f.u64(t->successors.size());
-    for (const TaskId succ : t->successors) {
-      f.u64(static_cast<std::uint64_t>(succ));
-    }
-  }
-  structure_digest_ = f.h;
-  return f.h;
-}
-
-template <typename C, typename Self>
-void Runtime::io(C& c, Self& rt) {
-  // A task reference is coded as its TaskId; reading resolves it to the
-  // re-submitted task (-1 is "none" where `nullable`).
-  auto task_ref = [&c, &rt](auto& task, bool nullable) {
-    std::int64_t id = task != nullptr ? task->id() : -1;
-    c.io(id);
-    if constexpr (C::kReading) {
-      if (nullable && id < 0) {
-        task = nullptr;
-      } else if (id < 0 || static_cast<std::uint64_t>(id) >= rt.tasks_.size()) {
-        throw ckpt::CheckpointError{"Runtime::load: task id " + std::to_string(id) +
-                                    " is out of range"};
-      } else {
-        task = rt.tasks_[static_cast<std::size_t>(id)].get();
-      }
-    }
-  };
-  auto queued = [&task_ref](auto& task) { task_ref(task, false); };
-
-  c.tag("RTSS");
-  c.count(rt.tasks_.size(), 8, "tasks");
-  for (const auto& t : rt.tasks_) {
-    c.io(t->state, TaskState::kDone, "Runtime::load: unknown task state");
-    c.io(t->unresolved_deps);
-    c.io(t->assigned_worker);
-    c.io(t->ready_at);
-    c.io(t->dispatched_at);
-    c.io(t->data_ready_at);
-    c.io(t->start_time);
-    c.io(t->end_time);
-    c.io(t->attributed_power_w);
-    c.io(t->decision_index);
-  }
-  c.count(rt.workers_.size(), 8, "workers");
-  for (auto& wk : rt.workers_) {
-    c.io(wk.busy);
-    c.io(wk.quarantined);
-    c.io(wk.busy_until);
-    c.io(wk.expected_free);
-    c.io(wk.link_free);
-    task_ref(wk.inflight, true);
-    if constexpr (C::kReading) {
-      // In-flight begin/end events are re-created by the caller's ordered
-      // event replay (reschedule_begin/reschedule_end), not here.
-      wk.begin_event = sim::EventId{};
-      wk.end_event = sim::EventId{};
-    }
-    c.seq(wk.queue, 8, queued);
-    c.io(wk.tasks_executed);
-    c.io(wk.busy_seconds);
-    c.io(wk.flops_done);
-    c.io(wk.transfer_seconds);
-    c.io(wk.bytes_transferred);
-  }
-  c.count(rt.handles_.size(), 8, "data handles");
-  for (const auto& h : rt.handles_) {
-    std::uint64_t mask = h->validity_mask();
-    c.io(mask);
-    if constexpr (C::kReading) h->restore_validity_mask(mask);
-  }
-  c.count(rt.link_free_.size(), 8, "links");
-  for (auto& t : rt.link_free_) c.io(t);
-  c.io(rt.tasks_completed_);
-  c.io(rt.flops_completed_);
-  c.io(rt.last_completion_);
-  c.io(rt.drained_);
-  c.io(rt.rng_);
-  rt.scheduler_->io(c, queued);
-  HistoryPerfModel::io(c, rt.perf_model_, rt.workers_.size());
-
-  const std::uint64_t digest = rt.structure_digest();
-  std::uint64_t stored = digest;
-  c.io(stored);
-  if (stored != digest) {
-    std::ostringstream oss;
-    oss << "Runtime::load: re-submitted DAG does not match the checkpoint "
-        << "(structure digest " << digest << " != " << stored
-        << "); the resumed binary or configuration differs from the checkpointed run";
-    throw ckpt::CheckpointError{oss.str()};
-  }
-}
-
-void Runtime::save(ckpt::Writer& w) const { io(w, *this); }
-
-void Runtime::begin_restore() {
-  if (!tasks_.empty() || !handles_.empty()) {
-    throw std::logic_error("Runtime::begin_restore: runtime already holds work");
-  }
-  restoring_ = true;
-}
-
-void Runtime::load(ckpt::Reader& r) {
-  if (!restoring_) {
-    throw std::logic_error("Runtime::load without begin_restore");
-  }
-  io(r, *this);
-  restoring_ = false;
-}
-
-void Runtime::reschedule_begin(WorkerId worker_id) {
-  Worker& w = workers_.at(static_cast<std::size_t>(worker_id));
-  Task* task_ptr = w.inflight;
-  if (task_ptr == nullptr) {
-    throw std::logic_error("Runtime::reschedule_begin: worker has no in-flight task");
-  }
-  w.begin_event = schedule_begin(w);
-}
-
-void Runtime::reschedule_end(WorkerId worker_id, bool begin_pending) {
-  Worker& w = workers_.at(static_cast<std::size_t>(worker_id));
-  Task* task_ptr = w.inflight;
-  if (task_ptr == nullptr) {
-    throw std::logic_error("Runtime::reschedule_end: worker has no in-flight task");
-  }
-  w.end_event = schedule_end(w);
-  if (!begin_pending) {
-    // The begin already fired before the checkpoint. Alias its handle to
-    // the end event so handle_dropout's unconditional cancel of both stays
-    // an idempotent double-cancel instead of hitting an unrelated event.
-    w.begin_event = w.end_event;
   }
 }
 

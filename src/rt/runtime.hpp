@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,11 +34,6 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
-
-namespace greencap::ckpt {
-class Reader;
-class Writer;
-}
 
 namespace greencap::obs {
 class TelemetrySampler;
@@ -223,47 +217,6 @@ class Runtime final : public SchedulerContext {
   /// RuntimeOptions::faults dropout events.
   void handle_dropout(int gpu, sim::SimTime now);
 
-  // -- checkpoint / restart --------------------------------------------------
-
-  /// Appends the complete resumable runtime state to `w`: task states,
-  /// workers and their queues, handle residency, links, counters, the RNG,
-  /// scheduler queues, perf-model histories, and the structure digest.
-  /// Static structure (codelets, accesses, successors) is not written: a
-  /// resume rebuilds it by re-submitting the same DAG. Pure read: no clock
-  /// advance, no device-model access, no perturbation of the run.
-  void save(ckpt::Writer& w) const;
-
-  /// FNV-1a hash of the static DAG structure (codelets, accesses,
-  /// dependency edges, handle sizes) — stable across identical
-  /// re-submissions, different for any structural divergence. Memoized:
-  /// only submit() and register_data() change the structure, and both
-  /// drop the memo.
-  [[nodiscard]] std::uint64_t structure_digest() const;
-
-  /// Enters restore mode: subsequent submit() calls rebuild the DAG
-  /// structure but do NOT make dependency-free tasks ready — the true task
-  /// states are overlaid by load().
-  void begin_restore();
-
-  /// Reads what save() wrote over the re-submitted DAG and leaves restore
-  /// mode. Throws ckpt::CheckpointError if the checkpoint's shapes, task
-  /// states or structure digest do not match the re-submitted run (the run
-  /// must not continue then). In-flight begin/end events are NOT
-  /// re-created here; the caller replays them in original scheduling order
-  /// via reschedule_begin()/reschedule_end().
-  void load(ckpt::Reader& r);
-
-  /// Re-creates the in-flight begin event for `worker_id`'s restored task
-  /// at its checkpointed start time.
-  void reschedule_begin(WorkerId worker_id);
-
-  /// Re-creates the in-flight end event for `worker_id`'s restored task at
-  /// its checkpointed end time. `begin_pending` says whether the matching
-  /// begin event was also re-created; when it already fired before the
-  /// checkpoint, begin_event is aliased to end_event so a later dropout's
-  /// unconditional cancel stays an idempotent double-cancel.
-  void reschedule_end(WorkerId worker_id, bool begin_pending);
-
   // -- SchedulerContext ------------------------------------------------------
   [[nodiscard]] std::vector<Worker>& workers() override { return workers_; }
   [[nodiscard]] sim::SimTime now() const override { return sim_.now(); }
@@ -274,9 +227,6 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] double estimate_energy(const Task& task, const Worker& worker) override;
 
  private:
-  /// The layout save() writes and load() reads.
-  template <typename C, typename Self>
-  static void io(C& c, Self& rt);
   void build_workers();
   void make_ready(Task& task);
   void wake_worker(WorkerId id);
@@ -321,9 +271,6 @@ class Runtime final : public SchedulerContext {
   sim::SimTime last_completion_;
   std::vector<std::function<void()>> drain_hooks_;
   bool drained_ = false;
-  /// Restore mode (between begin_restore() and load()): submit()
-  /// rebuilds structure without making tasks ready.
-  bool restoring_ = false;
 
   // Cached metric handles (null when options_.metrics is null) so the
   // execution path pays one pointer test, not a map lookup.
@@ -336,9 +283,6 @@ class Runtime final : public SchedulerContext {
   /// Sampler to close out when the last task retires; set by
   /// register_telemetry, never owned.
   obs::TelemetrySampler* telemetry_ = nullptr;
-  /// structure_digest() of tasks_/handles_ as they are now; empty until
-  /// first asked for and after any change to either.
-  mutable std::optional<std::uint64_t> structure_digest_;
 };
 
 }  // namespace greencap::rt

@@ -97,17 +97,6 @@ class Scheduler {
   /// eligible for the worker once it is marked quarantined.
   [[nodiscard]] std::vector<Task*> evict(Worker& worker);
 
-  /// Checkpoint layout of the queue state, one for every policy: the
-  /// shared queue (`task` codes one queued task as its TaskId), the
-  /// worker-queue task count and the round-robin cursor. Worker queues
-  /// are checkpointed with the workers themselves.
-  template <typename C, typename TaskRef>
-  void io(C& c, TaskRef&& task) {
-    c.seq(central_, 8, task);
-    c.io(pending_);
-    c.io(cursor_);
-  }
-
  protected:
   SchedulerContext& ctx() { return *ctx_; }
 

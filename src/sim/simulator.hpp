@@ -37,23 +37,6 @@ class Simulator {
   /// Cancels a pending event; returns true if it had not fired yet.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// True iff `id` is scheduled and has neither fired nor been cancelled.
-  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
-
-  /// Fire time of a pending event. Precondition: pending(id).
-  [[nodiscard]] SimTime time_of(EventId id) const { return queue_.time_of(id); }
-
-  /// Forces the clock to `when` without executing events. Checkpoint
-  /// restore only: lets the restored pending-event set be re-created with
-  /// at() against the checkpointed clock. `when` must not move time
-  /// backwards past already-scheduled events.
-  void restore_clock(SimTime when) {
-    if (when < now_) {
-      throw TimeTravelError{"restore_clock would move the virtual clock backwards"};
-    }
-    now_ = when;
-  }
-
   /// Runs until the event set is exhausted. Returns the final clock value.
   SimTime run();
 
@@ -70,9 +53,8 @@ class Simulator {
 
   /// Number of event callbacks currently on the C++ stack. 1 inside a
   /// normally-dispatched callback; >1 when a callback re-entered the loop
-  /// via a nested run_until() (PowerManager::wait_virtual backoff). The
-  /// checkpointer refuses to capture at depth >1: the outer callback's
-  /// continuation lives on the stack and cannot be serialized.
+  /// via a nested run_until() (PowerManager::wait_virtual backoff); the
+  /// checkpointer defers its ticks out of such nested windows.
   [[nodiscard]] int callback_depth() const { return executing_; }
 
  private:

@@ -97,12 +97,15 @@ void write_csv_field(std::ostream& os, const std::string& field) {
 }  // namespace
 
 void Trace::write_csv(std::ostream& os) const {
+  // Times at 9 significant digits (%.9g), as the JSON exports write them.
+  const std::streamsize precision = os.precision(9);
   os << "kind,resource,object,name,begin_s,end_s\n";
   for (const Span& s : spans_) {
     os << to_string(s.kind) << ',' << s.resource << ',' << s.object << ',';
     write_csv_field(os, s.name);
     os << ',' << s.begin.sec() << ',' << s.end.sec() << '\n';
   }
+  os.precision(precision);
 }
 
 }  // namespace greencap::sim

@@ -53,12 +53,6 @@ class Trace {
 
   void clear();
 
-  /// Replaces the recorded spans/markers wholesale (checkpoint restore).
-  /// The enabled flag is untouched: it is configuration, not history.
-  void restore(std::vector<Span> spans, std::vector<Marker> markers) {
-    spans_ = std::move(spans);
-    markers_ = std::move(markers);
-  }
 
   /// Spans on one resource, in begin-time order.
   [[nodiscard]] std::vector<Span> spans_on(std::int32_t resource) const;
@@ -70,7 +64,7 @@ class Trace {
   /// endpoints allowed).
   [[nodiscard]] bool resource_spans_disjoint() const;
 
-  /// CSV dump: kind,resource,object,name,begin_s,end_s
+  /// CSV dump: kind,resource,object,name,begin_s,end_s (times at %.9g).
   void write_csv(std::ostream& os) const;
 
  private:

@@ -91,30 +91,4 @@ TEST_F(CheckpointerTest, WatchdogStaysQuietWhileProgressAdvances) {
   cp.cancel();
 }
 
-TEST_F(CheckpointerTest, RearmTickAtRestoresOriginalCadence) {
-  ckpt::Checkpointer cp = make(10.0, 0.0);
-  // Simulate a resume: the captured tick was pending at t=30ms.
-  simulator.restore_clock(sim::SimTime::millis(22.0));
-  cp.rearm_tick_at(sim::SimTime::millis(30.0));
-  cp.arm_missing();  // must not double-arm the tick
-  simulator.run_until(sim::SimTime::millis(45.0));
-  // Fires at 30 and 40 — never twice in one period.
-  EXPECT_EQ(reasons, (std::vector<std::string>{"periodic", "periodic"}));
-  cp.cancel();
-}
-
-TEST_F(CheckpointerTest, ArmMissingArmsOnlyTheAbsentEvent) {
-  ckpt::Checkpointer cp = make(10.0, 20.0);
-  cp.rearm_watchdog_at(sim::SimTime::millis(20.0), 0);
-  cp.arm_missing();
-  EXPECT_TRUE(cp.tick_armed());
-  EXPECT_TRUE(cp.watchdog_armed());
-  // Tick freshly armed => first tick one full period from now (t=10ms);
-  // watchdog keeps its restored absolute time (t=20ms, stalled => fires).
-  simulator.run_until(sim::SimTime::millis(15.0));
-  EXPECT_EQ(reasons, (std::vector<std::string>{"periodic"}));
-  EXPECT_THROW(simulator.run_until(sim::SimTime::millis(50.0)), ckpt::HangError);
-  EXPECT_EQ(reasons, (std::vector<std::string>{"periodic", "watchdog"}));
-}
-
 }  // namespace

@@ -2,28 +2,36 @@
 // killed at an arbitrary checkpoint write (the chaos kill hook fires
 // _Exit(137) the instant the rename lands, like SIGKILL) and resumed from
 // the surviving file produces a byte-identical result — including under
-// in-flight fault injection and degradation (the ISSUE's resume-under-
-// faults scenario). Kill points are exercised via gtest death tests, so
-// the write-then-die happens in a forked child and the parent resumes
-// from the file the child left behind.
+// in-flight fault injection and degradation. A run checkpoint is a marker:
+// the resume re-runs the in-flight experiment from its start and checks
+// the marker's digest at the marked tick. Kill points are exercised via
+// gtest death tests, so the write-then-die happens in a forked child and
+// the parent resumes from the file the child left behind.
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/file.hpp"
+#include "ckpt/signal.hpp"
 #include "core/checkpoint_io.hpp"
 #include "core/experiment.hpp"
+#include "obs/trace_export.hpp"
+#include "prof/profile.hpp"
 
 namespace greencap::core {
 namespace {
+
+namespace ck = greencap::ckpt;
 
 ExperimentConfig small_run(bool with_faults) {
   ExperimentConfig cfg;
@@ -42,12 +50,66 @@ ExperimentConfig small_run(bool with_faults) {
   return cfg;
 }
 
+/// The observed, faulted, degrading 40x40-tile POTRF of the
+/// chaos_killpoints_observed suite, with every capture on.
+ExperimentConfig observed_potrf40() {
+  ExperimentConfig cfg;
+  cfg.platform = "32-AMD-4-A100";
+  cfg.op = Operation::kPotrf;
+  cfg.precision = hw::Precision::kDouble;
+  cfg.nb = 2880;
+  cfg.n = 40 * 2880;
+  cfg.gpu_config = power::GpuConfig::parse("HHBB");
+  cfg.resilience.faults =
+      "capfail@gpu1:count=2;straggler@gpu3:t=1,until=4,factor=2.5;"
+      "drift@gpu0:t=2,watts=250;dropout@gpu2:t=5";
+  cfg.resilience.degrade = true;
+  cfg.resilience.reconcile_ms = 500.0;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
+  cfg.obs.decision_log = true;
+  cfg.obs.telemetry_period_ms = 10.0;
+  cfg.obs.profile = true;
+  return cfg;
+}
+
 /// Canonical byte encoding of a result — the same encoding a checkpoint
 /// stores, so "equal bytes" here is exactly the resume guarantee.
 std::string result_bytes(const ExperimentResult& r) {
-  greencap::ckpt::Writer w;
+  ck::Writer w;
   ckpt_io::encode_result(w, r);
   return w.take();
+}
+
+/// Every export of a result's observability data, concatenated.
+std::string observability_bytes(const ExperimentResult& r) {
+  if (r.observability == nullptr) {
+    return {};
+  }
+  const ObservabilityData& data = *r.observability;
+  std::ostringstream os;
+  obs::ChromeTraceOptions trace_options;
+  trace_options.telemetry = &data.telemetry;
+  trace_options.worker_names = data.worker_names;
+  obs::write_chrome_trace(os, data.trace, trace_options);
+  data.metrics.write_json(os);
+  data.decisions.write_json(os);
+  data.telemetry.write_json(os);
+  prof::AnalyzeOptions profile_options;
+  profile_options.decisions = &data.decisions;
+  profile_options.telemetry = &data.telemetry;
+  prof::analyze(data.capture, profile_options).write_json(os);
+  return os.str();
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 class ResumeTest : public ::testing::Test {
@@ -59,14 +121,25 @@ class ResumeTest : public ::testing::Test {
             ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".gckp";
     std::remove(path_.c_str());
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    ck::clear_interrupt();
+    std::remove(path_.c_str());
+  }
+
+  CheckpointOptions options(bool resuming) const {
+    CheckpointOptions opts;
+    opts.path = path_;
+    opts.every_ms = every_ms_;
+    if (resuming) {
+      opts.resume_path = path_;
+    }
+    return opts;
+  }
 
   /// Death-test body: run with checkpointing armed and the chaos kill
   /// hook set — must die with _Exit(137) at the Nth checkpoint write.
   void run_and_die(const ExperimentConfig& cfg, int kill_after) {
-    CheckpointOptions opts;
-    opts.path = path_;
-    opts.every_ms = 10.0;
+    CheckpointOptions opts = options(false);
     opts.kill_after = kill_after;
     CheckpointSession session{opts};
     const ExperimentResult result = run_experiment(cfg, &session);
@@ -75,11 +148,7 @@ class ResumeTest : public ::testing::Test {
 
   /// Resumes from the file the killed child left behind, to completion.
   ExperimentResult resume(const ExperimentConfig& cfg) {
-    CheckpointOptions opts;
-    opts.path = path_;
-    opts.resume_path = path_;
-    opts.every_ms = 10.0;
-    CheckpointSession session{opts};
+    CheckpointSession session{options(true)};
     if (auto replayed = session.try_replay(cfg)) {
       return std::move(*replayed);
     }
@@ -92,7 +161,7 @@ class ResumeTest : public ::testing::Test {
     const ExperimentResult reference = run_experiment(cfg);
     EXPECT_EXIT(run_and_die(cfg, kill_after), ::testing::ExitedWithCode(137), "");
     // The child died mid-run; its last write must be a valid mid-run file.
-    const greencap::ckpt::CheckpointFile file = greencap::ckpt::read_checkpoint_file(path_);
+    const ck::CheckpointFile file = ck::read_checkpoint_file(path_);
     EXPECT_EQ(file.manifest.kind, "run");
     const ExperimentResult resumed = resume(cfg);
     EXPECT_EQ(result_bytes(resumed), result_bytes(reference))
@@ -100,7 +169,16 @@ class ResumeTest : public ::testing::Test {
     EXPECT_EQ(resumed.degradation.to_string(), reference.degradation.to_string());
   }
 
+  /// Offset of the run marker in a run checkpoint's payload.
+  static std::size_t marker_at(const std::string& payload) {
+    EXPECT_GE(payload.size(), ckpt_io::kRunMarkerBytes);
+    const std::size_t at = payload.size() - ckpt_io::kRunMarkerBytes;
+    EXPECT_EQ(payload.compare(at, 4, "MARK"), 0);
+    return at;
+  }
+
   std::string path_;
+  double every_ms_ = 10.0;
 };
 
 TEST_F(ResumeTest, KilledAtFirstTickResumesByteIdentically) {
@@ -113,8 +191,8 @@ TEST_F(ResumeTest, KilledAtLaterTickResumesByteIdentically) {
 
 TEST_F(ResumeTest, ResumeUnderFaultsReplaysPendingEventsIdentically) {
   // Kill points chosen to land before and after the dropout at t=0.05 and
-  // around the capfail retries, so the resumed run carries pending fault
-  // events and partially-consumed injector RNG state.
+  // around the capfail retries, so the marked tick sits behind fired and
+  // pending faults alike.
   const ExperimentConfig cfg = small_run(true);
   const ExperimentResult reference = run_experiment(cfg);
   ASSERT_FALSE(reference.degradation.empty());
@@ -131,13 +209,35 @@ TEST_F(ResumeTest, ResumeUnderFaultsReplaysPendingEventsIdentically) {
   }
 }
 
+TEST_F(ResumeTest, ObservedFaultedPotrfResumesFromEveryMarker) {
+  const ExperimentConfig cfg = observed_potrf40();
+  every_ms_ = 5000.0;
+  const ExperimentResult reference = run_experiment(cfg);
+  const std::string want_result = result_bytes(reference);
+  const std::string want_obs = observability_bytes(reference);
+  ASSERT_FALSE(want_obs.empty());
+  int markers = 0;
+  {
+    CheckpointSession session{options(false)};
+    (void)run_experiment(cfg, &session);
+    markers = session.writes();
+  }
+  ASSERT_GE(markers, 2);
+  for (int kill_after = 1; kill_after <= markers; ++kill_after) {
+    SCOPED_TRACE("marker " + std::to_string(kill_after) + " of " + std::to_string(markers));
+    std::remove(path_.c_str());
+    EXPECT_EXIT(run_and_die(cfg, kill_after), ::testing::ExitedWithCode(137), "");
+    ASSERT_EQ(ck::read_checkpoint_file(path_).manifest.kind, "run");
+    const ExperimentResult resumed = resume(cfg);
+    EXPECT_EQ(result_bytes(resumed), want_result);
+    EXPECT_EQ(observability_bytes(resumed), want_obs);
+  }
+}
+
 TEST_F(ResumeTest, CheckpointingItselfDoesNotPerturbTheRun) {
   const ExperimentConfig cfg = small_run(true);
   const ExperimentResult plain = run_experiment(cfg);
-  CheckpointOptions opts;
-  opts.path = path_;
-  opts.every_ms = 10.0;
-  CheckpointSession session{opts};
+  CheckpointSession session{options(false)};
   const ExperimentResult checkpointed = run_experiment(cfg, &session);
   EXPECT_EQ(result_bytes(checkpointed), result_bytes(plain));
   EXPECT_GT(session.writes(), 0);
@@ -176,7 +276,7 @@ TEST_F(ResumeTest, ReplayRejectsADifferentCampaign) {
   CheckpointOptions opts;
   opts.resume_path = path_;
   CheckpointSession session{opts};
-  EXPECT_THROW((void)session.try_replay(other), greencap::ckpt::CheckpointError);
+  EXPECT_THROW((void)session.try_replay(other), ck::CheckpointError);
 }
 
 TEST_F(ResumeTest, CorruptResumeFileIsRejectedPrecisely) {
@@ -188,73 +288,126 @@ TEST_F(ResumeTest, CorruptResumeFileIsRejectedPrecisely) {
     const ExperimentResult result = run_experiment(cfg, &session);
     session.commit(cfg, result);
   }
-  std::string raw;
-  {
-    std::ifstream in{path_, std::ios::binary};
-    raw.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
-  }
+  const std::string raw = read_bytes(path_);
   // Bit flip.
-  {
-    std::string bad = raw;
-    bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x01);
-    std::ofstream out{path_, std::ios::binary | std::ios::trunc};
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-  }
+  std::string bad = raw;
+  bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x01);
+  write_bytes(path_, bad);
   CheckpointOptions opts;
   opts.resume_path = path_;
-  EXPECT_THROW(CheckpointSession{opts}, greencap::ckpt::CheckpointError);
+  EXPECT_THROW(CheckpointSession{opts}, ck::CheckpointError);
   // Truncation.
-  {
-    std::ofstream out{path_, std::ios::binary | std::ios::trunc};
-    out.write(raw.data(), static_cast<std::streamsize>(raw.size() / 2));
+  write_bytes(path_, raw.substr(0, raw.size() / 2));
+  EXPECT_THROW(CheckpointSession{opts}, ck::CheckpointError);
+}
+
+TEST_F(ResumeTest, VersionOneFileIsRejected) {
+  // A version-1 file held the full run state. Re-label a run checkpoint as
+  // version 1, with valid CRCs, so only the version check can catch it.
+  const ExperimentConfig cfg = small_run(false);
+  EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
+  std::string raw = read_bytes(path_);
+  const std::uint32_t v1 = 1;
+  std::memcpy(raw.data() + 4, &v1, sizeof v1);
+  const std::size_t at = raw.find("\"version\":2");
+  ASSERT_NE(at, std::string::npos);
+  raw[at + 10] = '1';
+  const std::uint32_t crc = ck::crc32(raw.data(), raw.size() - 4);
+  std::memcpy(raw.data() + raw.size() - 4, &crc, sizeof crc);
+  write_bytes(path_, raw);
+  try {
+    CheckpointSession session{options(true)};
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const ck::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("version 1"), std::string::npos) << e.what();
   }
-  EXPECT_THROW(CheckpointSession{opts}, greencap::ckpt::CheckpointError);
+}
+
+TEST_F(ResumeTest, ForgedMarkerDigestFailsTheReplay) {
+  // Each case forges one digest field of the marker and re-writes the file
+  // through write_checkpoint_file, so both CRCs are valid again and only
+  // the replay's check at the marked tick can catch it.
+  const ExperimentConfig cfg = small_run(true);
+  EXPECT_EXIT(run_and_die(cfg, 3), ::testing::ExitedWithCode(137), "");
+  const ck::CheckpointFile original = ck::read_checkpoint_file(path_);
+  ASSERT_EQ(original.manifest.kind, "run");
+  const std::size_t mark = marker_at(original.payload);
+
+  auto flip_low_bit = [](std::size_t offset) {
+    return [offset](std::string& p) { p[offset] = static_cast<char>(p[offset] ^ 0x01); };
+  };
+  const std::vector<std::pair<const char*, std::function<void(std::string&)>>> cases = {
+      {"metered energy", flip_low_bit(mark + 36)},
+      {"completed-task count", flip_low_bit(mark + 28)},
+      {"runtime RNG state", flip_low_bit(mark + 44)},
+  };
+  for (const auto& [what, forge] : cases) {
+    SCOPED_TRACE(what);
+    std::string payload = original.payload;
+    forge(payload);
+    ck::write_checkpoint_file(path_, original.manifest, {payload});
+    try {
+      (void)resume(cfg);
+      ADD_FAILURE() << "the forged marker was accepted";
+    } catch (const ck::CheckpointError& e) {
+      EXPECT_NE(std::string{e.what()}.find(what), std::string::npos) << e.what();
+    }
+  }
+  // The unforged file still resumes.
+  ck::write_checkpoint_file(path_, original.manifest, {original.payload});
+  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
 }
 
 TEST_F(ResumeTest, InvalidRunStateIsRejectedBeforeTheRunContinues) {
-  // Each case damages one field of a mid-run checkpoint and re-writes the
-  // file through write_checkpoint_file, so both CRCs are valid again and
-  // only the run-state decoder can catch it.
-  ExperimentConfig cfg = small_run(false);
-  cfg.obs.trace = true;
+  // Markers that cannot belong to this campaign position or this run.
+  const ExperimentConfig cfg = small_run(false);
   EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
-  const greencap::ckpt::CheckpointFile original = greencap::ckpt::read_checkpoint_file(path_);
+  const ck::CheckpointFile original = ck::read_checkpoint_file(path_);
   ASSERT_EQ(original.manifest.kind, "run");
-  const std::size_t run_at = original.payload.find("RUN1");
-  ASSERT_NE(run_at, std::string::npos);
-  // First element of the section tagged `tag`, after its u64 count.
-  auto first_of = [&](const std::string& payload, const char* tag) {
-    const std::size_t at = payload.find(tag, run_at);
-    EXPECT_NE(at, std::string::npos) << tag;
-    std::uint64_t count = 0;
-    std::memcpy(&count, payload.data() + at + 4, sizeof count);
-    EXPECT_GT(count, 0U) << tag << " is empty";
-    return at + 4 + 8;
+  const std::size_t mark = marker_at(original.payload);
+  auto set_u64 = [](std::size_t offset, std::uint64_t value) {
+    return [offset, value](std::string& p) { std::memcpy(p.data() + offset, &value, 8); };
   };
 
   const std::vector<std::pair<const char*, std::function<void(std::string&)>>> cases = {
-      {"unknown pending-event kind",
-       [&](std::string& p) { p[first_of(p, "EVTS")] = 0x63; }},
-      {"unknown trace span kind", [&](std::string& p) { p[first_of(p, "OBSS")] = 2; }},
-      {"unknown task state", [&](std::string& p) { p[first_of(p, "RTSS")] = 5; }},
-      {"trailing bytes in the run-state frame",
-       [&](std::string& p) {
-         std::uint64_t frame = 0;
-         std::memcpy(&frame, p.data() + run_at - 8, sizeof frame);
-         ++frame;
-         std::memcpy(p.data() + run_at - 8, &frame, sizeof frame);
-         p.push_back('\0');
-       }},
+      {"marker for another experiment", set_u64(mark + 4, 1)},
+      {"marked tick past the end of the run", set_u64(mark + 20, std::uint64_t{1} << 40)},
+      {"trailing bytes after the marker", [](std::string& p) { p.push_back('\0'); }},
+      {"truncated marker", [](std::string& p) { p.pop_back(); }},
   };
   for (const auto& [what, mutate] : cases) {
     SCOPED_TRACE(what);
     std::string payload = original.payload;
     mutate(payload);
-    greencap::ckpt::write_checkpoint_file(path_, original.manifest, {payload});
-    EXPECT_THROW((void)resume(cfg), greencap::ckpt::CheckpointError);
+    ck::write_checkpoint_file(path_, original.manifest, {payload});
+    EXPECT_THROW((void)resume(cfg), ck::CheckpointError);
   }
+  // Resuming a mid-run checkpoint without the ticks that mark it.
+  ck::write_checkpoint_file(path_, original.manifest, {original.payload});
+  every_ms_ = 0.0;
+  EXPECT_THROW((void)resume(cfg), ck::CheckpointError);
+  every_ms_ = 10.0;
   // The undamaged file still resumes.
-  greencap::ckpt::write_checkpoint_file(path_, original.manifest, {original.payload});
+  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
+}
+
+TEST_F(ResumeTest, SignalDuringTheReplayedPrefixKeepsTheResumeFilesMarker) {
+  const ExperimentConfig cfg = small_run(false);
+  EXPECT_EXIT(run_and_die(cfg, 3), ::testing::ExitedWithCode(137), "");
+  const ck::CheckpointFile killed = ck::read_checkpoint_file(path_);
+  const std::string marker = killed.payload.substr(marker_at(killed.payload));
+
+  ck::request_interrupt();
+  {
+    CheckpointSession session{options(true)};
+    EXPECT_THROW((void)run_experiment(cfg, &session), ck::InterruptedError);
+  }
+  ck::clear_interrupt();
+  const ck::CheckpointFile interrupted = ck::read_checkpoint_file(path_);
+  EXPECT_EQ(interrupted.manifest.kind, "run");
+  EXPECT_EQ(interrupted.manifest.reason, "signal");
+  EXPECT_EQ(interrupted.payload.substr(marker_at(interrupted.payload)), marker);
+
   EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "obs/trace_export.hpp"
@@ -156,6 +157,33 @@ TEST(ObservabilityOff, ResultsIdenticalWithAndWithoutObservability) {
   EXPECT_EQ(a.gpu_tasks, b.gpu_tasks);
   EXPECT_EQ(a.cpu_tasks, b.cpu_tasks);
   EXPECT_NEAR(a.total_energy_j, b.total_energy_j, 1e-9 * a.total_energy_j);
+}
+
+TEST(TelemetryCsv, NumbersMatchTheJsonExport) {
+  // The CLI's HHBB POTRF run with --telemetry-csv and --telemetry-json.
+  ExperimentConfig cfg = small_potrf();
+  cfg.obs.telemetry_period_ms = 10.0;
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_NE(r.observability, nullptr);
+  const obs::TelemetrySeries& series = r.observability->telemetry;
+  const auto& channels = series.channels();
+  std::size_t column = 0;
+  while (column < channels.size() && channels[column].name != "gpu0.energy_j") ++column;
+  ASSERT_LT(column, channels.size());
+
+  std::ostringstream csv;
+  series.write_csv(csv);
+  const std::string text = csv.str();
+  const std::size_t row_at = text.rfind('\n', text.size() - 2) + 1;
+  std::istringstream last_row{text.substr(row_at)};
+  std::string cell;
+  for (std::size_t i = 0; i <= column + 1; ++i) std::getline(last_row, cell, ',');
+  EXPECT_EQ(cell, "43.4272424");
+
+  std::ostringstream json;
+  series.write_json(json);
+  EXPECT_NE(json.str().find(", " + cell + ","), std::string::npos)
+      << "the JSON export writes the CSV's " << cell;
 }
 
 }  // namespace

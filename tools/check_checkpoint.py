@@ -4,7 +4,7 @@
 Stdlib only. Checks everything a tool can check from the container format
 alone (src/ckpt/file.hpp):
 
-  * binary layout: magic "GCKP", format version 1, manifest/payload section
+  * binary layout: magic "GCKP", format version 2, manifest/payload section
     lengths that exactly tile the file, 4-byte CRC trailer
   * integrity: the whole-file CRC-32 (IEEE) over every byte before the
     trailer, and the manifest's embedded payload_crc32/payload_bytes
@@ -15,6 +15,11 @@ alone (src/ckpt/file.hpp):
     tag "CAMP" whose experiment count equals the manifest's `completed`;
     campaign checkpoints carry t_virtual_s == 0 and a boundary/signal/final
     reason, run checkpoints a periodic/watchdog/signal/final reason
+  * the payload's framing to its last byte: the campaign section's
+    length-prefixed records, then a campaign checkpoint's closing 0 flag,
+    or a run checkpoint's 1 flag, in-flight config and run marker, whose
+    fixed layout (tag, fields, size) comes from the schema's x-run-marker;
+    the marker names the manifest's experiment index and virtual time
 
 Exit status 0 on success, 1 on any violation (one FAIL line each).
 """
@@ -30,7 +35,7 @@ import zlib
 from pathlib import Path
 
 MAGIC = b"GCKP"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<4sIQ")  # magic, version, manifest length
 CAMPAIGN_REASONS = {"boundary", "signal", "final"}
 RUN_REASONS = {"periodic", "watchdog", "signal", "final"}
@@ -162,7 +167,7 @@ def parse_container(raw: bytes) -> tuple[dict | None, bytes, list[str]]:
     return manifest, payload, problems
 
 
-def check_invariants(manifest: dict, payload: bytes) -> list[str]:
+def check_invariants(manifest: dict, payload: bytes, marker_layout: dict) -> list[str]:
     problems: list[str] = []
 
     if manifest["payload_bytes"] != len(payload):
@@ -190,15 +195,76 @@ def check_invariants(manifest: dict, payload: bytes) -> list[str]:
     # u64 LE experiment count that must agree with the manifest.
     if len(payload) < 12:
         problems.append(f"payload too short for a campaign section ({len(payload)} bytes)")
-    elif payload[:4] != b"CAMP":
+        return problems
+    if payload[:4] != b"CAMP":
         problems.append(f"payload does not open with the campaign tag (got {payload[:4]!r})")
-    else:
-        (count,) = struct.unpack_from("<Q", payload, 4)
-        if count != manifest["completed"]:
-            problems.append(
-                f"manifest claims {manifest['completed']} completed experiments "
-                f"but the campaign section holds {count}"
-            )
+        return problems
+    (count,) = struct.unpack_from("<Q", payload, 4)
+    if count != manifest["completed"]:
+        problems.append(
+            f"manifest claims {manifest['completed']} completed experiments "
+            f"but the campaign section holds {count}"
+        )
+        return problems
+    problems += check_framing(manifest, payload, marker_layout)
+    return problems
+
+
+def check_framing(manifest: dict, payload: bytes, marker_layout: dict) -> list[str]:
+    """Walks the payload after the campaign count: every length prefix must
+    fit, and the bytes must end exactly where the layout says."""
+    at = 12
+
+    def length_prefixed() -> bytes | None:
+        nonlocal at
+        if at + 8 > len(payload):
+            return None
+        (n,) = struct.unpack_from("<Q", payload, at)
+        if n > len(payload) - at - 8:
+            return None
+        at += 8 + n
+        return payload[at - n : at]
+
+    for i in range(manifest["completed"]):
+        if length_prefixed() is None or length_prefixed() is None \
+                or at + 1 > len(payload):
+            return [f"campaign section truncated in experiment #{i}"]
+        at += 1
+    if at + 1 > len(payload):
+        return ["payload ends before the run-marker flag"]
+    has_marker = payload[at]
+    at += 1
+    if manifest["kind"] == "campaign":
+        if has_marker != 0:
+            return [f"campaign checkpoint has run-marker flag {has_marker} (expected 0)"]
+        if at != len(payload):
+            return [f"{len(payload) - at} trailing bytes after the campaign section"]
+        return []
+    if has_marker != 1:
+        return [f"run checkpoint has run-marker flag {has_marker} (expected 1)"]
+    config = length_prefixed()
+    if config is None or config[:4] != b"CFG1":
+        return ["run checkpoint's in-flight config is truncated or untagged"]
+
+    fields = marker_layout["fields"]
+    fmt = "<4s" + "".join("Q" if kind == "u64" else "d" for _, kind in fields)
+    size = struct.calcsize(fmt)
+    if len(payload) - at != size:
+        return [f"run marker is {len(payload) - at} bytes, expected {size} "
+                f"(truncated or trailing bytes)"]
+    tag, *values = struct.unpack_from(fmt, payload, at)
+    if tag != marker_layout["tag"].encode():
+        return [f"run marker has tag {tag!r} (expected {marker_layout['tag']!r})"]
+    marker = {name: value for (name, _), value in zip(fields, values)}
+    problems = []
+    if marker["experiment"] != manifest["completed"]:
+        problems.append(f"run marker is for experiment #{marker['experiment']} but "
+                        f"{manifest['completed']} experiments completed")
+    if marker["t_virtual_s"] != manifest["t_virtual_s"]:
+        problems.append(f"run marker t_virtual_s {marker['t_virtual_s']} != manifest "
+                        f"{manifest['t_virtual_s']}")
+    if marker["events"] == 0:
+        problems.append("run marker claims zero processed events")
     return problems
 
 
@@ -228,7 +294,7 @@ def main() -> int:
         validator.check(manifest, schema, "$")
         problems += validator.errors
         if not validator.errors:  # invariants assume the shape is right
-            problems += check_invariants(manifest, payload)
+            problems += check_invariants(manifest, payload, schema["x-run-marker"])
             if args.expect_kind and manifest["kind"] != args.expect_kind:
                 problems.append(
                     f"expected a {args.expect_kind} checkpoint, got {manifest['kind']!r}"

@@ -2,7 +2,9 @@
 """The greencap CLI rejects bad input with exit 2, never abort().
 
 Each case below used to crash (uncaught exception, exit 134), fail late
-(exit 1 from the power manager), or silently run with a default. Every
+(exit 1 from the power manager or the fault-plan parser), or silently run
+with a default or a meaningless value (a negative period, a fault aimed at
+a GPU the platform lacks). Every
 one must now exit 2 with a one-line message naming the offending flag,
 and write no file (not even the --metrics-json and --checkpoint it was
 also given).
@@ -20,6 +22,14 @@ BAD_INPUT = [
     (["--platform", "bogus", "--n", "5760", "--nb", "2880"], "--platform"),
     (["--nb", "-5", "--n", "11520"], "--nb"),
     (["--n", "0", "--nb", "2880"], "--n"),
+    (["--telemetry-period-ms", "-5"], "--telemetry-period-ms"),
+    (["--cap-retries", "-1"], "--cap-retries"),
+    (["--reconcile-ms", "-1"], "--reconcile-ms"),
+    (["--checkpoint-every-ms", "-1"], "--checkpoint-every-ms"),
+    (["--watchdog-ms", "-1"], "--watchdog-ms"),
+    (["--ckpt-kill-after", "-1"], "--ckpt-kill-after"),
+    (["--faults", "garbage"], "--faults"),  # unparsable spec
+    (["--faults", "capfail@gpu9:count=2"], "--faults"),  # gpu9 on the 4-GPU platform
 ]
 OUTPUTS = ["--metrics-json", "metrics.json", "--checkpoint", "run.gckp"]
 

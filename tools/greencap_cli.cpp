@@ -26,6 +26,7 @@
 
 #include "core/campaign_flags.hpp"
 #include "core/paper_params.hpp"
+#include "fault/fault_plan.hpp"
 #include "hw/presets.hpp"
 
 using namespace greencap;
@@ -201,6 +202,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: flag '--config' expects one H/B/L letter per GPU (%zu on %s), got '%s'\n",
                  argv[0], gpus, cfg.platform.c_str(), config_text.c_str());
     return 2;
+  }
+
+  if (!flags.resilience.faults.empty()) {
+    std::string bad;
+    try {
+      const fault::FaultPlan plan = fault::FaultPlan::parse(flags.resilience.faults);
+      for (const fault::FaultEvent& e : plan.events()) {
+        if (e.gpu >= 0 && static_cast<std::size_t>(e.gpu) >= gpus) {
+          bad = "event '" + e.to_string() + "' targets gpu" + std::to_string(e.gpu) + ", but " +
+                cfg.platform + " has " + std::to_string(gpus) + " GPUs";
+          break;
+        }
+      }
+    } catch (const std::invalid_argument& e) {
+      bad = e.what();
+    }
+    if (!bad.empty()) {
+      std::fprintf(stderr, "%s: flag '--faults' %s\n", argv[0], bad.c_str());
+      return 2;
+    }
   }
 
   cfg.resilience = flags.resilience;
