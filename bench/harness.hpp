@@ -122,6 +122,7 @@ class SweepCli {
         std::exit(0);
       }
     }
+    argv0_ = argv[0];
     core::FlagParser parser;
     parser.flag("--csv", &csv);
     parser.flag("--quick", &quick);
@@ -135,6 +136,7 @@ class SweepCli {
   }
 
   std::unique_ptr<core::CampaignDriver> driver_;
+  std::string argv0_;  ///< for error lines, like the flag parser's
 
  private:
   /// Every emitted table under its title, for write_summary().
@@ -158,9 +160,15 @@ class Cli : public SweepCli {
   /// if any). `on_result` fires on this thread in strict config order at
   /// every --jobs value, right after the result's capture files are
   /// written, so tables, artifacts and stdout bytes match a serial run.
+  /// A fault plan that does not parse or targets a GPU some config's
+  /// platform lacks exits 2 before any run starts.
   void run_all(const std::vector<core::ExperimentConfig>& configs,
                const std::function<void(std::size_t, const core::ExperimentResult&)>& on_result)
       const {
+    if (const std::string err = core::check_fault_plans(configs); !err.empty()) {
+      std::cerr << argv0_ << ": " << err << "\n";
+      std::exit(2);
+    }
     (void)driver_->run(configs, [&](std::size_t i, core::ExperimentResult& r) {
       core::export_capture(r, flags, wrote_to_stderr);
       on_result(i, r);

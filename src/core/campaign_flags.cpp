@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "fault/fault_plan.hpp"
+#include "hw/presets.hpp"
 #include "obs/artifact.hpp"
 #include "obs/trace_export.hpp"
 #include "prof/html_report.hpp"
@@ -70,6 +72,28 @@ std::string CampaignFlags::parse(const FlagParser& parser, int argc, char* const
     // run after its artifacts; refuse loudly instead of degrading.
     return "--checkpoint/--resume/--checkpoint-every-ms/--watchdog-ms require --jobs 1 "
            "(checkpoint sessions are serial); drop --jobs or the checkpoint flags";
+  }
+  return {};
+}
+
+std::string check_fault_plans(const std::vector<ExperimentConfig>& configs) {
+  for (const ExperimentConfig& cfg : configs) {
+    if (cfg.resilience.faults.empty()) {
+      continue;
+    }
+    const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
+    try {
+      const fault::FaultPlan plan = fault::FaultPlan::parse(cfg.resilience.faults);
+      for (const fault::FaultEvent& e : plan.events()) {
+        if (e.gpu >= 0 && static_cast<std::size_t>(e.gpu) >= gpus) {
+          return "flag '--faults' event '" + e.to_string() + "' targets gpu" +
+                 std::to_string(e.gpu) + ", but " + cfg.platform + " has " +
+                 std::to_string(gpus) + " GPUs";
+        }
+      }
+    } catch (const std::invalid_argument& e) {
+      return std::string{"flag '--faults' "} + e.what();
+    }
   }
   return {};
 }

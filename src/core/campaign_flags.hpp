@@ -49,6 +49,12 @@ struct CampaignFlags {
   [[nodiscard]] ObservabilityOptions observability(bool more_telemetry = false) const;
 };
 
+/// Checks each config's fault plan against its platform: the plan must
+/// parse and target only GPUs the platform has. Returns the first error as
+/// "flag '--faults' ..." (drivers print it after "argv0: " and exit 2,
+/// before the campaign starts), or an empty string.
+[[nodiscard]] std::string check_fault_plans(const std::vector<ExperimentConfig>& configs);
+
 /// --help sections for the flags add_all() registers beyond --jobs; a
 /// driver may append its own flags to a section.
 inline constexpr const char* kCaptureHelp =

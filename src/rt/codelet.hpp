@@ -50,7 +50,4 @@ struct Codelet {
   }
 };
 
-/// Combined eligibility test used by every scheduling policy.
-[[nodiscard]] bool worker_can_run(const Task& task, const Worker& worker);
-
 }  // namespace greencap::rt

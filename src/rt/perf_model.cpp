@@ -1,9 +1,8 @@
 #include "rt/perf_model.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
-
 
 namespace greencap::rt {
 
@@ -30,22 +29,32 @@ namespace {
 
 }  // namespace
 
-const PerfStats* HistoryPerfModel::Slot::history(std::int64_t size) const {
-  for (const auto& [key, stats] : sizes) {
-    if (key == size) {
-      return &stats;
-    }
-  }
-  return nullptr;
+const HistoryPerfModel::Row* HistoryPerfModel::Slot::row(std::int64_t size) const {
+  const auto it =
+      std::find_if(rows.begin(), rows.end(), [size](const Row& r) { return r.size == size; });
+  return it != rows.end() ? &*it : nullptr;
 }
 
-PerfStats& HistoryPerfModel::Slot::history_entry(std::int64_t size) {
-  auto it = std::lower_bound(sizes.begin(), sizes.end(), size,
-                             [](const auto& entry, std::int64_t key) { return entry.first < key; });
-  if (it == sizes.end() || it->first != size) {
-    it = sizes.emplace(it, size, PerfStats{});
+HistoryPerfModel::Row& HistoryPerfModel::Slot::row_entry(std::int64_t size) {
+  auto it = std::lower_bound(rows.begin(), rows.end(), size,
+                             [](const Row& r, std::int64_t key) { return r.size < key; });
+  if (it == rows.end() || it->size != size) {
+    it = rows.insert(it, Row{size, {}});
   }
-  return it->second;
+  return *it;
+}
+
+bool HistoryPerfModel::Slot::lookup(const Row* row, std::size_t w, double flops,
+                                    double& seconds) const {
+  if (row != nullptr && w < row->workers.size() && row->workers[w].samples > 0) {
+    seconds = row->workers[w].mean_s;
+    return true;
+  }
+  if (w < regression.size() && regression[w].samples > 0) {
+    seconds = regression[w].slope() * flops;
+    return true;
+  }
+  return false;
 }
 
 CodeletId HistoryPerfModel::intern(const std::string& codelet) {
@@ -61,69 +70,76 @@ CodeletId HistoryPerfModel::id_of(const std::string& codelet) const {
   return it != ids_.end() ? it->second : kNoCodelet;
 }
 
-const HistoryPerfModel::Slot* HistoryPerfModel::find(CodeletId codelet, WorkerId worker,
+const HistoryPerfModel::Slot* HistoryPerfModel::find(CodeletId codelet,
                                                      std::uint8_t precision) const {
-  if (codelet >= slots_.size() || worker < 0 || precision >= kPrecisions) {
+  if (codelet >= names_.size() || precision >= kPrecisions) {
     return nullptr;
   }
-  const std::vector<Slot>& per_codelet = slots_[codelet];
-  const std::size_t index = static_cast<std::size_t>(worker) * kPrecisions + precision;
-  return index < per_codelet.size() ? &per_codelet[index] : nullptr;
+  const std::size_t index = static_cast<std::size_t>(codelet) * kPrecisions + precision;
+  return index < slots_.size() ? &slots_[index] : nullptr;
 }
 
-HistoryPerfModel::Slot& HistoryPerfModel::slot(CodeletId codelet, WorkerId worker,
-                                               std::uint8_t precision) {
+void HistoryPerfModel::record(CodeletId codelet, WorkerId worker, const hw::KernelWork& work,
+                              sim::SimTime duration) {
+  const std::uint8_t precision = precision_of(work);
   if (codelet >= names_.size() || worker < 0 || precision >= kPrecisions) {
     throw std::invalid_argument("HistoryPerfModel: invalid key (codelet id " +
                                 std::to_string(codelet) + ", worker " + std::to_string(worker) +
                                 ", precision " + std::to_string(precision) + ")");
   }
-  if (codelet >= slots_.size()) {
-    slots_.resize(names_.size());
-  }
-  std::vector<Slot>& per_codelet = slots_[codelet];
-  const std::size_t index = static_cast<std::size_t>(worker) * kPrecisions + precision;
-  if (index >= per_codelet.size()) {
-    per_codelet.resize(index + 1);
-  }
-  return per_codelet[index];
-}
-
-void HistoryPerfModel::record(CodeletId codelet, WorkerId worker, const hw::KernelWork& work,
-                              sim::SimTime duration) {
-  Slot& s = slot(codelet, worker, precision_of(work));
-  s.history_entry(size_key(work)).record(duration.sec());
-  s.regression.sum_xt += work.flops * duration.sec();
-  s.regression.sum_xx += work.flops * work.flops;
-  ++s.regression.samples;
+  slots_.resize(names_.size() * kPrecisions);
+  Slot& s = slots_[static_cast<std::size_t>(codelet) * kPrecisions + precision];
+  const auto w = static_cast<std::size_t>(worker);
+  Row& row = s.row_entry(size_key(work));
+  row.workers.resize(std::max(row.workers.size(), w + 1));
+  row.workers[w].record(duration.sec());
+  s.regression.resize(std::max(s.regression.size(), w + 1));
+  Regression& fit = s.regression[w];
+  fit.sum_xt += work.flops * duration.sec();
+  fit.sum_xx += work.flops * work.flops;
+  ++fit.samples;
 }
 
 std::optional<sim::SimTime> HistoryPerfModel::expected(CodeletId codelet, WorkerId worker,
                                                        const hw::KernelWork& work) const {
-  const Slot* s = find(codelet, worker, precision_of(work));
-  if (s == nullptr) {
+  const Slot* s = find(codelet, precision_of(work));
+  double seconds = 0.0;
+  // A negative worker wraps past every row and regression: no entry.
+  if (s == nullptr ||
+      !s->lookup(s->row(size_key(work)), static_cast<std::size_t>(worker), work.flops, seconds)) {
     return std::nullopt;
   }
-  if (const PerfStats* stats = s->history(size_key(work))) {
-    return sim::SimTime::seconds(stats->mean_s);
+  return sim::SimTime::seconds(seconds);
+}
+
+void HistoryPerfModel::expected_all(CodeletId codelet, const hw::KernelWork& work,
+                                    std::span<double> out) const {
+  std::fill(out.begin(), out.end(), std::numeric_limits<double>::quiet_NaN());
+  const Slot* s = find(codelet, precision_of(work));
+  if (s == nullptr) {
+    return;
   }
-  if (s->regression.samples > 0) {
-    return sim::SimTime::seconds(s->regression.slope() * work.flops);
+  const Row* row = s->row(size_key(work));
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    (void)s->lookup(row, w, work.flops, out[w]);
   }
-  return std::nullopt;
 }
 
 bool HistoryPerfModel::calibrated(CodeletId codelet, WorkerId worker,
                                   const hw::KernelWork& work) const {
-  const Slot* s = find(codelet, worker, precision_of(work));
-  return s != nullptr && s->history(size_key(work)) != nullptr;
+  const Slot* s = find(codelet, precision_of(work));
+  const Row* row = s != nullptr ? s->row(size_key(work)) : nullptr;
+  const auto w = static_cast<std::size_t>(worker);  // negative wraps past every row
+  return row != nullptr && w < row->workers.size() && row->workers[w].samples > 0;
 }
 
 std::size_t HistoryPerfModel::entry_count() const {
   std::size_t n = 0;
-  for (const std::vector<Slot>& per_codelet : slots_) {
-    for (const Slot& s : per_codelet) {
-      n += s.sizes.size();
+  for (const Slot& s : slots_) {
+    for (const Row& row : s.rows) {
+      for (const PerfStats& stats : row.workers) {
+        n += stats.samples > 0 ? 1 : 0;
+      }
     }
   }
   return n;
@@ -132,11 +148,15 @@ std::size_t HistoryPerfModel::entry_count() const {
 void HistoryPerfModel::invalidate() { slots_.clear(); }
 
 void HistoryPerfModel::invalidate_worker(WorkerId worker) {
-  for (CodeletId c = 0; c < slots_.size(); ++c) {
-    for (std::uint8_t p = 0; p < kPrecisions; ++p) {
-      if (find(c, worker, p) != nullptr) {
-        slots_[c][static_cast<std::size_t>(worker) * kPrecisions + p] = Slot{};
+  const auto w = static_cast<std::size_t>(worker);  // negative wraps: no-op
+  for (Slot& s : slots_) {
+    for (Row& row : s.rows) {
+      if (w < row.workers.size()) {
+        row.workers[w] = PerfStats{};
       }
+    }
+    if (w < s.regression.size()) {
+      s.regression[w] = Regression{};
     }
   }
 }

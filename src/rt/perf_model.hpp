@@ -9,17 +9,17 @@
 // each modification to the power capping settings. Thus, the scheduler is
 // implicitly informed of the changes."
 //
-// Both models live in one slot per (codelet id, worker, precision).
-// dm-family schedulers look the model up for every ready task on every
-// worker, so the hot path indexes vectors by integers and never builds a
-// string key (StarPU likewise keys its history by a 32-bit footprint).
+// Both models live in one slot per (codelet id, precision), so that
+// expected_all() scores a ready task on every worker from one slot lookup
+// and one size lookup, and the hot path never builds a string key (StarPU
+// likewise keys its history by a 32-bit footprint).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "hw/kernel_work.hpp"
@@ -54,6 +54,11 @@ class HistoryPerfModel {
   /// for this (codelet, worker, size) and no regression fallback yet.
   [[nodiscard]] std::optional<sim::SimTime> expected(CodeletId codelet, WorkerId worker,
                                                      const hw::KernelWork& work) const;
+
+  /// expected() for workers 0 .. out.size()-1 at once: out[w] holds the
+  /// same bits as expected(codelet, w, work)->sec(), or NaN where
+  /// expected() returns nullopt.
+  void expected_all(CodeletId codelet, const hw::KernelWork& work, std::span<double> out) const;
 
   /// True when an exact-size history entry exists.
   [[nodiscard]] bool calibrated(CodeletId codelet, WorkerId worker,
@@ -93,28 +98,35 @@ class HistoryPerfModel {
     std::uint64_t samples = 0;
     [[nodiscard]] double slope() const { return sum_xx > 0 ? sum_xt / sum_xx : 0.0; }
   };
-  /// State of one (codelet, worker, precision): per-size history in
-  /// ascending size order, searched linearly (a codelet sees a handful of
-  /// tile sizes), plus the regression (present once it has samples).
+  /// One size's history by worker id (no samples = no entry).
+  struct Row {
+    std::int64_t size = 0;
+    std::vector<PerfStats> workers;
+  };
+  /// One (codelet, precision): size rows in ascending order, searched
+  /// linearly (a codelet sees a handful of tile sizes), and the per-worker
+  /// regressions (present once they have samples).
   struct Slot {
-    std::vector<std::pair<std::int64_t, PerfStats>> sizes;
-    Regression regression;
+    std::vector<Row> rows;
+    std::vector<Regression> regression;
 
-    [[nodiscard]] const PerfStats* history(std::int64_t size) const;
-    /// The size's history entry, inserted empty on first sight.
-    PerfStats& history_entry(std::int64_t size);
+    [[nodiscard]] const Row* row(std::int64_t size) const;
+    /// The size's row, inserted empty on first sight.
+    Row& row_entry(std::int64_t size);
+    /// Worker `w`'s expected seconds given the work's row (may be null);
+    /// false when the model knows nothing for it.
+    [[nodiscard]] bool lookup(const Row* row, std::size_t w, double flops, double& seconds) const;
   };
 
   /// hw::Precision values (kDouble is the last).
   static constexpr std::size_t kPrecisions = static_cast<std::size_t>(hw::Precision::kDouble) + 1;
 
-  [[nodiscard]] const Slot* find(CodeletId codelet, WorkerId worker, std::uint8_t precision) const;
-  Slot& slot(CodeletId codelet, WorkerId worker, std::uint8_t precision);
+  [[nodiscard]] const Slot* find(CodeletId codelet, std::uint8_t precision) const;
 
   std::vector<std::string> names_;  // indexed by CodeletId
   std::unordered_map<std::string, CodeletId> ids_;
-  // slots_[codelet][worker * kPrecisions + precision], grown on demand.
-  std::vector<std::vector<Slot>> slots_;
+  // slots_[codelet * kPrecisions + precision], grown on demand.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace greencap::rt

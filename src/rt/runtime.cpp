@@ -45,8 +45,7 @@ void Runtime::build_workers() {
   // One CUDA worker per GPU; memory node i+1 belongs to GPU i.
   link_free_.assign(platform_.gpu_count(), sim::SimTime::zero());
   for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
-    workers_.emplace_back(next_id++, &platform_.gpu(g), &platform_.gpu_link(g),
-                          static_cast<MemoryNode>(g + 1));
+    workers_.emplace_back(next_id++, &platform_.gpu(g), static_cast<MemoryNode>(g + 1));
   }
 
   // CPU workers: one per core, minus the cores dedicated to GPU drivers
@@ -97,8 +96,13 @@ TaskId Runtime::submit(TaskDesc desc) {
                                 "' can run nowhere");
   }
   const TaskId id = static_cast<TaskId>(tasks_.size());
-  auto task = std::make_unique<Task>(id, desc.codelet, desc.work,
-                                     perf_model_.intern(desc.codelet->name));
+  auto known = std::find_if(codelet_ids_.begin(), codelet_ids_.end(),
+                            [&](const auto& entry) { return entry.first == desc.codelet; });
+  if (known == codelet_ids_.end()) {
+    codelet_ids_.emplace_back(desc.codelet, perf_model_.intern(desc.codelet->name));
+    known = codelet_ids_.end() - 1;
+  }
+  auto task = std::make_unique<Task>(id, desc.codelet, desc.work, known->second);
   task->priority = desc.priority;
   task->label = desc.label.empty() ? desc.codelet->name + "#" + std::to_string(id)
                                    : std::move(desc.label);
@@ -144,22 +148,17 @@ void Runtime::make_ready(Task& task) {
   const WorkerId placed = scheduler_->push_ready(task);
   task.state = TaskState::kQueued;
   if (placed >= 0) {
+    Worker& w = workers_.at(static_cast<std::size_t>(placed));
     if (options_.prefetch) {
       // Stage inputs now, overlapping the transfers with whatever runs
       // ahead of this task in the worker's queue.
-      task.data_ready_at =
-          stage_data(task, workers_[static_cast<std::size_t>(placed)]);
+      task.data_ready_at = stage_data(task, w);
     }
-    wake_worker(placed);
+    if (!w.busy) {
+      try_start(w);  // wake the placed worker
+    }
   } else {
     wake_all_idle();
-  }
-}
-
-void Runtime::wake_worker(WorkerId id) {
-  Worker& w = workers_.at(static_cast<std::size_t>(id));
-  if (!w.busy) {
-    try_start(w);
   }
 }
 
@@ -182,7 +181,6 @@ sim::SimTime Runtime::stage_data(Task& task, Worker& worker) {
     const sim::SimTime duration = platform_.gpu_link(gpu_index).transfer_time(bytes);
     const sim::SimTime done = start + duration;
     link_free_[gpu_index] = done;
-    worker.transfer_seconds += duration.sec();
     worker.bytes_transferred += bytes;
     if (m_transfers_ != nullptr) {
       m_transfers_->inc();
@@ -236,6 +234,13 @@ sim::SimTime Runtime::stage_data(Task& task, Worker& worker) {
 }
 
 void Runtime::record_decision(Task& task, Worker& worker) {
+  // Dispatch-time estimates: one model row; estimate_exec where it misses.
+  decision_row_.resize(workers_.size());
+  expected_exec_row(task, decision_row_);
+  auto exec_s = [&](const Worker& w) {
+    const double modelled = decision_row_[static_cast<std::size_t>(w.id())];
+    return std::isnan(modelled) ? estimate_exec(task, w).sec() : modelled;
+  };
   obs::Decision decision;
   decision.task = task.id();
   decision.codelet = task.codelet().name;
@@ -243,7 +248,7 @@ void Runtime::record_decision(Task& task, Worker& worker) {
   decision.chosen_worker = worker.id();
   decision.decided_at = sim_.now();
   decision.queue_wait_s = (sim_.now() - task.ready_at).sec();
-  decision.expected_exec_s = estimate_exec(task, worker).sec();
+  decision.expected_exec_s = exec_s(worker);
   decision.alternatives.reserve(workers_.size());
   TransferEstimates transfer{*this, task};
   for (Worker& candidate : workers_) {
@@ -252,7 +257,7 @@ void Runtime::record_decision(Task& task, Worker& worker) {
     }
     obs::DecisionAlternative alt;
     alt.worker = candidate.id();
-    alt.expected_exec_s = estimate_exec(task, candidate).sec();
+    alt.expected_exec_s = exec_s(candidate);
     alt.expected_transfer_s = transfer(candidate).sec();
     alt.expected_energy_j = estimate_energy(task, candidate);
     decision.alternatives.push_back(alt);
@@ -305,7 +310,6 @@ void Runtime::try_start(Worker& worker) {
   const sim::SimTime start = std::max(sim_.now(), transfers_done);
   const sim::SimTime duration = actual_exec_time(*task, worker);
   const sim::SimTime end = start + duration;
-  worker.busy_until = end;
   // Keep the scheduler's optimistic estimate from drifting below reality.
   worker.expected_free = std::max(worker.expected_free, end);
 
@@ -423,9 +427,13 @@ void Runtime::finish_task(Task& task, Worker& worker) {
 
   worker.busy = false;
   try_start(worker);
-  // A retiring GPU task may unblock work that only a different (idle)
-  // worker can take (shared-queue policies), so poke the others too.
-  if (scheduler_->has_pending()) {
+  // A retiring task may unblock work that only a different (idle) worker
+  // can take, so poke the others too, unless the policy placed every
+  // successor on a worker (and woke it) in make_ready.
+  assert(!scheduler_->places_on_push() ||
+         std::none_of(workers_.begin(), workers_.end(),
+                      [](const Worker& w) { return !w.busy && !w.queue.empty(); }));
+  if (!scheduler_->places_on_push() && scheduler_->has_pending()) {
     wake_all_idle();
   }
 
@@ -513,6 +521,11 @@ sim::SimTime Runtime::estimate_exec(const Task& task, const Worker& worker) {
     return *t;
   }
   return oracle_exec_time(task.codelet(), task.work(), worker);
+}
+
+void Runtime::expected_exec_row(const Task& task, std::span<double> out) {
+  // Worker ids are positions in workers_ (build_workers), as out requires.
+  perf_model_.expected_all(task.codelet_id(), task.work(), out);
 }
 
 sim::SimTime Runtime::estimate_transfer(const Task& task, const Worker& worker) {
@@ -638,7 +651,6 @@ void Runtime::handle_dropout(int gpu, sim::SimTime now) {
     w.inflight = nullptr;
   }
   w.busy = false;
-  w.busy_until = now;
   w.expected_free = now;
   for (Task* queued : scheduler_->evict(w)) {
     requeue.push_back(queued);

@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/degradation.hpp"
@@ -163,7 +165,6 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] const RuntimeOptions& options() const { return options_; }
   [[nodiscard]] HistoryPerfModel& perf_model() { return perf_model_; }
   [[nodiscard]] sim::Trace& trace() { return trace_; }
-  [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] RuntimeStats stats() const;
   /// Useful flops retired so far (sum of completed tasks' work) — the
   /// observable an online efficiency controller divides by joules.
@@ -222,6 +223,7 @@ class Runtime final : public SchedulerContext {
   [[nodiscard]] sim::SimTime now() const override { return sim_.now(); }
   [[nodiscard]] sim::Xoshiro256& rng() override { return rng_; }
   [[nodiscard]] sim::SimTime estimate_exec(const Task& task, const Worker& worker) override;
+  void expected_exec_row(const Task& task, std::span<double> out) override;
   [[nodiscard]] sim::SimTime estimate_transfer(const Task& task, const Worker& worker) override;
   [[nodiscard]] double locality_fraction(const Task& task, const Worker& worker) override;
   [[nodiscard]] double estimate_energy(const Task& task, const Worker& worker) override;
@@ -229,7 +231,6 @@ class Runtime final : public SchedulerContext {
  private:
   void build_workers();
   void make_ready(Task& task);
-  void wake_worker(WorkerId id);
   void wake_all_idle();
   void try_start(Worker& worker);
   /// Books the transfers needed by `task` on `worker`, returning the
@@ -263,6 +264,10 @@ class Runtime final : public SchedulerContext {
   std::vector<Worker> workers_;
   std::vector<std::unique_ptr<DataHandle>> handles_;
   std::vector<std::unique_ptr<Task>> tasks_;
+  /// Perf-model id of each codelet submitted so far: one intern per name.
+  std::vector<std::pair<const Codelet*, CodeletId>> codelet_ids_;
+  /// record_decision's per-worker expected_exec_row buffer.
+  std::vector<double> decision_row_;
   DependencyTracker deps_;
   /// Per-GPU link availability (index = GPU index).
   std::vector<sim::SimTime> link_free_;

@@ -1,35 +1,38 @@
 #include "rt/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace greencap::rt {
 
-bool worker_can_run(const Task& task, const Worker& worker) {
-  if (worker.quarantined) {
-    return false;  // removed from service (device dropout)
-  }
-  if (!task.codelet().where.can_run_on(worker.arch())) {
-    return false;
-  }
-  if (task.codelet().can_execute && !task.codelet().can_execute(worker, task)) {
-    return false;
-  }
-  return true;
+std::span<const double> Scheduler::exec_row(const Task& task) {
+  exec_row_.resize(ctx().workers().size());
+  ctx().expected_exec_row(task, exec_row_);
+  return exec_row_;
 }
 
-sim::SimTime TransferEstimates::operator()(const Worker& worker) {
-  const auto node = static_cast<std::size_t>(worker.node());
-  if (node >= kNodes) {
-    return ctx_.estimate_transfer(task_, worker);
+sim::SimTime Scheduler::exec_time(const Task& task, const Worker& worker, double modelled) {
+  return std::isnan(modelled) ? ctx().estimate_exec(task, worker)
+                              : sim::SimTime::seconds(modelled);
+}
+
+Task* Scheduler::pop(Worker& worker) {
+  for (auto it = central_.begin(); it != central_.end(); ++it) {
+    if (worker_can_run(**it, worker)) {
+      Task* task = *it;
+      central_.erase(it);
+      return task;
+    }
   }
-  const std::uint32_t bit = std::uint32_t{1} << node;
-  if ((known_ & bit) == 0) {
-    by_node_[node] = ctx_.estimate_transfer(task_, worker);
-    known_ |= bit;
+  if (worker.queue.empty()) {
+    return nullptr;
   }
-  return by_node_[node];
+  Task* task = worker.queue.front();
+  worker.queue.pop_front();
+  --pending_;
+  return task;
 }
 
 std::vector<Task*> Scheduler::evict(Worker& worker) {
@@ -39,14 +42,6 @@ std::vector<Task*> Scheduler::evict(Worker& worker) {
   return evicted;
 }
 
-namespace {
-
-[[nodiscard]] bool eligible(const Task& task, const Worker& worker) {
-  return worker_can_run(task, worker);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // eager
 // ---------------------------------------------------------------------------
@@ -54,17 +49,6 @@ namespace {
 WorkerId EagerScheduler::push_ready(Task& task) {
   central_.push_back(&task);
   return -1;
-}
-
-Task* EagerScheduler::pop(Worker& worker) {
-  for (auto it = central_.begin(); it != central_.end(); ++it) {
-    if (eligible(**it, worker)) {
-      Task* task = *it;
-      central_.erase(it);
-      return task;
-    }
-  }
-  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -76,11 +60,12 @@ WorkerId RandomScheduler::push_ready(Task& task) {
   // Weighted random choice: weight = 1 / expected execution time, i.e.
   // proportional to the worker's speed on this task (StarPU's "random"
   // weights workers by relative performance).
+  const std::span<const double> modelled = exec_row(task);
   double total_weight = 0.0;
   std::vector<double> weights(workers.size(), 0.0);
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (!eligible(task, workers[i])) continue;
-    const double t = ctx().estimate_exec(task, workers[i]).sec();
+    if (!worker_can_run(task, workers[i])) continue;
+    const double t = exec_time(task, workers[i], modelled[i]).sec();
     weights[i] = t > 0 ? 1.0 / t : 1.0;
     total_weight += weights[i];
   }
@@ -100,16 +85,6 @@ WorkerId RandomScheduler::push_ready(Task& task) {
   return workers[chosen].id();
 }
 
-Task* RandomScheduler::pop(Worker& worker) {
-  if (worker.queue.empty()) {
-    return nullptr;
-  }
-  Task* task = worker.queue.front();
-  worker.queue.pop_front();
-  --pending_;
-  return task;
-}
-
 // ---------------------------------------------------------------------------
 // ws (work stealing)
 // ---------------------------------------------------------------------------
@@ -120,7 +95,7 @@ WorkerId WorkStealingScheduler::push_ready(Task& task) {
   for (std::size_t tries = 0; tries < workers.size(); ++tries) {
     Worker& w = workers[cursor_ % workers.size()];
     ++cursor_;
-    if (eligible(task, w)) {
+    if (worker_can_run(task, w)) {
       w.queue.push_back(&task);
       ++pending_;
       return w.id();
@@ -134,7 +109,7 @@ Task* WorkStealingScheduler::pop(Worker& worker) {
     auto& q = victim.queue;
     if (from_back) {
       for (auto it = q.rbegin(); it != q.rend(); ++it) {
-        if (eligible(**it, thief)) {
+        if (worker_can_run(**it, thief)) {
           Task* t = *it;
           q.erase(std::next(it).base());
           --pending_;
@@ -143,7 +118,7 @@ Task* WorkStealingScheduler::pop(Worker& worker) {
       }
     } else {
       for (auto it = q.begin(); it != q.end(); ++it) {
-        if (eligible(**it, thief)) {
+        if (worker_can_run(**it, thief)) {
           Task* t = *it;
           q.erase(it);
           --pending_;
@@ -159,12 +134,12 @@ Task* WorkStealingScheduler::pop(Worker& worker) {
   }
   auto& workers = ctx().workers();
   Worker* victim = nullptr;
-  if (locality_aware()) {
+  if (locality_aware_) {
     // lws: prefer the victim whose tail task keeps the most bytes local.
     double best_locality = -1.0;
     for (Worker& w : workers) {
       if (w.id() == worker.id() || w.queue.empty()) continue;
-      if (!eligible(*w.queue.back(), worker)) continue;
+      if (!worker_can_run(*w.queue.back(), worker)) continue;
       const double locality = ctx().locality_fraction(*w.queue.back(), worker);
       if (locality > best_locality) {
         best_locality = locality;
@@ -205,32 +180,24 @@ WorkerId PrioScheduler::push_ready(Task& task) {
   return -1;
 }
 
-Task* PrioScheduler::pop(Worker& worker) {
-  for (auto it = central_.begin(); it != central_.end(); ++it) {
-    if (eligible(**it, worker)) {
-      Task* t = *it;
-      central_.erase(it);
-      return t;
-    }
-  }
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
-// dm / dmda / dmdas
+// dm / dmda / dmdas / dmdae
 // ---------------------------------------------------------------------------
 
 WorkerId DmScheduler::push_ready(Task& task) {
   auto& workers = ctx().workers();
   const sim::SimTime now = ctx().now();
+  const bool data_aware = policy_.data_aware;
+  const std::span<const double> modelled = exec_row(task);
 
   candidates_.clear();
   sim::SimTime best_finish = sim::SimTime::infinity();
   TransferEstimates transfer{ctx(), task};
-  for (Worker& w : workers) {
-    if (!eligible(task, w)) continue;
-    sim::SimTime penalty = ctx().estimate_exec(task, w);
-    if (data_aware()) {
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    Worker& w = workers[i];
+    if (!worker_can_run(task, w)) continue;
+    sim::SimTime penalty = exec_time(task, w, modelled[i]);
+    if (data_aware) {
       penalty += transfer(w);
     }
     const sim::SimTime finish = std::max(now, w.expected_free) + penalty;
@@ -243,10 +210,10 @@ WorkerId DmScheduler::push_ready(Task& task) {
 
   Worker* best = nullptr;
   sim::SimTime chosen_finish;
-  if (energy_slack() > 0.0) {
+  if (policy_.energy_slack > 0.0) {
     // Energy-aware selection: among workers finishing within the slack of
     // the earliest completion, minimize expected joules.
-    const sim::SimTime budget = now + (best_finish - now) * (1.0 + energy_slack());
+    const sim::SimTime budget = now + (best_finish - now) * (1.0 + policy_.energy_slack);
     double best_energy = std::numeric_limits<double>::infinity();
     for (const Candidate& c : candidates_) {
       if (c.finish > budget) continue;
@@ -270,7 +237,7 @@ WorkerId DmScheduler::push_ready(Task& task) {
   }
   best->expected_free = chosen_finish;
 
-  if (sorted()) {
+  if (policy_.sorted) {
     // Priority-ordered insertion; among equal priorities, favour tasks
     // whose data is already resident (data-locality tie-break), then FIFO.
     const double locality = ctx().locality_fraction(task, *best);
@@ -290,28 +257,23 @@ WorkerId DmScheduler::push_ready(Task& task) {
   return best->id();
 }
 
-Task* DmScheduler::pop(Worker& worker) {
-  if (worker.queue.empty()) {
-    return nullptr;
-  }
-  Task* task = worker.queue.front();
-  worker.queue.pop_front();
-  --pending_;
-  return task;
-}
-
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
+  static constexpr DmPolicy kDmPolicies[] = {
+      {"dm", false, false, 0.0},
+      {"dmda", true, false, 0.0},
+      {"dmdas", true, true, 0.0},
+      {"dmdae", true, true, 0.30},
+  };
   if (name == "eager") return std::make_unique<EagerScheduler>();
   if (name == "prio") return std::make_unique<PrioScheduler>();
   if (name == "random") return std::make_unique<RandomScheduler>();
   if (name == "ws") return std::make_unique<WorkStealingScheduler>();
-  if (name == "lws") return std::make_unique<LwsScheduler>();
-  if (name == "dm") return std::make_unique<DmScheduler>();
-  if (name == "dmda") return std::make_unique<DmdaScheduler>();
-  if (name == "dmdas") return std::make_unique<DmdasScheduler>();
-  if (name == "dmdae") return std::make_unique<DmdaeScheduler>();
+  if (name == "lws") return std::make_unique<WorkStealingScheduler>(true);
+  for (const DmPolicy& policy : kDmPolicies) {
+    if (name == policy.name) return std::make_unique<DmScheduler>(policy);
+  }
   throw std::invalid_argument("unknown scheduler: " + name);
 }
 

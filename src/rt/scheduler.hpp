@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,11 @@ class SchedulerContext {
   /// back to the device model oracle when uncalibrated).
   [[nodiscard]] virtual sim::SimTime estimate_exec(const Task& task, const Worker& worker) = 0;
 
+  /// The perf model's expected seconds of `task` on every worker (out[i]
+  /// for workers()[i]) from one model row lookup, NaN where the model has
+  /// no entry: there, and only there, estimate_exec gives the estimate.
+  virtual void expected_exec_row(const Task& task, std::span<double> out) = 0;
+
   /// Expected time to stage `task`'s missing inputs onto `worker`'s node.
   /// Depends on `worker` only through its memory node, so callers may
   /// share one estimate among the workers of a node (TransferEstimates).
@@ -58,7 +64,18 @@ class TransferEstimates {
  public:
   TransferEstimates(SchedulerContext& ctx, const Task& task) : ctx_{ctx}, task_{task} {}
 
-  [[nodiscard]] sim::SimTime operator()(const Worker& worker);
+  [[nodiscard]] sim::SimTime operator()(const Worker& worker) {
+    const auto node = static_cast<std::size_t>(worker.node());
+    if (node >= kNodes) {
+      return ctx_.estimate_transfer(task_, worker);
+    }
+    const std::uint32_t bit = std::uint32_t{1} << node;
+    if ((known_ & bit) == 0) {
+      by_node_[node] = ctx_.estimate_transfer(task_, worker);
+      known_ |= bit;
+    }
+    return by_node_[node];
+  }
 
  private:
   static constexpr std::size_t kNodes = 32;
@@ -71,6 +88,7 @@ class TransferEstimates {
 
 class Scheduler {
  public:
+  explicit Scheduler(bool places_on_push = false) : places_on_push_{places_on_push} {}
   virtual ~Scheduler() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -82,8 +100,10 @@ class Scheduler {
   /// worker the task was assigned to, or -1 for shared-queue policies.
   virtual WorkerId push_ready(Task& task) = 0;
 
-  /// An idle worker requests a task; nullptr if nothing eligible.
-  virtual Task* pop(Worker& worker) = 0;
+  /// An idle worker requests a task; nullptr if nothing eligible. The
+  /// default takes the first eligible task of the shared queue (eager,
+  /// prio), else the front of the worker's own queue (placing policies).
+  virtual Task* pop(Worker& worker);
 
   /// Any task waiting anywhere in this policy's queues?
   [[nodiscard]] bool has_pending() const { return pending_count() != 0; }
@@ -92,6 +112,12 @@ class Scheduler {
   /// ready-queue depth).
   [[nodiscard]] std::size_t pending_count() const { return central_.size() + pending_; }
 
+  /// Whether push_ready puts every task on a worker queue and pop() takes
+  /// only from the popping worker's own queue (dm family, random). The
+  /// runtime wakes the placed worker at push, so an idle worker never
+  /// holds a queued task and a completion need not sweep the idle ones.
+  [[nodiscard]] bool places_on_push() const { return places_on_push_; }
+
   /// Removes and returns every task queued on `worker` (quarantine path).
   /// Tasks parked in shared queues are untouched — they simply stop being
   /// eligible for the worker once it is marked quarantined.
@@ -99,6 +125,11 @@ class Scheduler {
 
  protected:
   SchedulerContext& ctx() { return *ctx_; }
+
+  /// ctx().expected_exec_row for `task`, in a buffer the next call reuses.
+  std::span<const double> exec_row(const Task& task);
+  /// The exec_row entry `modelled`, or estimate_exec where the row misses.
+  sim::SimTime exec_time(const Task& task, const Worker& worker, double modelled);
 
   /// Shared-queue policies (eager, prio): the tasks waiting for any
   /// eligible worker, front first.
@@ -110,6 +141,8 @@ class Scheduler {
 
  private:
   SchedulerContext* ctx_ = nullptr;
+  const bool places_on_push_;
+  std::vector<double> exec_row_;  ///< exec_row's buffer
 };
 
 /// "eager": one shared FIFO; any worker takes the oldest eligible task.
@@ -117,39 +150,30 @@ class EagerScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "eager"; }
   WorkerId push_ready(Task& task) override;
-  Task* pop(Worker& worker) override;
 };
 
 /// "random": weighted-random worker choice, proportional to the worker's
 /// expected speed on the task.
 class RandomScheduler final : public Scheduler {
  public:
+  RandomScheduler() : Scheduler{true} {}
   [[nodiscard]] std::string name() const override { return "random"; }
   WorkerId push_ready(Task& task) override;
-  Task* pop(Worker& worker) override;
 };
 
 /// "ws": per-worker deques with work stealing from the most loaded victim.
-class WorkStealingScheduler : public Scheduler {
+/// "lws" (locality work stealing) steals instead from the victim whose
+/// stolen task has the most input bytes already resident on the thief's
+/// node.
+class WorkStealingScheduler final : public Scheduler {
  public:
-  [[nodiscard]] std::string name() const override { return "ws"; }
+  explicit WorkStealingScheduler(bool locality_aware = false) : locality_aware_{locality_aware} {}
+  [[nodiscard]] std::string name() const override { return locality_aware_ ? "lws" : "ws"; }
   WorkerId push_ready(Task& task) override;
   Task* pop(Worker& worker) override;
 
- protected:
-  /// lws steals from the victim with the best data locality instead of
-  /// the most loaded one.
-  [[nodiscard]] virtual bool locality_aware() const { return false; }
-};
-
-/// "lws": locality work stealing — steals from the victim whose stolen
-/// task has the most input bytes already resident on the thief's node.
-class LwsScheduler final : public WorkStealingScheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "lws"; }
-
- protected:
-  [[nodiscard]] bool locality_aware() const override { return true; }
+ private:
+  const bool locality_aware_;
 };
 
 /// "prio": one shared queue ordered by application priority (StarPU's
@@ -159,25 +183,28 @@ class PrioScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "prio"; }
   /// Keeps the shared queue sorted by priority, descending.
   WorkerId push_ready(Task& task) override;
-  Task* pop(Worker& worker) override;
 };
 
-/// "dm" (dequeue model / heft-tm): earliest expected completion time using
-/// the calibrated performance models.
-class DmScheduler : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "dm"; }
-  WorkerId push_ready(Task& task) override;
-  Task* pop(Worker& worker) override;
+/// The dm family: earliest expected completion time using the calibrated
+/// performance models. "dm" (heft-tm) scores execution estimates alone;
+/// "dmda" (heft-tmdp) adds the data-transfer penalty; "dmdas" adds
+/// application-priority-ordered queues with a data-locality tie-break
+/// among equal priorities; "dmdae" is energy-aware dmdas, the scheduling
+/// extension sketched in the paper's future work ("dynamic scheduling
+/// algorithms optimizing energy efficiency"): among the workers finishing
+/// within a slack factor of the best one, the lowest expected energy wins.
+struct DmPolicy {
+  const char* name = "dm";
+  bool data_aware = false;    ///< transfer estimates join the objective
+  bool sorted = false;        ///< priority-ordered queues
+  double energy_slack = 0.0;  ///< 0 disables the energy objective
+};
 
- protected:
-  /// Whether transfer estimates join the completion-time objective (dmda+).
-  [[nodiscard]] virtual bool data_aware() const { return false; }
-  /// Whether queues are priority-ordered (dmdas).
-  [[nodiscard]] virtual bool sorted() const { return false; }
-  /// Completion-time slack within which the lowest-energy worker wins
-  /// (dmdae); 0 disables the energy objective.
-  [[nodiscard]] virtual double energy_slack() const { return 0.0; }
+class DmScheduler final : public Scheduler {
+ public:
+  explicit DmScheduler(DmPolicy policy) : Scheduler{true}, policy_{policy} {}
+  [[nodiscard]] std::string name() const override { return policy_.name; }
+  WorkerId push_ready(Task& task) override;
 
  private:
   struct Candidate {
@@ -185,49 +212,13 @@ class DmScheduler : public Scheduler {
     sim::SimTime finish;
   };
 
+  const DmPolicy policy_;
   /// push_ready's per-call scratch, kept to avoid an allocation per task.
   std::vector<Candidate> candidates_;
 };
 
-/// "dmda" (heft-tmdp): dm plus data-transfer penalty in the objective.
-class DmdaScheduler : public DmScheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "dmda"; }
-
- protected:
-  [[nodiscard]] bool data_aware() const override { return true; }
-};
-
-/// "dmdas": dmda with application-priority-ordered queues and a
-/// data-locality tie-break among equal priorities.
-class DmdasScheduler : public DmdaScheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "dmdas"; }
-
- protected:
-  [[nodiscard]] bool sorted() const override { return true; }
-};
-
-/// "dmdae": energy-aware dmdas — the scheduling extension sketched in the
-/// paper's future work ("dynamic scheduling algorithms optimizing energy
-/// efficiency"). Among the workers whose expected completion time is within
-/// a slack factor of the best one, it places the task on the worker with
-/// the lowest expected energy. With slack = 0 it degenerates to dmdas;
-/// growing slack trades makespan for joules.
-class DmdaeScheduler final : public DmdasScheduler {
- public:
-  explicit DmdaeScheduler(double slack = 0.30) : slack_{slack} {}
-  [[nodiscard]] std::string name() const override { return "dmdae"; }
-
- protected:
-  [[nodiscard]] double energy_slack() const override { return slack_; }
-
- private:
-  double slack_;
-};
-
 /// Factory for the predefined policies:
-/// eager, random, ws, dm, dmda, dmdas, dmdae.
+/// eager, prio, random, ws, lws, dm, dmda, dmdas, dmdae.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 
 }  // namespace greencap::rt

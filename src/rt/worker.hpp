@@ -13,7 +13,6 @@
 
 #include "hw/cpu_model.hpp"
 #include "hw/gpu_model.hpp"
-#include "hw/link_model.hpp"
 #include "rt/task.hpp"
 #include "rt/types.hpp"
 #include "sim/event_queue.hpp"
@@ -24,15 +23,14 @@ namespace greencap::rt {
 class Worker {
  public:
   Worker(WorkerId id, hw::CpuModel* cpu) : id_{id}, arch_{WorkerArch::kCpuCore}, cpu_{cpu} {}
-  Worker(WorkerId id, hw::GpuModel* gpu, const hw::LinkModel* link, MemoryNode node)
-      : id_{id}, arch_{WorkerArch::kCuda}, node_{node}, gpu_{gpu}, link_{link} {}
+  Worker(WorkerId id, hw::GpuModel* gpu, MemoryNode node)
+      : id_{id}, arch_{WorkerArch::kCuda}, node_{node}, gpu_{gpu} {}
 
   [[nodiscard]] WorkerId id() const { return id_; }
   [[nodiscard]] WorkerArch arch() const { return arch_; }
   [[nodiscard]] MemoryNode node() const { return node_; }
   [[nodiscard]] hw::CpuModel* cpu() const { return cpu_; }
   [[nodiscard]] hw::GpuModel* gpu() const { return gpu_; }
-  [[nodiscard]] const hw::LinkModel* link() const { return link_; }
 
   [[nodiscard]] std::string describe() const;
 
@@ -41,8 +39,6 @@ class Worker {
   /// Removed from service (device dropout): ineligible for any task, its
   /// queue drained and its in-flight work requeued elsewhere.
   bool quarantined = false;
-  /// Virtual time at which the in-flight task (if any) retires.
-  sim::SimTime busy_until;
   /// The task currently executing (null when idle) and the simulator
   /// events driving it — kept so a dropout can cancel and requeue it.
   Task* inflight = nullptr;
@@ -50,8 +46,6 @@ class Worker {
   sim::EventId end_event;
   /// Scheduler's accumulated completion-time estimate for the queue.
   sim::SimTime expected_free;
-  /// Next instant the worker's host<->device link is free (CUDA only).
-  sim::SimTime link_free;
   /// Per-worker task queue used by the dm/dmda/dmdas schedulers.
   std::deque<Task*> queue;
 
@@ -59,7 +53,6 @@ class Worker {
   std::uint64_t tasks_executed = 0;
   double busy_seconds = 0.0;
   double flops_done = 0.0;
-  double transfer_seconds = 0.0;
   std::uint64_t bytes_transferred = 0;
 
  private:
@@ -68,7 +61,15 @@ class Worker {
   MemoryNode node_ = kHostNode;
   hw::CpuModel* cpu_ = nullptr;
   hw::GpuModel* gpu_ = nullptr;
-  const hw::LinkModel* link_ = nullptr;
 };
+
+/// Combined eligibility test used by every scheduling policy: the worker
+/// is in service, the codelet's where-mask admits its architecture, and
+/// the codelet's can_execute refinement (if any) accepts it.
+[[nodiscard]] inline bool worker_can_run(const Task& task, const Worker& worker) {
+  const Codelet& codelet = task.codelet();
+  return !worker.quarantined && codelet.where.can_run_on(worker.arch()) &&
+         (!codelet.can_execute || codelet.can_execute(worker, task));
+}
 
 }  // namespace greencap::rt

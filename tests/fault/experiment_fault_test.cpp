@@ -41,12 +41,13 @@ struct PotrfOutcome {
 constexpr std::int64_t kPotrfN = 128;
 constexpr int kPotrfNb = 16;
 
-PotrfOutcome run_potrf(const std::string& faults) {
+PotrfOutcome run_potrf(const std::string& faults, const std::string& scheduler = "dmdas") {
   hw::Platform platform{hw::presets::platform_24_intel_2_v100()};
   sim::Simulator sim;
   fault::FaultInjector injector{fault::FaultPlan::parse(faults), 7};
   PotrfOutcome out;
   rt::RuntimeOptions opts;
+  opts.scheduler = scheduler;
   opts.execute_kernels = true;
   opts.faults = &injector;
   opts.degradation = &out.degradation;
@@ -65,6 +66,23 @@ PotrfOutcome run_potrf(const std::string& faults) {
   return out;
 }
 
+/// A plan that drops gpu1 halfway through `clean`'s makespan.
+std::string midrun_dropout(const PotrfOutcome& clean) {
+  std::ostringstream spec;
+  spec << "dropout@gpu1:t=" << clean.makespan_s / 2;
+  return spec.str();
+}
+
+/// Largest relative error of `factor` against the reference factorization.
+double factor_error(const std::vector<double>& factor) {
+  la::TileMatrix<double> ref{kPotrfN, kPotrfNb};
+  sim::Xoshiro256 rng{11};
+  ref.make_spd(rng);
+  std::vector<double> want = ref.to_dense();
+  la::reference_potrf<double>(kPotrfN, want);
+  return la::max_rel_error_lower<double>(kPotrfN, factor, want);
+}
+
 TEST(ExperimentFault, GpuDropoutMidPotrfStillFactorizesCorrectly) {
   // Measure a clean makespan first so the dropout can be pinned mid-run.
   const PotrfOutcome clean = run_potrf("dropout@gpu1:t=1e6");  // inert
@@ -72,20 +90,28 @@ TEST(ExperimentFault, GpuDropoutMidPotrfStillFactorizesCorrectly) {
   EXPECT_EQ(clean.counts.dropouts, 0u);
   EXPECT_TRUE(clean.degradation.empty());
 
-  std::ostringstream spec;
-  spec << "dropout@gpu1:t=" << clean.makespan_s / 2;
-  const PotrfOutcome faulty = run_potrf(spec.str());
+  const PotrfOutcome faulty = run_potrf(midrun_dropout(clean));
   ASSERT_EQ(faulty.counts.dropouts, 1u) << "dropout must land mid-run";
   ASSERT_FALSE(faulty.degradation.empty());
   EXPECT_EQ(faulty.degradation.events()[0].component, "rt");
-
-  la::TileMatrix<double> ref{kPotrfN, kPotrfNb};
-  sim::Xoshiro256 rng{11};
-  ref.make_spd(rng);
-  std::vector<double> want = ref.to_dense();
-  la::reference_potrf<double>(kPotrfN, want);
-  EXPECT_LT(la::max_rel_error_lower<double>(kPotrfN, faulty.factor, want), 1e-10);
+  EXPECT_LT(factor_error(faulty.factor), 1e-10);
 }
+
+// Placing policies skip the runtime's idle-worker sweep after each
+// completion; Runtime::finish_task asserts (in debug builds) that no idle
+// worker holds a queued task. A dropout drains a worker's queue and
+// requeues its tasks mid-run, the hardest case for that invariant.
+class PlacingPolicyDropout : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PlacingPolicyDropout, GpuDropoutMidPotrfStillFactorizesCorrectly) {
+  const PotrfOutcome clean = run_potrf("dropout@gpu1:t=1e6", GetParam());
+  const PotrfOutcome faulty = run_potrf(midrun_dropout(clean), GetParam());
+  ASSERT_EQ(faulty.counts.dropouts, 1u) << "dropout must land mid-run";
+  EXPECT_LT(factor_error(faulty.factor), 1e-10);
+}
+
+INSTANTIATE_TEST_SUITE_P(PlacingPolicies, PlacingPolicyDropout,
+                         ::testing::Values("dm", "dmda", "dmdas", "dmdae", "random"));
 
 // -- inert plans change nothing ----------------------------------------------
 

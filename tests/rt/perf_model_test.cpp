@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace greencap::rt {
 namespace {
@@ -128,7 +132,7 @@ TEST(HistoryPerfModel, IdAndNameApisAgree) {
   EXPECT_FALSE(model.expected("potrf", 0, work_of(512)).has_value());
 }
 
-TEST(HistoryPerfModel, IdsSurviveInvalidateAndImport) {
+TEST(HistoryPerfModel, IdsSurviveInvalidateAndRecordByName) {
   HistoryPerfModel model;
   const CodeletId gemm = model.intern("gemm");
   const CodeletId trsm = model.intern("trsm");
@@ -139,7 +143,7 @@ TEST(HistoryPerfModel, IdsSurviveInvalidateAndImport) {
   EXPECT_EQ(model.id_of("trsm"), trsm);
   EXPECT_FALSE(model.expected(trsm, 1, work_of(512)).has_value());
 
-  // Importing by name (what a calibration replay does) fills the slots of
+  // Recording by name (what a calibration replay does) fills the slots of
   // the ids handed out before the invalidation.
   model.record("trsm", 1, work_of(512), SimTime::seconds(2.0));
   EXPECT_EQ(model.id_of("trsm"), trsm);
@@ -157,6 +161,76 @@ TEST(HistoryPerfModel, InvalidateWorkerKeepsOtherWorkers) {
   // The regression went with the history: no extrapolation on worker 0.
   EXPECT_FALSE(model.expected("gemm", 0, work_of(1024)).has_value());
   EXPECT_TRUE(model.expected("gemm", 1, work_of(1024)).has_value());
+}
+
+TEST(HistoryPerfModel, ExpectedAllMatchesExpectedOnRandomHistories) {
+  // Random record / invalidate / invalidate_worker sequences over a few
+  // codelets, workers, precisions and sizes. After every step, each
+  // (codelet, precision, size) query's row must hold exactly the bits of
+  // expected() for every worker, NaN exactly where it returns nullopt.
+  // Worker 7 is never recorded; size 384 only ever resolves through the
+  // regression.
+  constexpr int kWorkers = 8;
+  const double dims[] = {256.0, 384.0, 512.0, 1024.0};
+  const hw::Precision precisions[] = {hw::Precision::kSingle, hw::Precision::kDouble};
+  sim::Xoshiro256 rng{2024};
+  HistoryPerfModel model;
+  const CodeletId codelets[] = {model.intern("gemm"), model.intern("trsm"), model.intern("potrf")};
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform() * static_cast<double>(n)) % n;
+  };
+  auto query = [&](std::size_t d, std::size_t p) {
+    hw::KernelWork work = work_of(dims[d]);
+    work.precision = precisions[p];
+    return work;
+  };
+
+  std::vector<double> row(kWorkers + 2);  // two workers beyond any record
+  std::size_t checked = 0;
+  std::size_t misses = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double action = rng.uniform();
+    if (action < 0.005) {
+      model.invalidate();
+    } else if (action < 0.02) {
+      model.invalidate_worker(static_cast<WorkerId>(pick(kWorkers)));
+    } else {
+      std::size_t d = pick(std::size(dims));
+      if (d == 1) d = 2;  // size 384 is never recorded
+      const hw::KernelWork work = query(d, pick(std::size(precisions)));
+      const auto worker = static_cast<WorkerId>(pick(kWorkers - 1));
+      model.record(codelets[pick(std::size(codelets))], worker, work,
+                   SimTime::seconds(work.flops * 1e-12 * (0.5 + rng.uniform())));
+    }
+    for (const CodeletId c : codelets) {
+      for (std::size_t d = 0; d < std::size(dims); ++d) {
+        for (std::size_t p = 0; p < std::size(precisions); ++p) {
+          const hw::KernelWork work = query(d, p);
+          model.expected_all(c, work, row);
+          for (std::size_t w = 0; w < row.size(); ++w) {
+            const auto want = model.expected(c, static_cast<WorkerId>(w), work);
+            ++checked;
+            if (!want.has_value()) {
+              ++misses;
+              ASSERT_TRUE(std::isnan(row[w])) << "step " << step << " worker " << w;
+              continue;
+            }
+            const double got_s = row[w];
+            const double want_s = want->sec();
+            ASSERT_EQ(std::memcmp(&got_s, &want_s, sizeof got_s), 0)
+                << "step " << step << " worker " << w << ": " << got_s << " vs " << want_s;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_LT(misses, checked);
+  // Unknown codelets answer NaN everywhere.
+  model.expected_all(kNoCodelet, work_of(512), row);
+  for (const double s : row) {
+    EXPECT_TRUE(std::isnan(s));
+  }
 }
 
 }  // namespace

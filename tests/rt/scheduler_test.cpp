@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "hw/presets.hpp"
 
@@ -16,9 +19,8 @@ class FakeContext final : public SchedulerContext {
  public:
   FakeContext()
       : cpu_{hw::presets::xeon_gold_6126(), 0},
-        gpu_{hw::presets::a100_sxm4(), 0},
-        link_{hw::LinkSpec{}} {
-    workers_.emplace_back(0, &gpu_, &link_, 1);  // cuda worker
+        gpu_{hw::presets::a100_sxm4(), 0} {
+    workers_.emplace_back(0, &gpu_, 1);  // cuda worker
     workers_.emplace_back(1, &cpu_);             // cpu worker
     workers_.emplace_back(2, &cpu_);             // cpu worker
   }
@@ -28,8 +30,18 @@ class FakeContext final : public SchedulerContext {
   sim::Xoshiro256& rng() override { return rng_; }
 
   sim::SimTime estimate_exec(const Task& task, const Worker& worker) override {
+    exec_calls.push_back(worker.id());
     const auto it = exec_.find({task.id(), worker.id()});
     return it != exec_.end() ? it->second : sim::SimTime::seconds(1.0);
+  }
+  // The "model" knows exactly the set_exec entries; estimate_exec's 1 s
+  // default stands in for the device oracle.
+  void expected_exec_row(const Task& task, std::span<double> out) override {
+    ++row_calls;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const auto it = exec_.find({task.id(), workers_[i].id()});
+      out[i] = it != exec_.end() ? it->second.sec() : std::numeric_limits<double>::quiet_NaN();
+    }
   }
   sim::SimTime estimate_transfer(const Task& task, const Worker& worker) override {
     ++transfer_calls;
@@ -51,10 +63,11 @@ class FakeContext final : public SchedulerContext {
   void set_energy(TaskId t, WorkerId w, double joules) { energy_[{t, w}] = joules; }
 
   int transfer_calls = 0;
+  int row_calls = 0;
+  std::vector<WorkerId> exec_calls;
   sim::SimTime now_;
   hw::CpuModel cpu_;
   hw::GpuModel gpu_;
-  hw::LinkModel link_;
   std::vector<Worker> workers_;
   sim::Xoshiro256 rng_{7};
   std::map<std::pair<TaskId, WorkerId>, sim::SimTime> exec_;
@@ -313,6 +326,35 @@ TEST_F(SchedulerTest, DmdaEstimatesTransferOncePerMemoryNode) {
     ctx_.transfer_calls = 0;
     sched->push_ready(t);
     EXPECT_EQ(ctx_.transfer_calls, 2) << policy;
+  }
+}
+
+TEST_F(SchedulerTest, PlacingPushReadsOneRowAndEstimatesOnlyItsMisses) {
+  for (const char* policy : {"dm", "dmda", "dmdas", "dmdae", "random"}) {
+    auto sched = make_scheduler(policy);
+    sched->attach(ctx_);
+    EXPECT_TRUE(sched->places_on_push()) << policy;
+
+    Task& any = make_task(any_);
+    ctx_.set_exec(any.id(), 0, 0.5);  // the row misses worker 1 alone
+    ctx_.set_exec(any.id(), 2, 2.0);
+    ctx_.row_calls = 0;
+    ctx_.exec_calls.clear();
+    sched->push_ready(any);
+    EXPECT_EQ(ctx_.row_calls, 1) << policy;
+    EXPECT_EQ(ctx_.exec_calls, std::vector<WorkerId>{1}) << policy;
+
+    // The row misses both CPU workers, but neither can run the task.
+    Task& gpu = make_task(cuda_only_);
+    ctx_.set_exec(gpu.id(), 0, 0.5);
+    ctx_.row_calls = 0;
+    ctx_.exec_calls.clear();
+    sched->push_ready(gpu);
+    EXPECT_EQ(ctx_.row_calls, 1) << policy;
+    EXPECT_TRUE(ctx_.exec_calls.empty()) << policy;
+  }
+  for (const char* policy : {"eager", "prio", "ws", "lws"}) {
+    EXPECT_FALSE(make_scheduler(policy)->places_on_push()) << policy;
   }
 }
 

@@ -9,7 +9,12 @@ one must now exit 2 with a one-line message naming the offending flag,
 and write no file (not even the --metrics-json and --checkpoint it was
 also given).
 
-    python3 tools/check_cli_input.py BINARY
+With --bench, a bench binary (fig3_double_configs) must reject the same
+fault plans the same way, before its campaign starts: every config is
+checked against its own platform, so a GPU that only the 4-GPU rows have
+is refused too.
+
+    python3 tools/check_cli_input.py BINARY [--bench BENCH_BINARY]
 """
 import subprocess
 import sys
@@ -31,29 +36,48 @@ BAD_INPUT = [
     (["--faults", "garbage"], "--faults"),  # unparsable spec
     (["--faults", "capfail@gpu9:count=2"], "--faults"),  # gpu9 on the 4-GPU platform
 ]
+BENCH_BAD_INPUT = [
+    (["--faults", "garbage"], "--faults"),
+    (["--faults", "capfail@gpu9:count=2"], "--faults"),  # no platform has gpu9
+    (["--faults", "dropout@gpu3:t=1"], "--faults"),  # the 2-GPU rows lack gpu3
+]
 OUTPUTS = ["--metrics-json", "metrics.json", "--checkpoint", "run.gckp"]
 
 
-def main() -> int:
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    binary = str(Path(sys.argv[1]).resolve())
+def check(cmd_prefix: list[str], cases: list) -> list[str]:
     failures = []
-    for args, flag in BAD_INPUT:
+    for args, flag in cases:
         with tempfile.TemporaryDirectory() as tmp:
-            cmd = [binary, "--op", "potrf", *args, *OUTPUTS]
+            cmd = [*cmd_prefix, *args, *OUTPUTS]
             proc = subprocess.run(cmd, cwd=tmp, capture_output=True, text=True, timeout=60)
             written = sorted(p.name for p in Path(tmp).iterdir())
         lines = proc.stderr.strip().splitlines()
         if proc.returncode != 2 or len(lines) != 1 or flag not in lines[0] or written:
-            failures.append(f"{' '.join(args)}: exit {proc.returncode}, "
-                            f"stderr {proc.stderr.strip()!r}, wrote {written}")
+            failures.append(f"{Path(cmd_prefix[0]).name} {' '.join(args)}: exit "
+                            f"{proc.returncode}, stderr {proc.stderr.strip()!r}, wrote {written}")
+    return failures
+
+
+def main() -> int:
+    argv = sys.argv[1:]
+    bench = None
+    if len(argv) == 3 and argv[1] == "--bench":
+        bench = str(Path(argv[2]).resolve())
+        argv = argv[:1]
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    binary = str(Path(argv[0]).resolve())
+    failures = check([binary, "--op", "potrf"], BAD_INPUT)
+    cases = len(BAD_INPUT)
+    if bench is not None:
+        failures += check([bench, "--quick"], BENCH_BAD_INPUT)
+        cases += len(BENCH_BAD_INPUT)
     for line in failures:
         print("FAIL", line)
     if failures:
         return 1
-    print(f"OK: {len(BAD_INPUT)} bad inputs exit 2 with a one-line message")
+    print(f"OK: {cases} bad inputs exit 2 with a one-line message")
     return 0
 
 

@@ -26,7 +26,6 @@
 
 #include "core/campaign_flags.hpp"
 #include "core/paper_params.hpp"
-#include "fault/fault_plan.hpp"
 #include "hw/presets.hpp"
 
 using namespace greencap;
@@ -204,26 +203,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!flags.resilience.faults.empty()) {
-    std::string bad;
-    try {
-      const fault::FaultPlan plan = fault::FaultPlan::parse(flags.resilience.faults);
-      for (const fault::FaultEvent& e : plan.events()) {
-        if (e.gpu >= 0 && static_cast<std::size_t>(e.gpu) >= gpus) {
-          bad = "event '" + e.to_string() + "' targets gpu" + std::to_string(e.gpu) + ", but " +
-                cfg.platform + " has " + std::to_string(gpus) + " GPUs";
-          break;
-        }
-      }
-    } catch (const std::invalid_argument& e) {
-      bad = e.what();
-    }
-    if (!bad.empty()) {
-      std::fprintf(stderr, "%s: flag '--faults' %s\n", argv[0], bad.c_str());
-      return 2;
-    }
-  }
-
   cfg.resilience = flags.resilience;
   cfg.obs = flags.observability(!telemetry_json.empty() || !telemetry_csv.empty());
   cfg.obs.decision_log = !decisions_json.empty() || model_report;
@@ -237,6 +216,10 @@ int main(int argc, char** argv) {
     base_cfg.cpu_cap.reset();
     base_cfg.obs = {};
     configs.push_back(std::move(base_cfg));
+  }
+  if (const std::string err = core::check_fault_plans(configs); !err.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+    return 2;
   }
 
   const core::WroteHook wrote = [](const char* what, const std::string& path) {
