@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -25,6 +24,75 @@ int resolve_jobs(int jobs) {
 
 CampaignEngine::CampaignEngine(EngineOptions options) : jobs_{resolve_jobs(options.jobs)} {}
 
+void CampaignEngine::run_ordered(std::size_t count, const std::function<void(std::size_t)>& work,
+                                 const std::function<void(std::size_t)>& emit) {
+  const std::size_t jobs = std::min(static_cast<std::size_t>(jobs_), count);
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      work(i);
+      if (emit) {
+        emit(i);
+      }
+    }
+    return;
+  }
+
+  // Indices are claimed in increasing order, so every index below the
+  // lowest failure was claimed and completes: the emitted prefix is exactly
+  // the serial campaign's, 0 .. failed_at - 1.
+  std::mutex mu;
+  std::condition_variable cv;  // only the calling thread waits on it
+  std::vector<char> done(count, 0);
+  std::size_t next = 0;
+  std::size_t failed_at = count;  // lowest failed index; count = none
+  std::exception_ptr error;       // failed_at's exception
+
+  // fn(i) runs unlocked (index i's slot is owned by its caller), so slow
+  // work or emission never blocks the others. `lock` is held around it.
+  auto call = [&](std::unique_lock<std::mutex>& lock,
+                  const std::function<void(std::size_t)>& fn, std::size_t i) {
+    lock.unlock();
+    std::exception_ptr e;
+    try {
+      fn(i);
+    } catch (...) {
+      e = std::current_exception();
+    }
+    lock.lock();
+    if (e != nullptr && i < failed_at) {
+      failed_at = i;
+      error = std::move(e);
+    }
+  };
+
+  {
+    std::vector<std::jthread> pool;  // joins on scope exit, after `lock` unlocks
+    pool.reserve(jobs);
+    for (std::size_t j = 0; j < jobs; ++j) {
+      pool.emplace_back([&] {
+        std::unique_lock<std::mutex> lock{mu};
+        while (next < count && failed_at == count) {
+          const std::size_t i = next++;
+          call(lock, work, i);
+          done[i] = 1;
+          cv.notify_one();
+        }
+      });
+    }
+    std::unique_lock<std::mutex> lock{mu};
+    for (std::size_t i = 0; emit && i < count; ++i) {
+      cv.wait(lock, [&] { return done[i] != 0 || i >= failed_at; });
+      if (i >= failed_at) {
+        break;
+      }
+      call(lock, emit, i);
+    }
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
+}
+
 std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentConfig>& configs,
                                                   const ResultHook& on_result,
                                                   CheckpointSession* session) {
@@ -34,154 +102,36 @@ std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentCo
   }
   const std::size_t n = configs.size();
   std::vector<ExperimentResult> results(n);
-
+  std::vector<char> fresh(n, 0);  // run here, not replayed: commit it
   RunServices services;
   services.calibration = &cache_;
-
+  run_ordered(
+      n,
+      [&](std::size_t i) {
+        std::optional<ExperimentResult> replayed;
+        if (session != nullptr) {
+          replayed = session->try_replay(configs[i]);
+        }
+        fresh[i] = !replayed;
+        results[i] = replayed ? std::move(*replayed) : run_experiment(configs[i], session, services);
+      },
+      [&](std::size_t i) {
+        if (on_result) {
+          on_result(i, results[i]);
+        }
+        if (session != nullptr && fresh[i] != 0) {
+          session->commit(configs[i], results[i]);
+        }
+      });
   if (session != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::optional<ExperimentResult> replayed = session->try_replay(configs[i]);
-      results[i] = replayed ? std::move(*replayed) : run_experiment(configs[i], session, services);
-      if (on_result) {
-        on_result(i, results[i]);
-      }
-      if (!replayed) {
-        session->commit(configs[i], results[i]);
-      }
-    }
     session->check_interrupt();
-    return results;
-  }
-
-  const int jobs = std::min<int>(jobs_, static_cast<int>(std::max<std::size_t>(n, 1)));
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = run_experiment(configs[i], services);
-      if (on_result) {
-        on_result(i, results[i]);
-      }
-    }
-    return results;
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<char> done(n, 0);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-
-  auto worker = [&] {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) {
-        return;  // drain: stop claiming, let already-finished work stand
-      }
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
-        return;
-      }
-      try {
-        ExperimentResult r = run_experiment(configs[i], services);
-        {
-          const std::lock_guard<std::mutex> lock{mu};
-          results[i] = std::move(r);
-          done[i] = 1;
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock{mu};
-          errors[i] = std::current_exception();
-          done[i] = 1;
-        }
-        failed.store(true, std::memory_order_relaxed);
-      }
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs));
-  for (int j = 0; j < jobs; ++j) {
-    pool.emplace_back(worker);
-  }
-
-  // The calling thread streams completed prefixes out in index order while
-  // the pool keeps working — exactly the serial emission schedule.
-  std::size_t emitted = 0;
-  {
-    std::unique_lock<std::mutex> lock{mu};
-    while (emitted < n) {
-      cv.wait(lock, [&] { return done[emitted] != 0 || failed.load(); });
-      if (done[emitted] == 0) {
-        break;  // a later index failed; stop emitting, join, rethrow below
-      }
-      if (errors[emitted] != nullptr) {
-        break;
-      }
-      if (on_result) {
-        // The hook may do slow I/O; results are index-owned, so unlocking
-        // is safe — workers only touch slots the emitter has not reached.
-        lock.unlock();
-        on_result(emitted, results[emitted]);
-        lock.lock();
-      }
-      ++emitted;
-    }
-  }
-
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i] != nullptr) {
-      std::rethrow_exception(errors[i]);
-    }
   }
   return results;
 }
 
 void CampaignEngine::for_each_index(std::size_t count,
                                     const std::function<void(std::size_t)>& fn) {
-  const int jobs = std::min<int>(jobs_, static_cast<int>(std::max<std::size_t>(count, 1)));
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  std::vector<std::exception_ptr> errors(count);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  auto worker = [&] {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) {
-        return;
-      }
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) {
-        return;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs));
-  for (int j = 0; j < jobs; ++j) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (errors[i] != nullptr) {
-      std::rethrow_exception(errors[i]);
-    }
-  }
+  run_ordered(count, fn, {});
 }
 
 }  // namespace greencap::core

@@ -14,12 +14,14 @@
 //     artifact and stdout emission therefore order identically at any
 //     --jobs value.
 //
-// run() is the only code that executes a campaign. Given a checkpoint
-// session it also owns the session protocol, serially: replay or run each
-// index, fire the hook (drivers export there, so artifacts land before the
-// commit), commit fresh results, and honour a latched SIGINT/SIGTERM after
-// the last commit. Sessions require jobs == 1; the drivers' flag table
-// diagnoses the combination before anything runs.
+// One private ordered loop does all of it: work(i) runs on up to `jobs`
+// threads, emit(i) on the calling thread in index order. run() is that loop
+// with run_experiment as the work and the hook as the emit; for_each_index
+// is it with no emit. Given a checkpoint session, run() is the same loop at
+// jobs == 1: replay or run each index, fire the hook (drivers export there,
+// so artifacts land before the commit), commit fresh results, and honour a
+// latched SIGINT/SIGTERM after the last commit. Sessions require jobs == 1;
+// the drivers' flag table diagnoses the combination before anything runs.
 #pragma once
 
 #include <cstddef>
@@ -53,9 +55,10 @@ class CampaignEngine {
   using ResultHook = std::function<void(std::size_t index, ExperimentResult& result)>;
 
   /// Executes every config and returns the results in input order. If any
-  /// run throws, workers stop claiming new indices, in-flight runs drain,
-  /// and the lowest-index exception is rethrown (matching which failure a
-  /// serial campaign would have surfaced first).
+  /// run (or the hook) throws, workers stop claiming new indices, in-flight
+  /// runs drain, the hook fires for exactly the indices below the lowest
+  /// failure, and that failure's exception is rethrown — what a serial
+  /// campaign would have done.
   /// With a session each index is replayed or run, handed to the hook, then
   /// committed if fresh; after the last commit a latched interrupt throws
   /// ckpt::InterruptedError. A session at jobs != 1 throws
@@ -73,6 +76,15 @@ class CampaignEngine {
   [[nodiscard]] CalibrationCache& cache() { return cache_; }
 
  private:
+  /// work(i) for every i < count on up to jobs_ threads; emit(i) on the
+  /// calling thread in index order, after every earlier index was emitted.
+  /// After a failure no new index is claimed, nothing at or past the lowest
+  /// failed index is emitted, and its exception is rethrown once the pool
+  /// has joined. At one job this is a plain serial loop. An empty emit
+  /// skips the in-order wait: the calling thread only joins the pool.
+  void run_ordered(std::size_t count, const std::function<void(std::size_t)>& work,
+                   const std::function<void(std::size_t)>& emit);
+
   int jobs_;
   CalibrationCache cache_;
 };

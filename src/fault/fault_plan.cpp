@@ -1,12 +1,15 @@
 #include "fault/fault_plan.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace greencap::fault {
 
@@ -33,26 +36,40 @@ CapError code_from_string(const std::string& s) {
 }
 
 double parse_double(const std::string& s, const std::string& key) {
+  double v = 0.0;
+  std::size_t pos = 0;
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) fail("trailing junk in value for '" + key + "': " + s);
-    return v;
+    v = std::stod(s, &pos);
   } catch (const std::invalid_argument&) {
     fail("bad numeric value for '" + key + "': " + s);
   } catch (const std::out_of_range&) {
     fail("out-of-range value for '" + key + "': " + s);
   }
+  if (pos != s.size()) fail("trailing junk in value for '" + key + "': " + s);
+  // nan and inf are never a time, probability, factor or wattage; an
+  // open-ended window omits `until`.
+  if (!std::isfinite(v)) fail("'" + key + "' must be finite, got " + s);
+  return v;
 }
 
 int parse_int(const std::string& s, const std::string& key) {
-  const double v = parse_double(s, key);
-  if (v != std::floor(v)) fail("'" + key + "' must be an integer, got " + s);
-  return static_cast<int>(v);
+  int v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec == std::errc::result_out_of_range) fail("out-of-range value for '" + key + "': " + s);
+  if (ec != std::errc{} || ptr != end) fail("'" + key + "' must be an integer, got " + s);
+  return v;
 }
 
+// The one key table: both grammars set every event member from its source
+// text here (the spec form's `kind@gpuN` prefix included).
 void set_key(FaultEvent& e, const std::string& key, const std::string& value) {
-  if (key == "t") {
+  if (key == "kind") {
+    e.kind = kind_from_string(value);
+  } else if (key == "gpu") {
+    e.gpu = parse_int(value, key);
+    if (e.gpu < 0) fail("negative gpu index " + value);
+  } else if (key == "t") {
     e.t = parse_double(value, key);
   } else if (key == "until") {
     e.until = parse_double(value, key);
@@ -67,7 +84,7 @@ void set_key(FaultEvent& e, const std::string& key, const std::string& value) {
   } else if (key == "count") {
     e.count = parse_int(value, key);
   } else if (key == "perm") {
-    e.permanent = parse_int(value, key) != 0;
+    e.permanent = value == "true" || (value != "false" && parse_int(value, key) != 0);
   } else {
     fail("unknown key '" + key + "'");
   }
@@ -77,17 +94,14 @@ FaultEvent parse_event(const std::string& text) {
   FaultEvent e;
   const auto at = text.find('@');
   if (at == std::string::npos) fail("event '" + text + "' is missing '@target'");
-  e.kind = kind_from_string(text.substr(0, at));
+  set_key(e, "kind", text.substr(0, at));
 
   const auto colon = text.find(':', at);
   const std::string target =
       colon == std::string::npos ? text.substr(at + 1) : text.substr(at + 1, colon - at - 1);
-  if (target == "any" || target == "*") {
-    e.gpu = -1;
-  } else if (target.rfind("gpu", 0) == 0 && target.size() > 3) {
-    e.gpu = parse_int(target.substr(3), "gpu");
-    if (e.gpu < 0) fail("negative gpu index in '" + text + "'");
-  } else {
+  if (target.rfind("gpu", 0) == 0 && target.size() > 3) {
+    set_key(e, "gpu", target.substr(3));
+  } else if (target != "any" && target != "*") {
     fail("bad target '" + target + "' (want gpuN or any)");
   }
 
@@ -97,7 +111,9 @@ FaultEvent parse_event(const std::string& text) {
     while (std::getline(pairs, pair, ',')) {
       const auto eq = pair.find('=');
       if (eq == std::string::npos) fail("expected key=value, got '" + pair + "'");
-      set_key(e, pair.substr(0, eq), pair.substr(eq + 1));
+      const std::string key = pair.substr(0, eq);
+      if (key == "kind" || key == "gpu") fail("'" + key + "' goes before ':' in '" + text + "'");
+      set_key(e, key, pair.substr(eq + 1));
     }
   }
   return e;
@@ -165,6 +181,8 @@ class JsonReader {
     return events;
   }
 
+  // Every member goes through set_key by its source text; only "kind" and
+  // "code" take JSON strings.
   FaultEvent read_event() {
     skip_ws();
     expect('{');
@@ -184,30 +202,12 @@ class JsonReader {
       skip_ws();
       expect(':');
       skip_ws();
-      if (key == "kind") {
-        e.kind = kind_from_string(read_string());
-        have_kind = true;
-      } else if (key == "gpu") {
-        e.gpu = static_cast<int>(read_number());
-      } else if (key == "code") {
-        e.code = code_from_string(read_string());
-      } else if (key == "perm") {
-        e.permanent = read_bool();
-      } else if (key == "count") {
-        e.count = static_cast<int>(read_number());
-      } else if (key == "t") {
-        e.t = read_number();
-      } else if (key == "until") {
-        e.until = read_number();
-      } else if (key == "p") {
-        e.probability = read_number();
-      } else if (key == "factor") {
-        e.factor = read_number();
-      } else if (key == "watts") {
-        e.watts = read_number();
-      } else {
-        fail("json: unknown event key '" + key + "'");
+      const bool quoted = peek() == '"';
+      set_key(e, key, quoted ? read_string() : read_token());
+      if (quoted != (key == "kind" || key == "code")) {
+        fail("json: \"" + key + "\" takes a " + (quoted ? "number" : "string"));
       }
+      have_kind = have_kind || key == "kind";
     }
     if (!have_kind) fail("json: event is missing \"kind\"");
     return e;
@@ -226,28 +226,13 @@ class JsonReader {
     return out;
   }
 
-  double read_number() {
+  // A number or literal, as written.
+  std::string read_token() {
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("json: expected a number");
-    return parse_double(text_.substr(start, pos_ - start), "number");
-  }
-
-  bool read_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    // Accept 0/1 for symmetry with the spec-string "perm=1" form.
-    return read_number() != 0.0;
+    constexpr std::string_view kEnd{",}] \t\r\n"};
+    while (pos_ < text_.size() && kEnd.find(text_[pos_]) == std::string_view::npos) ++pos_;
+    if (pos_ == start) fail("json: expected a value");
+    return text_.substr(start, pos_ - start);
   }
 
   void skip_ws() {
@@ -293,10 +278,9 @@ std::string FaultEvent::to_string() const {
     os << sep << key << '=' << value;
     sep = ",";
   };
-  auto num = [](double v) {
-    std::ostringstream s;
-    s << v;
-    return s.str();
+  auto num = [](double v) {  // shortest form that parses back to v
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   };
   if (t != 0.0) emit("t", num(t));
   if (std::isfinite(until)) emit("until", num(until));

@@ -25,6 +25,10 @@
 //
 //   {"events": [{"kind": "dropout", "gpu": 2, "t": 12.0}, ...]}
 //
+// with the same keys and value rules: each member is set from its source
+// text exactly as the spec form's key=value is, and an omitted "gpu" means
+// any GPU.
+//
 // Times for timed faults (drift, energyreset, dropout) and straggler
 // windows are measured from the instant the injector is armed (the start
 // of the measured operation). Capfail windows [t, until) use the raw
@@ -85,6 +89,7 @@ struct FaultEvent {
   bool permanent = false;
 
   [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
 class FaultPlan {

@@ -12,10 +12,6 @@ enum class Precision : std::uint8_t { kSingle, kDouble };
   return p == Precision::kSingle ? "single" : "double";
 }
 
-[[nodiscard]] inline std::size_t bytes_per_element(Precision p) {
-  return p == Precision::kSingle ? 4 : 8;
-}
-
 /// Kernel families with distinct device affinities. GPUs are excellent at
 /// the bulk Level-3 BLAS updates but comparatively poor at the small
 /// factorization panel (POTRF diagonal tile), which is what puts the

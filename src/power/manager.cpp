@@ -17,6 +17,10 @@ namespace {
          r != nvml::Result::kNotFound;
 }
 
+/// Delay before the first retry; doubles on each subsequent one. The wait
+/// happens in *virtual* time so backoff sequencing is testable.
+constexpr double kBackoffInitialMs = 1.0;
+
 }  // namespace
 
 PowerManager::PowerManager(hw::Platform& platform, sim::Simulator& sim)
@@ -71,7 +75,7 @@ void PowerManager::wait_virtual(sim::SimTime delay) {
 nvml::Result PowerManager::try_set_gpu(std::size_t gpu, std::uint32_t mw) {
   nvml::Device& dev = device(gpu);
   nvml::Result last = nvml::Result::kSuccess;
-  double backoff_ms = resilience_.backoff_initial_ms;
+  double backoff_ms = kBackoffInitialMs;
   for (int attempt = 0; attempt <= resilience_.max_retries; ++attempt) {
     if (attempt > 0) {
       wait_virtual(sim::SimTime::millis(backoff_ms));
@@ -85,7 +89,9 @@ nvml::Result PowerManager::try_set_gpu(std::size_t gpu, std::uint32_t mw) {
       }
     }
     last = dev.set_power_management_limit(mw);
-    if (last == nvml::Result::kSuccess && resilience_.verify_after_write) {
+    // Read the limit back and treat a mismatch as a failed attempt (real
+    // NVML can accept a write the hardware ignores).
+    if (last == nvml::Result::kSuccess) {
       std::uint32_t read_mw = 0;
       const nvml::Result rd = dev.power_management_limit(&read_mw);
       if (rd != nvml::Result::kSuccess || read_mw != mw) {

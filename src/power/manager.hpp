@@ -40,12 +40,6 @@ namespace greencap::power {
 struct PowerResilience {
   /// Additional attempts after the first failed write (0 = no retry).
   int max_retries = 3;
-  /// Delay before the first retry; doubles on each subsequent one. The
-  /// wait happens in *virtual* time so backoff sequencing is testable.
-  double backoff_initial_ms = 1.0;
-  /// Read the limit back after each write and treat a mismatch as a
-  /// failed attempt (real NVML can accept a write the hardware ignores).
-  bool verify_after_write = true;
   /// On permanent failure, fall back to the GPU's default limit (B/L->H)
   /// and record it, instead of rolling back the whole config and throwing.
   bool allow_degradation = false;

@@ -4,24 +4,12 @@
 #include <ostream>
 #include <string>
 
-#include "obs/decision_log.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace greencap::prof {
 
 namespace {
-
-void summarize_decisions(const obs::DecisionLog& log, Profile& profile) {
-  for (const obs::ModelAccuracy& acc : log.accuracy_report()) {
-    ModelAccuracyRow row;
-    row.codelet = acc.codelet;
-    row.arch = acc.arch;
-    row.samples = acc.samples;
-    row.mean_rel_error = acc.mean_rel_error;
-    profile.model_accuracy.push_back(std::move(row));
-  }
-}
 
 void summarize_telemetry(const obs::TelemetrySeries& series, Profile& profile) {
   // Peak instantaneous node draw: max over samples of the sum of every
@@ -176,7 +164,7 @@ void Profile::write_json(obs::JsonWriter& w) const {
   // -- optional PR 1 enrichments -------------------------------------------
   w.raw(",\n\"model_accuracy\":[");
   for (std::size_t i = 0; i < model_accuracy.size(); ++i) {
-    const ModelAccuracyRow& row = model_accuracy[i];
+    const obs::ModelAccuracy& row = model_accuracy[i];
     w.raw(i != 0 ? ",{\"codelet\":" : "{\"codelet\":").str(row.codelet);
     w.raw(",\"arch\":").str(row.arch).raw(",\"samples\":").integer(row.samples);
     w.raw(",\"mean_rel_error\":").number_exact(row.mean_rel_error).raw('}');
@@ -193,7 +181,7 @@ Profile analyze(const RunCapture& capture, const AnalyzeOptions& options) {
   profile.efficiency = efficiency_table(capture, profile.attribution.task_energy_j);
   profile.whatif = whatif_ladder(capture);
   if (options.decisions != nullptr && !options.decisions->empty()) {
-    summarize_decisions(*options.decisions, profile);
+    profile.model_accuracy = options.decisions->accuracy_report();
   }
   if (options.telemetry != nullptr && !options.telemetry->empty()) {
     summarize_telemetry(*options.telemetry, profile);

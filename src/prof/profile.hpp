@@ -7,13 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/decision_log.hpp"
 #include "prof/attribution.hpp"
 #include "prof/capture.hpp"
 #include "prof/critical_path.hpp"
 #include "prof/efficiency.hpp"
 
 namespace greencap::obs {
-class DecisionLog;
 class JsonWriter;
 class TelemetrySeries;
 }
@@ -27,14 +27,6 @@ struct AnalyzeOptions {
   const obs::TelemetrySeries* telemetry = nullptr;
 };
 
-/// One (codelet, arch) row of the perf-model accuracy summary.
-struct ModelAccuracyRow {
-  std::string codelet;
-  std::string arch;
-  std::uint64_t samples = 0;
-  double mean_rel_error = 0.0;
-};
-
 struct Profile {
   RunCapture capture;
   RunMetrics metrics;
@@ -42,8 +34,8 @@ struct Profile {
   CriticalPathResult critical_path;
   std::vector<EfficiencyCell> efficiency;
   std::vector<WhatIfEntry> whatif;
-  std::vector<ModelAccuracyRow> model_accuracy;  ///< empty without a decision log
-  double peak_node_power_w = 0.0;                ///< 0 without telemetry
+  std::vector<obs::ModelAccuracy> model_accuracy;  ///< empty without a decision log
+  double peak_node_power_w = 0.0;                  ///< 0 without telemetry
 
   /// Writes profile.json (stable schema, schema_version bumped on change).
   void write_json(std::ostream& os) const;

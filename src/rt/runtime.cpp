@@ -12,6 +12,14 @@
 
 namespace greencap::rt {
 
+namespace {
+
+/// Per-task launch overhead added to execution time.
+constexpr double kCpuTaskOverheadUs = 1.0;
+constexpr double kCudaTaskOverheadUs = 12.0;
+
+}  // namespace
+
 Runtime::Runtime(hw::Platform& platform, sim::Simulator& sim, RuntimeOptions options)
     : platform_{platform},
       sim_{sim},
@@ -285,10 +293,9 @@ sim::SimTime Runtime::oracle_exec_time(const Codelet& codelet, const hw::KernelW
   hw::KernelWork w = work;
   w.klass = codelet.klass;
   if (worker.arch() == WorkerArch::kCuda) {
-    return worker.gpu()->execution_time(w) +
-           sim::SimTime::micros(options_.cuda_task_overhead_us);
+    return worker.gpu()->execution_time(w) + sim::SimTime::micros(kCudaTaskOverheadUs);
   }
-  return worker.cpu()->execution_time(w) + sim::SimTime::micros(options_.cpu_task_overhead_us);
+  return worker.cpu()->execution_time(w) + sim::SimTime::micros(kCpuTaskOverheadUs);
 }
 
 void Runtime::try_start(Worker& worker) {

@@ -54,9 +54,6 @@ struct RuntimeOptions {
   bool execute_kernels = false;
   /// Reserve one CPU core per GPU as its driver (StarPU's default).
   bool dedicate_core_per_gpu = true;
-  /// Per-task launch overhead added to execution time.
-  double cpu_task_overhead_us = 1.0;
-  double cuda_task_overhead_us = 12.0;
   /// Relative std-dev of multiplicative Gaussian noise on execution times
   /// (0 = fully deterministic).
   double exec_noise_rel = 0.0;

@@ -8,7 +8,6 @@ EventId EventQueue::schedule(SimTime when, Callback cb) {
   assert(cb && "cannot schedule a null callback");
   const std::uint64_t seq = next_seq_++;
   callbacks_.push_back(std::move(cb));
-  times_.push_back(when);
   heap_.push(Entry{when, seq});
   ++live_count_;
   return EventId{seq};

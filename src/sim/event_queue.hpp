@@ -43,16 +43,6 @@ class EventQueue {
   /// Earliest pending event time; infinity if empty.
   [[nodiscard]] SimTime next_time() const;
 
-  /// True iff `id` was scheduled and has neither fired nor been cancelled.
-  /// Accurate for stale ids: callbacks are nulled on pop/cancel and
-  /// sequence numbers are never reused.
-  [[nodiscard]] bool pending(EventId id) const {
-    return id.seq < callbacks_.size() && static_cast<bool>(callbacks_[id.seq]);
-  }
-
-  /// Scheduled fire time of a pending event. Precondition: pending(id).
-  [[nodiscard]] SimTime time_of(EventId id) const { return times_[id.seq]; }
-
   /// Pops the earliest live event. Precondition: !empty().
   /// Returns the event's time and callback.
   std::pair<SimTime, Callback> pop();
@@ -75,7 +65,6 @@ class EventQueue {
 
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   mutable std::vector<Callback> callbacks_;  // indexed by seq; empty fn == cancelled/fired
-  std::vector<SimTime> times_;               // indexed by seq; fire time of each event
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

@@ -97,17 +97,89 @@ TEST(FaultPlan, JsonRejectsUnknownKeysAndGarbage) {
 
 TEST(FaultPlan, ToStringRoundTrips) {
   const std::string spec =
-      "capfail@gpu0:p=0.5,code=not_supported;dropout@gpu2:t=12;straggler@gpu1:t=2,until=8,factor=2.5";
+      "capfail@gpu0:p=0.5,code=not_supported;dropout@gpu2:t=12;straggler@gpu1:t=2,until=8,factor=2.5;"
+      "drift@gpu1:t=1.23456789,watts=250.123456;capfail@any:count=3,perm=1";
   const FaultPlan plan = FaultPlan::parse(spec);
   const FaultPlan replay = FaultPlan::parse(plan.to_string());
   ASSERT_EQ(replay.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(replay.events()[i].kind, plan.events()[i].kind) << i;
-    EXPECT_EQ(replay.events()[i].gpu, plan.events()[i].gpu) << i;
-    EXPECT_DOUBLE_EQ(replay.events()[i].t, plan.events()[i].t) << i;
-    EXPECT_DOUBLE_EQ(replay.events()[i].probability, plan.events()[i].probability) << i;
-    EXPECT_DOUBLE_EQ(replay.events()[i].factor, plan.events()[i].factor) << i;
-    EXPECT_EQ(replay.events()[i].code, plan.events()[i].code) << i;
+    EXPECT_TRUE(replay.events()[i] == plan.events()[i]) << plan.events()[i].to_string();
+  }
+  EXPECT_NE(plan.to_string().find("t=1.23456789,watts=250.123456"), std::string::npos)
+      << plan.to_string();
+}
+
+// Both grammars share one key table: an event written in either form gives
+// the same FaultEvent, or both forms reject it.
+TEST(FaultPlan, SpecAndJsonFormsAgree) {
+  struct Case {
+    const char* spec;
+    const char* json;  // one event object
+    bool valid;
+  };
+  const Case cases[] = {
+      {"dropout@gpu2:t=12", R"({"kind": "dropout", "gpu": 2, "t": 12.0})", true},
+      {"capfail@gpu0:p=0.25,code=no_permission",
+       R"({"kind": "capfail", "gpu": 0, "p": 0.25, "code": "no_permission"})", true},
+      {"straggler@gpu1:t=2,until=8,factor=3",
+       R"({"kind": "straggler", "gpu": 1, "t": 2, "until": 8, "factor": 3e0})", true},
+      {"straggler@any:factor=2", R"({"kind": "straggler", "factor": 2})", true},
+      {"capfail@gpu2:perm=1,code=not_supported",
+       R"({"kind": "capfail", "gpu": 2, "perm": true, "code": "not_supported"})", true},
+      {"capfail@gpu2:perm=0", R"({"kind": "capfail", "gpu": 2, "perm": false})", true},
+      {"capfail@gpu1:count=2", R"({"kind": "capfail", "gpu": 1, "count": 2})", true},
+      {"drift@gpu1:t=1.23456789,watts=250.123456",
+       R"({"kind": "drift", "gpu": 1, "t": 1.23456789, "watts": 250.123456})", true},
+      // Integer members take integers only: no fractions, no integral
+      // decimals, nothing outside int.
+      {"capfail@gpu1.7:count=2.5", R"({"kind": "capfail", "gpu": 1.7, "count": 2.5})", false},
+      {"capfail@gpu1:count=3.0", R"({"kind": "capfail", "gpu": 1, "count": 3.0})", false},
+      {"capfail@gpu1:perm=0.5", R"({"kind": "capfail", "gpu": 1, "perm": 0.5})", false},
+      {"dropout@gpu99999999999:t=1", R"({"kind": "dropout", "gpu": 99999999999, "t": 1})", false},
+      {"capfail@gpu1:count=1e12", R"({"kind": "capfail", "gpu": 1, "count": 1e12})", false},
+      {"dropout@gpu-1:t=1", R"({"kind": "dropout", "gpu": -1, "t": 1})", false},
+      {"capfail@gpu0:count=-1", R"({"kind": "capfail", "gpu": 0, "count": -1})", false},
+      {"capfail@gpu0:zap=1", R"({"kind": "capfail", "gpu": 0, "zap": 1})", false},
+      {"dropout@any:t=1", R"({"kind": "dropout", "t": 1})", false},
+      // Real values are finite.
+      {"dropout@gpu0:t=nan", R"({"kind": "dropout", "gpu": 0, "t": nan})", false},
+      {"straggler@gpu1:factor=inf", R"({"kind": "straggler", "gpu": 1, "factor": inf})", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    std::istringstream json{std::string{R"({"events": [)"} + c.json + "]}"};
+    if (!c.valid) {
+      EXPECT_THROW((void)FaultPlan::parse(c.spec), std::invalid_argument);
+      EXPECT_THROW((void)FaultPlan::parse_json(json), std::invalid_argument);
+      continue;
+    }
+    const FaultPlan spec = FaultPlan::parse(c.spec);
+    const FaultPlan doc = FaultPlan::parse_json(json);
+    ASSERT_EQ(spec.size(), 1u);
+    ASSERT_EQ(doc.size(), 1u);
+    EXPECT_TRUE(spec.events()[0] == doc.events()[0]) << doc.to_string();
+  }
+}
+
+TEST(FaultPlan, OutOfRangeIntegersNameTheValue) {
+  for (const std::string spec : {"dropout@gpu99999999999:t=1", "capfail@gpu1:count=1e12"}) {
+    try {
+      (void)FaultPlan::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string value = spec.find("count") != std::string::npos ? "1e12" : "99999999999";
+      EXPECT_NE(std::string{e.what()}.find(value), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(FaultPlan, JsonValuesKeepTheirTypes) {
+  for (const char* event : {R"({"kind": "dropout", "gpu": 0, "t": "1"})",
+                            R"({"kind": "capfail", "gpu": true})",
+                            R"({"kind": "capfail", "gpu": 0, "code": 1})",
+                            R"({"kind": dropout, "gpu": 0, "t": 1})"}) {
+    std::istringstream json{std::string{R"({"events": [)"} + event + "]}"};
+    EXPECT_THROW((void)FaultPlan::parse_json(json), std::invalid_argument) << event;
   }
 }
 

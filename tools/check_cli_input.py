@@ -35,7 +35,12 @@ BAD_INPUT = [
     (["--ckpt-kill-after", "-1"], "--ckpt-kill-after"),
     (["--faults", "garbage"], "--faults"),  # unparsable spec
     (["--faults", "capfail@gpu9:count=2"], "--faults"),  # gpu9 on the 4-GPU platform
+    (["--faults", "dropout@gpu99999999999:t=1"], "--faults"),  # gpu index outside int
+    (["--faults", "capfail@gpu1:count=1e12"], "--faults"),  # count is not an integer
+    (["--faults", "dropout@gpu0:t=nan"], "--faults"),  # used to crash the run
 ]
+# The JSON form follows the spec form's value rules: no fractional gpu/count.
+JSON_PLAN = '{"events":[{"kind":"capfail","gpu":1.7,"count":2.5}]}'
 BENCH_BAD_INPUT = [
     (["--faults", "garbage"], "--faults"),
     (["--faults", "capfail@gpu9:count=2"], "--faults"),  # no platform has gpu9
@@ -68,8 +73,12 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     binary = str(Path(argv[0]).resolve())
-    failures = check([binary, "--op", "potrf"], BAD_INPUT)
-    cases = len(BAD_INPUT)
+    with tempfile.TemporaryDirectory() as plans:
+        plan = Path(plans) / "plan.json"
+        plan.write_text(JSON_PLAN)
+        cli_cases = [*BAD_INPUT, (["--config", "HHBB", "--faults", f"@{plan}"], "--faults")]
+        failures = check([binary, "--op", "potrf"], cli_cases)
+    cases = len(cli_cases)
     if bench is not None:
         failures += check([bench, "--quick"], BENCH_BAD_INPUT)
         cases += len(BENCH_BAD_INPUT)
