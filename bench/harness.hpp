@@ -160,12 +160,12 @@ class Cli : public SweepCli {
   /// if any). `on_result` fires on this thread in strict config order at
   /// every --jobs value, right after the result's capture files are
   /// written, so tables, artifacts and stdout bytes match a serial run.
-  /// A fault plan that does not parse or targets a GPU some config's
-  /// platform lacks exits 2 before any run starts.
+  /// A config core::check_configs rejects (e.g. a fault plan that targets
+  /// a GPU some config's platform lacks) exits 2 before any run starts.
   void run_all(const std::vector<core::ExperimentConfig>& configs,
                const std::function<void(std::size_t, const core::ExperimentResult&)>& on_result)
       const {
-    if (const std::string err = core::check_fault_plans(configs); !err.empty()) {
+    if (const std::string err = core::check_configs(configs); !err.empty()) {
       std::cerr << argv0_ << ": " << err << "\n";
       std::exit(2);
     }

@@ -5,6 +5,7 @@
 //   $ ./pbest_sweep [gpu-name] [matrix-dim]
 //     gpu-name: V100-PCIE-32GB | A100-PCIE-40GB | A100-SXM4-40GB (default)
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -28,12 +29,19 @@ int main(int argc, char** argv) {
   hw::Platform platform{std::move(spec)};
   sim::Simulator simulator;
   nvml::Context nvml_ctx{platform, simulator};
+  auto check = [](nvml::Result r, const char* call) {
+    if (r != nvml::Result::kSuccess) {
+      std::fprintf(stderr, "%s: %s\n", call, nvml::error_string(r));
+      std::exit(1);
+    }
+  };
   nvml::Device* dev = nullptr;
-  nvml_ctx.device_handle_by_index(0, &dev);
+  check(nvml_ctx.device_handle_by_index(0, &dev), "nvmlDeviceGetHandleByIndex");
   std::string name;
   std::uint32_t min_mw = 0, max_mw = 0;
-  dev->name(&name);
-  dev->power_management_limit_constraints(&min_mw, &max_mw);
+  check(dev->name(&name), "nvmlDeviceGetName");
+  check(dev->power_management_limit_constraints(&min_mw, &max_mw),
+        "nvmlDeviceGetPowerManagementLimitConstraints");
   std::printf("NVML device 0: %s — settable power limit %.0f..%.0f W\n", name.c_str(),
               min_mw / 1000.0, max_mw / 1000.0);
 

@@ -7,8 +7,8 @@
 // length-prefixed. Section tags give corrupt or version-skewed payloads
 // precise failure messages instead of garbage decodes.
 //
-// Writer and Reader share one coder interface (kReading, tag, io, seq,
-// count), so each checkpointed record states its layout once, as a
+// Writer and Reader share one coder interface (kReading, tag, io, seq),
+// so each checkpointed record states its layout once, as a
 // template both of them run:
 //
 //   template <typename C, typename T>   // T is const when C is Writer
@@ -22,7 +22,6 @@
 // stays in the same template behind `if constexpr (C::kReading)`.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +30,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace greencap::ckpt {
@@ -45,8 +43,8 @@ class CorruptError : public std::runtime_error {
 };
 
 /// Thrown for any unreadable, malformed, or corrupt checkpoint file, and
-/// by Reader for well-framed content that cannot be restored: an enum
-/// byte out of range, or a count that differs from the live state's.
+/// by Reader for well-framed content that cannot be restored (an enum
+/// byte out of range).
 class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -99,19 +97,12 @@ class Writer {
   void io(double v) { f64(v); }
   void io(const std::string& v) { str(v); }
   void io(sim::SimTime v) { f64(v.sec()); }
-  void io(const sim::Xoshiro256& rng) {
-    for (const std::uint64_t v : rng.state()) u64(v);
-  }
   /// An enum as one byte; Reader rejects bytes outside [min, max].
   template <typename E>
     requires std::is_enum_v<E>
   void io(E v, E /*max*/, const char* /*what*/, E /*min*/ = E{}) {
     u8(static_cast<std::uint8_t>(v));
   }
-  /// A length prefix the caller codes the elements of.
-  void length(std::size_t n, std::size_t /*min_elem_bytes*/) { u64(n); }
-  /// A length prefix that Reader requires to equal its own live count.
-  void count(std::size_t live, std::size_t /*min_elem_bytes*/, const char* /*what*/) { u64(live); }
   /// A length-prefixed container, `each` coding one element.
   template <typename Seq, typename Each>
   void seq(const Seq& s, std::size_t /*min_elem_bytes*/, Each&& each) {
@@ -179,11 +170,6 @@ class Reader {
   void io(double& v) { v = f64(); }
   void io(std::string& v) { v = str(); }
   void io(sim::SimTime& v) { v = sim::SimTime::seconds(f64()); }
-  void io(sim::Xoshiro256& rng) {
-    std::array<std::uint64_t, 4> state{};
-    for (std::uint64_t& v : state) v = u64();
-    rng.set_state(state);
-  }
   /// Throws CheckpointError "<what> <byte>" for a byte outside [min, max].
   template <typename E>
     requires std::is_enum_v<E>
@@ -194,9 +180,6 @@ class Reader {
     }
     v = static_cast<E>(b);
   }
-  void length(std::size_t& n, std::size_t min_elem_bytes) { n = length(min_elem_bytes); }
-  /// Throws CheckpointError when the stored count differs from `live`.
-  void count(std::size_t live, std::size_t min_elem_bytes, const char* what);
   /// Replaces `s` with the decoded elements, `each` decoding one.
   template <typename Seq, typename Each>
   void seq(Seq& s, std::size_t min_elem_bytes, Each&& each) {

@@ -10,6 +10,7 @@
 #include "obs/trace_export.hpp"
 #include "prof/html_report.hpp"
 #include "prof/profile.hpp"
+#include "rt/scheduler.hpp"
 
 namespace greencap::core {
 
@@ -76,19 +77,32 @@ std::string CampaignFlags::parse(const FlagParser& parser, int argc, char* const
   return {};
 }
 
-std::string check_fault_plans(const std::vector<ExperimentConfig>& configs) {
+std::string check_configs(const std::vector<ExperimentConfig>& configs) {
   for (const ExperimentConfig& cfg : configs) {
+    try {
+      (void)rt::make_scheduler(cfg.scheduler);
+    } catch (const std::invalid_argument& e) {
+      return std::string{"flag '--scheduler' "} + e.what();
+    }
+    if (cfg.n <= 0 || cfg.nb <= 0 || cfg.n % cfg.nb != 0) {
+      return "flag '--n' expects a positive multiple of --nb " + std::to_string(cfg.nb) +
+             ", got " + std::to_string(cfg.n);
+    }
+    const hw::PlatformSpec platform = hw::presets::platform_by_name(cfg.platform);
+    if (cfg.cpu_cap && cfg.cpu_cap->package >= platform.cpus.size()) {
+      return "flag '--cpu-cap' expects a package below " + std::to_string(platform.cpus.size()) +
+             " on " + cfg.platform + ", got " + std::to_string(cfg.cpu_cap->package);
+    }
     if (cfg.resilience.faults.empty()) {
       continue;
     }
-    const std::size_t gpus = hw::presets::platform_by_name(cfg.platform).gpus.size();
     try {
       const fault::FaultPlan plan = fault::FaultPlan::parse(cfg.resilience.faults);
       for (const fault::FaultEvent& e : plan.events()) {
-        if (e.gpu >= 0 && static_cast<std::size_t>(e.gpu) >= gpus) {
+        if (e.gpu >= 0 && static_cast<std::size_t>(e.gpu) >= platform.gpus.size()) {
           return "flag '--faults' event '" + e.to_string() + "' targets gpu" +
                  std::to_string(e.gpu) + ", but " + cfg.platform + " has " +
-                 std::to_string(gpus) + " GPUs";
+                 std::to_string(platform.gpus.size()) + " GPUs";
         }
       }
     } catch (const std::invalid_argument& e) {

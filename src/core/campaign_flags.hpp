@@ -49,11 +49,12 @@ struct CampaignFlags {
   [[nodiscard]] ObservabilityOptions observability(bool more_telemetry = false) const;
 };
 
-/// Checks each config's fault plan against its platform: the plan must
-/// parse and target only GPUs the platform has. Returns the first error as
-/// "flag '--faults' ..." (drivers print it after "argv0: " and exit 2,
-/// before the campaign starts), or an empty string.
-[[nodiscard]] std::string check_fault_plans(const std::vector<ExperimentConfig>& configs);
+/// Checks each config before any run starts: the scheduler must be one
+/// rt::make_scheduler knows, n a positive multiple of nb, the --cpu-cap
+/// package and every fault-plan GPU present on the config's platform, and
+/// the fault plan must parse. Returns the first error as "flag '--X' ..."
+/// (drivers print it after "argv0: " and exit 2), or an empty string.
+[[nodiscard]] std::string check_configs(const std::vector<ExperimentConfig>& configs);
 
 /// --help sections for the flags add_all() registers beyond --jobs; a
 /// driver may append its own flags to a section.

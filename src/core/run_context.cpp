@@ -108,7 +108,6 @@ RunContext::RunContext(const ExperimentConfig& config, const RunServices& servic
                                          : config.seed ^ 0x9e3779b97f4a7c15ULL;
     injector_ = std::make_unique<fault::FaultInjector>(
         fault::FaultPlan::parse(config.resilience.faults), fault_seed);
-    injector_->set_logger(&log_);
   }
 
   // -- power configuration ---------------------------------------------------
@@ -130,7 +129,6 @@ RunContext::RunContext(const ExperimentConfig& config, const RunServices& servic
   power_res.allow_degradation = config.resilience.degrade;
   manager_.set_resilience(power_res);
   manager_.set_degradation(&result_.degradation);
-  manager_.set_logger(&log_);
   if (injector_ != nullptr) {
     manager_.attach_faults(*injector_);
   }
@@ -157,7 +155,6 @@ RunContext::RunContext(const ExperimentConfig& config, const RunServices& servic
   }
   options.faults = injector_.get();
   options.degradation = &result_.degradation;
-  options.log = &log_;
   runtime_ = std::make_unique<rt::Runtime>(platform_, simulator_, options);
   if (injector_ != nullptr && obs_data_ != nullptr) {
     injector_->set_metrics(options.metrics);
@@ -168,7 +165,7 @@ RunContext::RunContext(const ExperimentConfig& config, const RunServices& servic
   if (obs_data_ != nullptr) {
     manager_.set_metrics(options.metrics);
     if (config.obs.trace) {
-      manager_.set_trace(&runtime_->trace(), &simulator_);
+      manager_.set_trace(&runtime_->trace());
     }
     if (config.obs.telemetry_period_ms > 0.0) {
       obs::attach_platform_channels(sampler_, platform_);

@@ -3,7 +3,7 @@
 // RunContext owns every piece of mutable state one experiment needs — the
 // simulated platform and its event queue, the runtime, the power manager,
 // the fault injector, energy trackers, the telemetry sampler, the
-// observability sinks, the run's logger, and the checkpoint hooks. Nothing
+// observability sinks, and the checkpoint hooks. Nothing
 // it touches is process-global, so any number of contexts can execute
 // concurrently on different threads without sharing state; the campaign
 // engine (core/engine.hpp) relies on exactly that.
@@ -31,7 +31,6 @@
 #include "obs/telemetry.hpp"
 #include "power/manager.hpp"
 #include "rt/runtime.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 
 namespace greencap::core {
@@ -51,7 +50,6 @@ class RunContext {
   RunContext& operator=(const RunContext&) = delete;
 
   [[nodiscard]] const ExperimentConfig& config() const { return result_.config; }
-  [[nodiscard]] sim::Logger& log() { return log_; }
   [[nodiscard]] hw::Platform& platform() { return platform_; }
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] rt::Runtime& runtime() { return *runtime_; }
@@ -109,7 +107,6 @@ class RunContext {
   void on_checkpoint(CheckpointSession& session, const char* reason);
 
   RunServices services_;
-  sim::Logger log_;
   hw::Platform platform_;
   sim::Simulator simulator_;
   ExperimentResult result_;

@@ -149,10 +149,6 @@ bool FaultInjector::dropped(int gpu) const {
 }
 
 void FaultInjector::note_fired(const FaultEvent& e, sim::SimTime now) {
-  if (log_ != nullptr) {
-    log_->logf(sim::LogLevel::kDebug, "fault: %s fired at t=%.6fs", marker_name(e).c_str(),
-               now.sec());
-  }
   if (trace_ != nullptr) {
     trace_->add_marker(marker_name(e), now);
   }

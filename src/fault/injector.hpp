@@ -28,7 +28,6 @@
 
 #include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -47,8 +46,6 @@ class FaultInjector {
   /// Optional observability sinks (not owned; null = off).
   void set_metrics(obs::MetricsRegistry* metrics);
   void set_trace(sim::Trace* trace) { trace_ = trace; }
-  /// Narrates fired faults at kDebug to the run's logger (not owned).
-  void set_logger(sim::Logger* log) { log_ = log; }
 
   /// Listener registration. Handlers fire at the fault's virtual instant,
   /// inside the simulator event; registration order is invocation order.
@@ -135,7 +132,6 @@ class FaultInjector {
 
   Counts counts_;
   sim::Trace* trace_ = nullptr;
-  sim::Logger* log_ = nullptr;
   obs::Counter* m_capfail_ = nullptr;
   obs::Counter* m_drift_ = nullptr;
   obs::Counter* m_energy_reset_ = nullptr;

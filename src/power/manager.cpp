@@ -83,10 +83,6 @@ nvml::Result PowerManager::try_set_gpu(std::size_t gpu, std::uint32_t mw) {
       if (metrics_ != nullptr) {
         metrics_->counter("power.cap_write_retries").inc();
       }
-      if (log_ != nullptr) {
-        log_->logf(sim::LogLevel::kDebug, "power: retrying cap write gpu%zu (%u mW, attempt %d)",
-                   gpu, mw, attempt);
-      }
     }
     last = dev.set_power_management_limit(mw);
     // Read the limit back and treat a mismatch as a failed attempt (real
@@ -263,10 +259,6 @@ void PowerManager::reconcile_once() {
 
 void PowerManager::record_degradation(std::string detail, std::string from, std::string to,
                                       std::string reason) {
-  if (log_ != nullptr) {
-    log_->logf(sim::LogLevel::kInfo, "power: %s degraded %s -> %s (%s) at t=%.6fs", detail.c_str(),
-               from.c_str(), to.c_str(), reason.c_str(), sim_.now().sec());
-  }
   if (degradation_ == nullptr) {
     return;
   }
@@ -284,10 +276,10 @@ void PowerManager::note_cap_change(const std::string& device, double watts) {
   if (metrics_ != nullptr) {
     metrics_->gauge("power.cap_w." + device).set(watts);
   }
-  if (trace_ != nullptr && trace_sim_ != nullptr) {
+  if (trace_ != nullptr) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "power_cap %s %.0fW", device.c_str(), watts);
-    trace_->add_marker(buf, trace_sim_->now());
+    trace_->add_marker(buf, sim_.now());
   }
 }
 

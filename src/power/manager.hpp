@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fault/degradation.hpp"
@@ -29,7 +30,6 @@
 #include "power/config.hpp"
 #include "power/sweep.hpp"
 #include "rapl/rapl.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -112,14 +112,8 @@ class PowerManager {
 
   /// Adds a "power_cap gpuN <W>W" / "power_cap cpuN <W>W" instant marker
   /// to `trace` for every applied limit (rendered in the Perfetto export).
-  void set_trace(sim::Trace* trace, const sim::Simulator* sim) {
-    trace_ = trace;
-    trace_sim_ = sim;
-  }
-
-  /// Narrates retries, degradations, and reconciliation re-asserts to the
-  /// run's logger (kDebug/kInfo; not owned, may be null).
-  void set_logger(sim::Logger* log) { log_ = log; }
+  /// Markers are stamped with the manager's own simulator clock.
+  void set_trace(sim::Trace* trace) { trace_ = trace; }
 
  private:
   void note_cap_change(const std::string& device, double watts);
@@ -151,8 +145,6 @@ class PowerManager {
   std::function<void(std::size_t)> on_reassert_;
   obs::MetricsRegistry* metrics_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  const sim::Simulator* trace_sim_ = nullptr;
-  sim::Logger* log_ = nullptr;
 };
 
 }  // namespace greencap::power

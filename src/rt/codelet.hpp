@@ -34,20 +34,11 @@ struct Codelet {
   WhereMask where = kWhereAny;
   /// Kernel family — selects the per-device efficiency factor.
   hw::KernelClass klass = hw::KernelClass::kGeneric;
-  /// Host implementation used by CPU workers (and for real execution).
+  /// Host implementation, run on whichever worker executes the task when
+  /// kernels really execute; CPU and CUDA workers differ only in timing.
   KernelFunc cpu_func;
-  /// Implementation used by CUDA workers. If empty, cpu_func provides the
-  /// numerics and only the timing model differs.
-  KernelFunc cuda_func;
   /// Optional per-worker eligibility refinement; null = where-mask only.
   CanExecuteFunc can_execute;
-
-  [[nodiscard]] const KernelFunc& func_for(WorkerArch arch) const {
-    if (arch == WorkerArch::kCuda && cuda_func) {
-      return cuda_func;
-    }
-    return cpu_func;
-  }
 };
 
 }  // namespace greencap::rt

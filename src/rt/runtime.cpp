@@ -8,7 +8,6 @@
 
 #include "obs/telemetry.hpp"
 #include "prof/capture.hpp"
-#include "sim/log.hpp"
 
 namespace greencap::rt {
 
@@ -385,9 +384,8 @@ void Runtime::finish_task(Task& task, Worker& worker) {
   }
 
   if (options_.execute_kernels) {
-    const KernelFunc& func = task.codelet().func_for(worker.arch());
-    if (func) {
-      func(task);
+    if (task.codelet().cpu_func) {
+      task.codelet().cpu_func(task);
     }
   }
 
@@ -477,12 +475,6 @@ const Runtime::CodeletHistograms& Runtime::codelet_histograms(const Task& task) 
 
 void Runtime::wait_all() {
   sim_.run();
-  if (options_.log != nullptr) {
-    options_.log->logf(sim::LogLevel::kDebug,
-                       "rt: drained %llu/%zu tasks, makespan %.6fs",
-                       static_cast<unsigned long long>(tasks_completed_), tasks_.size(),
-                       last_completion_.sec());
-  }
   if (tasks_completed_ != tasks_.size()) {
     std::ostringstream oss;
     oss << "Runtime::wait_all: deadlock — " << (tasks_.size() - tasks_completed_)
@@ -709,13 +701,6 @@ void Runtime::handle_dropout(int gpu, sim::SimTime now) {
     task->assigned_worker = -1;
     task->data_ready_at = sim::SimTime::zero();
     make_ready(*task);
-  }
-  if (options_.log != nullptr) {
-    options_.log->logf(sim::LogLevel::kInfo,
-                       "rt: quarantined %s at t=%.6fs (gpu%d dropout, %zu task(s) requeued, "
-                       "%llu handle(s) refetched from host)",
-                       w.describe().c_str(), now.sec(), gpu, requeue.size(),
-                       static_cast<unsigned long long>(restored));
   }
   wake_all_idle();
 }

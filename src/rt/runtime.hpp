@@ -32,7 +32,6 @@
 #include "rt/task.hpp"
 #include "rt/types.hpp"
 #include "rt/worker.hpp"
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -88,9 +87,6 @@ struct RuntimeOptions {
   fault::FaultInjector* faults = nullptr;
   /// Optional degradation report (not owned) for quarantine/requeue events.
   fault::DegradationReport* degradation = nullptr;
-  /// Optional run-scoped logger (not owned; core::RunContext wires it).
-  /// Null keeps the runtime silent.
-  sim::Logger* log = nullptr;
 };
 
 struct TaskDesc {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
 
 namespace greencap::sim {
 
@@ -72,40 +71,6 @@ bool Trace::resource_spans_disjoint() const {
     }
   }
   return true;
-}
-
-namespace {
-
-/// RFC 4180: fields containing commas, quotes or newlines are quoted, with
-/// embedded quotes doubled. Codelet names like `gemm,tile(1,2)` would
-/// otherwise shift every column after them.
-void write_csv_field(std::ostream& os, const std::string& field) {
-  if (field.find_first_of(",\"\r\n") == std::string::npos) {
-    os << field;
-    return;
-  }
-  os << '"';
-  for (const char c : field) {
-    if (c == '"') {
-      os << '"';
-    }
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void Trace::write_csv(std::ostream& os) const {
-  // Times at 9 significant digits (%.9g), as the JSON exports write them.
-  const std::streamsize precision = os.precision(9);
-  os << "kind,resource,object,name,begin_s,end_s\n";
-  for (const Span& s : spans_) {
-    os << to_string(s.kind) << ',' << s.resource << ',' << s.object << ',';
-    write_csv_field(os, s.name);
-    os << ',' << s.begin.sec() << ',' << s.end.sec() << '\n';
-  }
-  os.precision(precision);
 }
 
 }  // namespace greencap::sim

@@ -3,11 +3,10 @@
 // The runtime and device models append spans (task executions, data
 // transfers) and instant markers (power-cap changes) to a Trace. Tests use
 // the trace to check schedule invariants (no overlapping spans on a worker,
-// dependencies respected); tools can dump it as CSV for Gantt rendering.
+// dependencies respected); obs::write_chrome_trace exports it (--trace-json).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,6 @@ class Trace {
 
   void clear();
 
-
   /// Spans on one resource, in begin-time order.
   [[nodiscard]] std::vector<Span> spans_on(std::int32_t resource) const;
 
@@ -63,9 +61,6 @@ class Trace {
   /// True iff no two spans on the same resource overlap (touching
   /// endpoints allowed).
   [[nodiscard]] bool resource_spans_disjoint() const;
-
-  /// CSV dump: kind,resource,object,name,begin_s,end_s (times at %.9g).
-  void write_csv(std::ostream& os) const;
 
  private:
   bool enabled_ = false;

@@ -15,7 +15,6 @@
 
 #include "core/checkpoint_io.hpp"
 #include "power/config.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace ckpt = greencap::ckpt;
@@ -175,28 +174,23 @@ TEST(Serial, VectorHelpersRoundTrip) {
   const std::vector<double> doubles{1.5, -2.5, 0.0};
   const std::vector<std::uint64_t> words{1, 2, 3, 4};
   const std::vector<bool> flags{true, false, true};
-  const greencap::sim::Xoshiro256 rng{7};
   ckpt::Writer w;
   w.seq(doubles, 8);
   w.seq(words, 8);
   w.seq(flags, 1);
-  w.io(rng);
 
   // Decoding replaces whatever the containers held.
   std::vector<double> doubles_in{9.0};
   std::vector<std::uint64_t> words_in;
   std::vector<bool> flags_in{false, false, false, false};
-  greencap::sim::Xoshiro256 rng_in{8};
   ckpt::Reader r{w.data()};
   r.seq(doubles_in, 8);
   r.seq(words_in, 8);
   r.seq(flags_in, 1);
-  r.io(rng_in);
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(doubles_in, doubles);
   EXPECT_EQ(words_in, words);
   EXPECT_EQ(flags_in, flags);
-  EXPECT_EQ(rng_in.state(), rng.state());
 }
 
 namespace {
@@ -330,24 +324,6 @@ TEST(Serial, EnumByteOutOfRangeThrowsCheckpointError) {
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_STREQ(e.what(), "record has an unknown color 3");
   }
-}
-
-TEST(Serial, CountMismatchNamesBothCounts) {
-  ckpt::Writer w;
-  w.count(3, 8, "tasks");
-  for (int i = 0; i < 3; ++i) w.u64(0);
-  ckpt::Reader r{w.data()};
-  try {
-    r.count(4, 8, "tasks");
-    FAIL() << "expected CheckpointError";
-  } catch (const ckpt::CheckpointError& e) {
-    EXPECT_STREQ(e.what(),
-                 "checkpoint shape mismatch: 3 tasks checkpointed, 4 in the re-submitted run");
-  }
-  // A count the payload cannot hold is a framing error, not a mismatch.
-  const std::string truncated = w.data().substr(0, 16);
-  ckpt::Reader short_read{truncated};
-  EXPECT_THROW(short_read.count(3, 8, "tasks"), ckpt::CorruptError);
 }
 
 namespace {

@@ -61,8 +61,8 @@ TEST_P(ExtensionOps, SmallProblemExecutesNumerically) {
 
 INSTANTIATE_TEST_SUITE_P(LuQr, ExtensionOps,
                          ::testing::Values(Operation::kGetrf, Operation::kGeqrf, Operation::kGelqf),
-                         [](const auto& info) {
-                           return std::string{to_string(info.param)};
+                         [](const auto& param_info) {
+                           return std::string{to_string(param_info.param)};
                          });
 
 TEST(ExtensionOps, OperationNames) {

@@ -189,12 +189,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ArchCase{"A100-PCIE-40GB", Precision::kSingle, 5760},
                       ArchCase{"V100-PCIE-32GB", Precision::kDouble, 5120},
                       ArchCase{"V100-PCIE-32GB", Precision::kSingle, 5120}),
-    [](const auto& info) {
-      std::string name = info.param.name;
+    [](const auto& param_info) {
+      std::string name = param_info.param.name;
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_" + to_string(info.param.precision);
+      return name + "_" + to_string(param_info.param.precision);
     });
 
 }  // namespace

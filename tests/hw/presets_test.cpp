@@ -37,8 +37,8 @@ TEST_P(GpuSpecSanity, KernelDrawBelowOrNearTdp) {
 INSTANTIATE_TEST_SUITE_P(AllGpus, GpuSpecSanity,
                          ::testing::Values("V100-PCIE-32GB", "A100-PCIE-40GB",
                                            "A100-SXM4-40GB", "H100-SXM5"),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            for (char& c : n) {
                              if (c == '-') c = '_';
                            }

@@ -139,7 +139,7 @@ TYPED_TEST(OperationNumerics, TransposedGemmVariants) {
   using T = TypeParam;
   const std::int64_t n = 24;
   const int nb = 8;
-  for (const auto [op_a, op_b] :
+  for (const auto& [op_a, op_b] :
        {std::pair{Trans::kTrans, Trans::kNoTrans}, std::pair{Trans::kNoTrans, Trans::kTrans},
         std::pair{Trans::kTrans, Trans::kTrans}}) {
     RtBundle bundle;

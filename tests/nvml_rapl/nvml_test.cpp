@@ -31,7 +31,7 @@ TEST_F(NvmlTest, HandleLookup) {
 
 TEST_F(NvmlTest, NameMatchesArchetype) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(1, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(1, &dev), Result::kSuccess);
   std::string name;
   EXPECT_EQ(dev->name(&name), Result::kSuccess);
   EXPECT_EQ(name, "A100-SXM4-40GB");
@@ -39,7 +39,7 @@ TEST_F(NvmlTest, NameMatchesArchetype) {
 
 TEST_F(NvmlTest, LimitsInMilliwatts) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(0, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(0, &dev), Result::kSuccess);
   std::uint32_t mw = 0;
   EXPECT_EQ(dev->power_management_limit(&mw), Result::kSuccess);
   EXPECT_EQ(mw, 400000u);
@@ -54,14 +54,14 @@ TEST_F(NvmlTest, LimitsInMilliwatts) {
 
 TEST_F(NvmlTest, SetLimitAppliesToModel) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(2, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(2, &dev), Result::kSuccess);
   EXPECT_EQ(dev->set_power_management_limit(216000), Result::kSuccess);
   EXPECT_DOUBLE_EQ(platform_.gpu(2).power_cap(), 216.0);
 }
 
 TEST_F(NvmlTest, SetLimitRejectsOutOfRangeLikeRealNvml) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(0, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(0, &dev), Result::kSuccess);
   EXPECT_EQ(dev->set_power_management_limit(50000), Result::kInvalidArgument);
   EXPECT_EQ(dev->set_power_management_limit(999000), Result::kInvalidArgument);
   EXPECT_DOUBLE_EQ(platform_.gpu(0).power_cap(), 400.0);  // unchanged
@@ -69,7 +69,7 @@ TEST_F(NvmlTest, SetLimitRejectsOutOfRangeLikeRealNvml) {
 
 TEST_F(NvmlTest, EnergyCounterInMillijoules) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(0, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(0, &dev), Result::kSuccess);
   sim_.at(sim::SimTime::seconds(10.0), [] {});
   sim_.run();
   std::uint64_t mj = 0;
@@ -80,7 +80,7 @@ TEST_F(NvmlTest, EnergyCounterInMillijoules) {
 
 TEST_F(NvmlTest, PowerUsageReflectsKernelState) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(0, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(0, &dev), Result::kSuccess);
   std::uint32_t mw = 0;
   EXPECT_EQ(dev->power_usage(&mw), Result::kSuccess);
   EXPECT_EQ(mw, 55000u);  // idle
@@ -93,7 +93,7 @@ TEST_F(NvmlTest, PowerUsageReflectsKernelState) {
 
 TEST_F(NvmlTest, NullOutputPointersRejected) {
   Device* dev = nullptr;
-  ctx_.device_handle_by_index(0, &dev);
+  ASSERT_EQ(ctx_.device_handle_by_index(0, &dev), Result::kSuccess);
   EXPECT_EQ(dev->name(nullptr), Result::kInvalidArgument);
   EXPECT_EQ(dev->power_management_limit(nullptr), Result::kInvalidArgument);
   EXPECT_EQ(dev->total_energy_consumption(nullptr), Result::kInvalidArgument);

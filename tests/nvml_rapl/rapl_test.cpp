@@ -25,7 +25,7 @@ TEST_F(RaplTest, PackageNames) {
 }
 
 TEST_F(RaplTest, OutOfRangePackageThrows) {
-  EXPECT_THROW(session_.package(5), std::out_of_range);
+  EXPECT_THROW((void)session_.package(5), std::out_of_range);
 }
 
 TEST_F(RaplTest, EnergyCounterInMicrojoules) {

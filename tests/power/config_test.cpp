@@ -28,7 +28,7 @@ TEST(GpuConfig, LevelsAccessible) {
   EXPECT_EQ(cfg.level(0), Level::kHigh);
   EXPECT_EQ(cfg.level(1), Level::kBest);
   EXPECT_EQ(cfg.level(2), Level::kLow);
-  EXPECT_THROW(cfg.level(3), std::out_of_range);
+  EXPECT_THROW((void)cfg.level(3), std::out_of_range);
 }
 
 TEST(GpuConfig, Uniform) {

@@ -22,7 +22,7 @@ TEST_F(ManagerTest, HighAndLowResolveWithoutSweep) {
 }
 
 TEST_F(ManagerTest, BestUnresolvedThrows) {
-  EXPECT_THROW(mgr_.watts_for(0, Level::kBest), std::invalid_argument);
+  EXPECT_THROW((void)mgr_.watts_for(0, Level::kBest), std::invalid_argument);
   EXPECT_THROW(mgr_.apply(GpuConfig::parse("BBBB")), std::invalid_argument);
 }
 

@@ -129,8 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{"dmdas", 11, 6, 150}, FuzzCase{"dmdas", 12, 12, 300},
                       FuzzCase{"dmdae", 13, 6, 150}, FuzzCase{"dmdae", 14, 12, 300},
                       FuzzCase{"dmdas", 15, 3, 500}, FuzzCase{"dmdas", 16, 24, 500}),
-    [](const auto& info) {
-      return std::string{info.param.scheduler} + "_seed" + std::to_string(info.param.seed);
+    [](const auto& param_info) {
+      return std::string{param_info.param.scheduler} + "_seed" +
+             std::to_string(param_info.param.seed);
     });
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST_F(RuntimeTest, DependentTasksSerialize) {
     TaskDesc desc;
     desc.codelet = &cuda_only_;
     desc.work = gemm_work(5760);
-    desc.accesses = {{h, AccessMode::kReadWrite}};
+    desc.accesses.push_back({h, AccessMode::kReadWrite});
     rt.submit(std::move(desc));
   }
   rt.wait_all();
@@ -130,7 +130,7 @@ TEST_F(RuntimeTest, TransfersDelayRemoteData) {
   TaskDesc desc;
   desc.codelet = &cuda_only_;
   desc.work = gemm_work(5760);
-  desc.accesses = {{h, AccessMode::kRead}};
+  desc.accesses.push_back({h, AccessMode::kRead});
   rt.submit(std::move(desc));
   rt.wait_all();
   // 512 MB at 24 GB/s is ~21 ms of transfer before the ~21 ms kernel.
@@ -152,7 +152,7 @@ TEST_F(RuntimeTest, SecondReadOnSameNodeNeedsNoTransfer) {
     TaskDesc desc;
     desc.codelet = &cuda_only_;
     desc.work = gemm_work(5760);
-    desc.accesses = {{h, AccessMode::kRead}};
+    desc.accesses.push_back({h, AccessMode::kRead});
     rt.submit(std::move(desc));
   }
   rt.wait_all();
@@ -167,7 +167,7 @@ TEST_F(RuntimeTest, WriteInvalidatesOtherCopies) {
   TaskDesc producer;
   producer.codelet = &cuda_only_;
   producer.work = gemm_work(5760);
-  producer.accesses = {{h, AccessMode::kWrite}};
+  producer.accesses.push_back({h, AccessMode::kWrite});
   rt.submit(std::move(producer));
   rt.wait_all();
   EXPECT_FALSE(h->valid_on(kHostNode));
@@ -185,13 +185,13 @@ TEST_F(RuntimeTest, CpuReadOfGpuDataTriggersD2H) {
   TaskDesc producer;
   producer.codelet = &cuda_only_;
   producer.work = gemm_work(5760);
-  producer.accesses = {{h, AccessMode::kWrite}};
+  producer.accesses.push_back({h, AccessMode::kWrite});
   rt.submit(std::move(producer));
 
   TaskDesc consumer;
   consumer.codelet = &cpu_only;
   consumer.work = gemm_work(256);
-  consumer.accesses = {{h, AccessMode::kRead}};
+  consumer.accesses.push_back({h, AccessMode::kRead});
   rt.submit(std::move(consumer));
   rt.wait_all();
   EXPECT_TRUE(h->valid_on(kHostNode));
@@ -242,7 +242,7 @@ TEST_F(RuntimeTest, TraceSpansAreDisjointPerWorker) {
     desc.codelet = &noop_;
     desc.work = gemm_work(2880);
     if (i % 3 == 0) {
-      desc.accesses = {{h, AccessMode::kReadWrite}};
+      desc.accesses.push_back({h, AccessMode::kReadWrite});
     }
     rt.submit(std::move(desc));
   }
@@ -266,7 +266,7 @@ TEST_F(RuntimeTest, TraceStaysConsistentUnderPrefetch) {
     TaskDesc desc;
     desc.codelet = &cuda_only_;
     desc.work = gemm_work(2880);
-    desc.accesses = {{inputs[static_cast<std::size_t>(i) % inputs.size()], AccessMode::kRead}};
+    desc.accesses.push_back({inputs[static_cast<std::size_t>(i) % inputs.size()], AccessMode::kRead});
     if (i % 5 == 0) {
       desc.accesses.push_back({chain, AccessMode::kReadWrite});
     }
@@ -328,7 +328,7 @@ TEST_F(RuntimeTest, DeterministicAcrossRuns) {
       TaskDesc desc;
       desc.codelet = &noop_;
       desc.work = gemm_work(2880);
-      if (i % 4 == 0) desc.accesses = {{h, AccessMode::kReadWrite}};
+      if (i % 4 == 0) desc.accesses.push_back({h, AccessMode::kReadWrite});
       rt.submit(std::move(desc));
     }
     rt.wait_all();
@@ -371,7 +371,7 @@ TEST_F(RuntimeTest, EverySchedulerCompletesTheDag) {
       TaskDesc desc;
       desc.codelet = &noop_;
       desc.work = gemm_work(2880);
-      desc.accesses = {{i % 2 ? a : b, AccessMode::kReadWrite}};
+      desc.accesses.push_back({i % 2 ? a : b, AccessMode::kReadWrite});
       desc.priority = i;
       rt.submit(std::move(desc));
     }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace greencap::sim {
 namespace {
 
@@ -77,43 +75,6 @@ TEST(Trace, ClearEmpties) {
   trace.add_span(make_span(0, 0.0, 1.0));
   trace.clear();
   EXPECT_TRUE(trace.spans().empty());
-}
-
-TEST(Trace, CsvHasHeaderAndRows) {
-  Trace trace;
-  trace.enable();
-  trace.add_span(make_span(0, 0.0, 1.0));
-  std::ostringstream oss;
-  trace.write_csv(oss);
-  const std::string csv = oss.str();
-  EXPECT_NE(csv.find("kind,resource"), std::string::npos);
-  EXPECT_NE(csv.find("task,0"), std::string::npos);
-}
-
-TEST(Trace, CsvQuotesNamesWithCommasAndQuotes) {
-  Trace trace;
-  trace.enable();
-  Span span = make_span(0, 0.0, 1.0);
-  span.name = "gemm,tile(1,2)";
-  trace.add_span(span);
-  Span quoted = make_span(1, 1.0, 2.0);
-  quoted.name = "say \"hi\"";
-  trace.add_span(quoted);
-  std::ostringstream oss;
-  trace.write_csv(oss);
-  const std::string csv = oss.str();
-  // RFC 4180: comma-bearing field quoted, embedded quotes doubled.
-  EXPECT_NE(csv.find("task,0,0,\"gemm,tile(1,2)\",0,1"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("task,1,0,\"say \"\"hi\"\"\",1,2"), std::string::npos) << csv;
-}
-
-TEST(Trace, CsvLeavesPlainNamesUnquoted) {
-  Trace trace;
-  trace.enable();
-  trace.add_span(make_span(0, 0.0, 1.0));
-  std::ostringstream oss;
-  trace.write_csv(oss);
-  EXPECT_NE(oss.str().find("task,0,0,k,0,1"), std::string::npos) << oss.str();
 }
 
 TEST(Trace, SpanKindNames) {

@@ -2,7 +2,8 @@
 """The greencap CLI rejects bad input with exit 2, never abort().
 
 Each case below used to crash (uncaught exception, exit 134), fail late
-(exit 1 from the power manager or the fault-plan parser), or silently run
+(exit 1 from inside the run: the power manager, the fault-plan parser,
+the scheduler table, the tile-size check), or silently run
 with a default or a meaningless value (a negative period, a fault aimed at
 a GPU the platform lacks). Every
 one must now exit 2 with a one-line message naming the offending flag,
@@ -38,6 +39,9 @@ BAD_INPUT = [
     (["--faults", "dropout@gpu99999999999:t=1"], "--faults"),  # gpu index outside int
     (["--faults", "capfail@gpu1:count=1e12"], "--faults"),  # count is not an integer
     (["--faults", "dropout@gpu0:t=nan"], "--faults"),  # used to crash the run
+    (["--scheduler", "bogus"], "--scheduler"),
+    (["--cpu-cap", "3:0.5"], "--cpu-cap"),  # 32-AMD-4-A100 has one CPU package
+    (["--n", "23040", "--nb", "2000"], "--n"),  # n is not a multiple of nb
 ]
 # The JSON form follows the spec form's value rules: no fractional gpu/count.
 JSON_PLAN = '{"events":[{"kind":"capfail","gpu":1.7,"count":2.5}]}'

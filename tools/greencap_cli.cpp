@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     base_cfg.obs = {};
     configs.push_back(std::move(base_cfg));
   }
-  if (const std::string err = core::check_fault_plans(configs); !err.empty()) {
+  if (const std::string err = core::check_configs(configs); !err.empty()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
     return 2;
   }
