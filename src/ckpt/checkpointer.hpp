@@ -2,24 +2,23 @@
 //
 // The Checkpointer owns two simulator events:
 //
-//  * the *tick* — every `period` of virtual time it invokes the caller's
-//    write callback (which captures the run and writes a checkpoint
-//    file). A tick is a pure read plus file I/O: it never advances
-//    platform energy or touches run state, so enabling checkpointing
-//    leaves every artifact byte-identical. A pending interrupt (SIGINT /
-//    SIGTERM latch) is honoured at the next tick: one final checkpoint
-//    with reason "signal", then InterruptedError unwinds the run.
+//  * the *tick* — every `period` of virtual time it polls the interrupt
+//    latch (SIGINT / SIGTERM). Unlatched, it calls the callback with
+//    "periodic", which counts a kill point and writes nothing. Latched,
+//    it calls the callback with "signal" (one final checkpoint) and
+//    InterruptedError unwinds the run. A tick never advances platform
+//    energy or touches run state, so enabling it leaves every artifact
+//    byte-identical.
 //
 //  * the *watchdog* — every `watchdog` of virtual time it samples a
 //    progress counter (completed tasks). If the counter has not moved
 //    since the previous sample, the run is declared hung: a final
 //    checkpoint with reason "watchdog" is written and HangError thrown,
-//    so a deadlocked experiment aborts with its state preserved instead
-//    of spinning forever.
+//    so a deadlocked experiment aborts with its campaign preserved
+//    instead of spinning forever.
 //
 // A resume re-runs the in-flight experiment from its start, so both events
-// are armed fresh by arm() on every run; the write callback decides whether
-// a tick writes (see core::RunContext).
+// are armed fresh by arm() on every run (see core::RunContext).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,8 @@ class HangError : public std::runtime_error {
 
 class Checkpointer {
  public:
-  /// `write(reason)` must capture the run and write the checkpoint file.
+  /// `write(reason)`: "periodic" at an unlatched tick, else ("signal",
+  /// "watchdog") the run stops and must write its checkpoint file.
   using WriteFn = std::function<void(const char* reason)>;
   /// Monotone progress probe; the watchdog declares a hang when two
   /// consecutive samples are equal.

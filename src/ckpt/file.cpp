@@ -82,18 +82,13 @@ std::string manifest_to_json(const Manifest& manifest) {
   return os.str();
 }
 
-void write_checkpoint_file(const std::string& path, Manifest manifest,
-                           std::initializer_list<std::string_view> payload) {
-  manifest.payload_bytes = 0;
-  manifest.payload_crc32 = 0;
-  for (const std::string_view piece : payload) {
-    manifest.payload_bytes += piece.size();
-    manifest.payload_crc32 = crc32(piece.data(), piece.size(), manifest.payload_crc32);
-  }
+void write_checkpoint_file(const std::string& path, Manifest manifest, std::string_view payload) {
+  manifest.payload_bytes = payload.size();
+  manifest.payload_crc32 = crc32(payload.data(), payload.size());
   const std::string manifest_json = manifest_to_json(manifest);
 
   // Everything before the payload; the payload itself goes to the file
-  // straight from the callers' buffers. The file CRC extends the header's
+  // straight from the caller's buffer. The file CRC extends the header's
   // over the payload by crc32_combine, so the payload is scanned once.
   Writer w;
   w.bytes(kMagic, 4);
@@ -127,9 +122,7 @@ void write_checkpoint_file(const std::string& path, Manifest manifest,
     }
   };
   write_all(header.data(), header.size());
-  for (const std::string_view piece : payload) {
-    write_all(piece.data(), piece.size());
-  }
+  write_all(payload.data(), payload.size());
   char crc_bytes[4];
   for (int i = 0; i < 4; ++i) crc_bytes[i] = static_cast<char>((file_crc >> (8 * i)) & 0xffU);
   write_all(crc_bytes, 4);

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -34,15 +33,15 @@
 namespace greencap::ckpt {
 
 inline constexpr char kMagic[5] = "GCKP";
-/// Version 2: a run checkpoint holds a run marker, not the run's state.
+/// Version 2: a run checkpoint holds no run state (version 1 held it all).
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// The manifest fields GreenCap writes. `extra` (if any) is appended
 /// verbatim inside the JSON object — the experiment layer uses it for
 /// campaign progress counters.
 struct Manifest {
-  std::string kind;      ///< "campaign" (between runs) or "run" (mid-run).
-  std::string reason;    ///< "periodic" | "boundary" | "signal" | "watchdog" | "final".
+  std::string kind;      ///< "campaign" (between runs) or "run" (a run stopped mid-way).
+  std::string reason;    ///< "boundary" | "signal" (campaign); "signal" | "watchdog" (run).
   std::uint64_t signature = 0;   ///< FNV-1a over the campaign's config encodings.
   std::uint64_t completed = 0;   ///< Experiments fully finished before this point.
   double t_virtual_s = 0.0;      ///< Virtual clock of the checkpointed run (0 at boundaries).
@@ -60,13 +59,11 @@ struct CheckpointFile {
 /// Serializes the manifest to its canonical one-line JSON form.
 [[nodiscard]] std::string manifest_to_json(const Manifest& manifest);
 
-/// Atomically writes a payload under `manifest` to `path` (tmp + fsync +
-/// rename). The payload is the concatenation of `payload`'s pieces, written
-/// in order straight from the callers' buffers. The manifest's
+/// Atomically writes `payload` under `manifest` to `path` (tmp + fsync +
+/// rename), straight from the caller's buffer. The manifest's
 /// payload_bytes/payload_crc32 are computed here. Throws CheckpointError on
 /// any I/O failure.
-void write_checkpoint_file(const std::string& path, Manifest manifest,
-                           std::initializer_list<std::string_view> payload);
+void write_checkpoint_file(const std::string& path, Manifest manifest, std::string_view payload);
 
 /// Reads and fully validates a checkpoint: magic, version, section lengths
 /// against the file size, whole-file CRC, and the manifest's embedded

@@ -1,9 +1,10 @@
 // Async-signal-safe interrupt latch for checkpoint-on-SIGINT/SIGTERM.
 //
 // The handler only sets a volatile flag; the checkpointer polls it at
-// every periodic tick and the experiment driver at every campaign
-// boundary, writes a final checkpoint, and unwinds with InterruptedError
-// so main() can exit with the conventional 128+SIGINT status.
+// every periodic tick (writing a "run" checkpoint) and the campaign engine
+// at every experiment boundary (a "campaign" checkpoint), then unwinds
+// with InterruptedError so main() can exit with the conventional
+// 128+SIGINT status.
 #pragma once
 
 #include <stdexcept>

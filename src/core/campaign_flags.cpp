@@ -1,6 +1,7 @@
 #include "core/campaign_flags.hpp"
 
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -67,6 +68,10 @@ std::string CampaignFlags::parse(const FlagParser& parser, int argc, char* const
       got << value;
       return std::string{flag} + " expects a non-negative value, got " + got.str();
     }
+  }
+  if (!ckpt.resume_path.empty() && !std::filesystem::is_regular_file(ckpt.resume_path)) {
+    return "--resume expects a checkpoint file, got '" + ckpt.resume_path +
+           "' (missing or not a regular file)";
   }
   if (checkpointing(ckpt) && jobs != 1) {
     // A session replays a strictly serial campaign prefix and commits each

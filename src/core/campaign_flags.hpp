@@ -39,8 +39,9 @@ struct CampaignFlags {
   void add_all(FlagParser& parser);
 
   /// Parses argv with `parser`, then checks --jobs and its combination with
-  /// the checkpoint flags. Returns the first error (drivers print it after
-  /// "argv0: " and exit 2), or an empty string.
+  /// the checkpoint flags, and that a --resume path is a regular file.
+  /// Returns the first error (drivers print it after "argv0: " and exit 2),
+  /// or an empty string.
   [[nodiscard]] std::string parse(const FlagParser& parser, int argc, char* const* argv) const;
 
   /// Capture switches for the requested files. A trace, a profile, or
@@ -76,11 +77,11 @@ inline constexpr const char* kResilienceHelp =
 inline constexpr const char* kCheckpointHelp =
     "checkpoint/restart (docs/CHECKPOINTING.md):\n"
     "  --checkpoint FILE        write crash-consistent checkpoints to FILE\n"
-    "  --checkpoint-every-ms N  also checkpoint mid-run every N virtual ms\n"
+    "  --checkpoint-every-ms N  honour SIGINT/SIGTERM mid-run every N virtual ms\n"
     "  --watchdog-ms N          abort-with-checkpoint if no task completes\n"
     "                           for N virtual ms\n"
     "  --resume FILE            resume a killed/interrupted run from FILE\n"
-    "  --ckpt-kill-after N      test hook: _Exit(137) after the Nth write\n";
+    "  --ckpt-kill-after N      test hook: _Exit(137) at the Nth write or tick\n";
 
 /// Called after each artifact lands, to print the driver's "wrote" line.
 using WroteHook = std::function<void(const char* what, const std::string& path)>;
@@ -93,8 +94,8 @@ void export_artifact(const std::string& path, const char* what,
 
 /// If `result` carries a capture, exports the files `flags` requests from
 /// it in this order: trace, metrics, `between(capture)` (the driver's own
-/// files), profile JSON, HTML report. Replayed results carry none: their
-/// files were written before their commit.
+/// files), profile JSON, HTML report. Replayed results carry none: a run
+/// that captured is re-run on resume, not replayed.
 void export_capture(const ExperimentResult& result, const CampaignFlags& flags,
                     const WroteHook& wrote,
                     const std::function<void(const ObservabilityData&)>& between = {});

@@ -37,18 +37,11 @@ void CheckpointSession::load_resume_file() {
   ck::Reader r{file.payload};
   io_campaign(r, completed_);
   if (r.boolean()) {
-    // The run marker closes the payload: decode_marker rejects any other
-    // length, trailing bytes included.
-    pending_run_config_ = r.str();
-    pending_run_.bytes = file.payload.substr(r.offset());
-    const ckpt_io::RunMarker marker = ckpt_io::decode_marker(pending_run_.bytes);
-    if (marker.experiment != completed_.size()) {
-      throw ck::CheckpointError{"checkpoint run marker is for experiment #" +
-                                std::to_string(marker.experiment) + " but " +
-                                std::to_string(completed_.size()) + " experiments completed"};
-    }
-    pending_run_.t_virtual_s = marker.t_virtual_s;
-  } else if (!r.at_end()) {
+    throw ck::CheckpointError{"checkpoint " + options_.resume_path +
+                              " was written mid-run by an older build (its payload carries a "
+                              "run marker); this build cannot resume it"};
+  }
+  if (!r.at_end()) {
     throw ck::CheckpointError{"checkpoint payload has " + std::to_string(r.remaining()) +
                               " trailing bytes after the campaign section"};
   }
@@ -71,10 +64,21 @@ std::optional<ExperimentResult> CheckpointSession::try_replay(const ExperimentCo
         config.describe() +
         "' differs from the checkpointed campaign — resume with the identical command line"};
   }
+  if (blob.had_obs) {
+    // Its capture is not stored (the exports landed before its commit), so
+    // re-run it to export it and print it again; commit() checks the result.
+    return std::nullopt;
+  }
   ck::Reader r{blob.result_bytes};
   ExperimentResult result = ckpt_io::decode_result(r);
   ++cursor_;
   return result;
+}
+
+void CheckpointSession::write_boundary() {
+  if (writes_enabled()) {
+    write_file("campaign", "boundary", 0.0);
+  }
 }
 
 void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentResult& result) {
@@ -84,14 +88,19 @@ void CheckpointSession::commit(const ExperimentConfig& config, const ExperimentR
   ckpt_io::encode_result(w, result);
   blob.result_bytes = w.take();
   blob.had_obs = result.observability != nullptr;
+  if (cursor_ < completed_.size()) {
+    // A re-run of a stored experiment (see try_replay): already on file.
+    if (blob.result_bytes != completed_[cursor_].result_bytes) {
+      throw ck::CheckpointError{"resume diverged: re-running experiment #" +
+                                std::to_string(cursor_) +
+                                " gave a result that differs from the checkpointed one"};
+    }
+    ++cursor_;
+    return;
+  }
   completed_.push_back(std::move(blob));
   cursor_ = completed_.size();
-  // The just-finished run's mid-run state (if any) is obsolete now.
-  pending_run_config_.clear();
-  pending_run_ = {};
-  if (writes_enabled()) {
-    write_campaign("boundary");
-  }
+  write_boundary();
 }
 
 void CheckpointSession::check_interrupt() {
@@ -99,77 +108,50 @@ void CheckpointSession::check_interrupt() {
     return;
   }
   if (writes_enabled()) {
-    write_campaign("signal");
+    write_file("campaign", "signal", 0.0);
   }
   throw ck::InterruptedError{
       "interrupted (SIGINT/SIGTERM): campaign checkpoint written at the experiment boundary"};
 }
 
-std::optional<ckpt_io::RunState> CheckpointSession::take_pending_run(
-    const ExperimentConfig& config) {
-  if (pending_run_.bytes.empty()) {
-    return std::nullopt;
-  }
-  if (ckpt_io::config_bytes(config) != pending_run_config_) {
-    throw ck::CheckpointError{
-        "resume mismatch: the checkpoint's mid-run state belongs to a different experiment "
-        "than '" +
-        config.describe() + "' — resume with the identical command line"};
-  }
-  ckpt_io::RunState state = std::move(pending_run_);
-  pending_run_config_.clear();
-  pending_run_ = {};
-  return state;
-}
+void CheckpointSession::tick() { count_point(); }
 
-void CheckpointSession::write_run_checkpoint(const char* reason, const ExperimentConfig& config,
+void CheckpointSession::write_run_checkpoint(const char* reason,
+                                             const ExperimentConfig& /*config*/,
                                              const ckpt_io::RunState& state) {
-  ckpt_io::RunMarker marker = ckpt_io::decode_marker(state.bytes);
-  marker.experiment = completed_.size();
-  ck::Writer w;
-  append_campaign_section(w);
-  w.boolean(true);
-  w.str(ckpt_io::config_bytes(config));
-
-  ck::Manifest manifest;
-  manifest.kind = "run";
-  manifest.reason = reason;
-  manifest.signature = signature();
-  manifest.completed = completed_.size();
-  manifest.t_virtual_s = marker.t_virtual_s;
-  write_file(std::move(manifest), {w.data(), ckpt_io::encode_marker(marker)});
+  write_file("run", reason, state.t_virtual_s);
 }
 
-void CheckpointSession::write_campaign(const char* reason) {
+void CheckpointSession::write_file(const char* kind, const char* reason, double t_virtual_s) {
+  // Every payload is the campaign section and a closing 0 byte, which
+  // load_resume_file() requires.
   ck::Writer w;
-  append_campaign_section(w);
+  io_campaign(w, completed_);
   w.boolean(false);
 
   ck::Manifest manifest;
-  manifest.kind = "campaign";
+  manifest.kind = kind;
   manifest.reason = reason;
   manifest.signature = signature();
   manifest.completed = completed_.size();
-  write_file(std::move(manifest), {w.data()});
-}
-
-void CheckpointSession::append_campaign_section(ck::Writer& w) const {
-  io_campaign(w, completed_);
-}
-
-void CheckpointSession::write_file(ck::Manifest manifest,
-                                   std::initializer_list<std::string_view> payload) {
-  ck::write_checkpoint_file(options_.path, std::move(manifest), payload);
+  manifest.t_virtual_s = t_virtual_s;
+  ck::write_checkpoint_file(options_.path, std::move(manifest), w.data());
   ++writes_;
-  if (options_.kill_after > 0 && writes_ >= options_.kill_after) {
-    // Chaos hook: simulate a hard kill the instant the rename landed.
-    // _Exit skips destructors and atexit handlers, like SIGKILL would.
+  count_point();
+}
+
+void CheckpointSession::count_point() {
+  ++points_;
+  if (options_.kill_after > 0 && points_ >= options_.kill_after) {
+    // Chaos hook: simulate a hard kill at this point (for a write, the
+    // instant its rename landed). _Exit skips destructors and atexit
+    // handlers, like SIGKILL would.
     std::_Exit(137);
   }
 }
 
 std::uint64_t CheckpointSession::signature() const {
-  // FNV-1a over every completed config encoding plus the pending run's.
+  // FNV-1a over every completed config encoding.
   std::uint64_t h = 14695981039346656037ULL;
   auto mix = [&h](const std::string& bytes) {
     for (const char c : bytes) {
@@ -180,7 +162,6 @@ std::uint64_t CheckpointSession::signature() const {
   for (const CompletedBlob& blob : completed_) {
     mix(blob.config_bytes);
   }
-  mix(pending_run_config_);
   return h;
 }
 

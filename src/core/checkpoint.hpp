@@ -4,16 +4,17 @@
 // which owns the session protocol for every driver, and gives a whole
 // campaign crash consistency:
 //
-//  * after every completed experiment it appends the result to its
-//    completed list and writes a *boundary* checkpoint — kill the process
-//    between experiments and a resume replays the finished ones instead
-//    of re-running them, byte-identically;
+//  * before the first experiment and after every completed one it writes
+//    a *boundary* checkpoint of the completed results — kill the process
+//    anywhere and a resume replays the finished experiments instead of
+//    re-running them, byte-identically, and re-runs the in-flight one from
+//    its start;
 //
-//  * during an experiment (when --checkpoint-every-ms / --watchdog-ms are
-//    set) run_experiment() calls back into write_run_checkpoint() with an
-//    encoded run marker, producing a *run* checkpoint. A resume re-runs
-//    the in-flight experiment from its start and checks the marker's digest
-//    when the replay reaches the marked tick;
+//  * when a run stops early (a signal at a periodic tick, or the hang
+//    watchdog) run_experiment() calls back into write_run_checkpoint(),
+//    producing a *run* checkpoint. Its payload is the boundary payload;
+//    only its manifest says where the run stopped. Periodic ticks write
+//    nothing;
 //
 //  * a SIGINT/SIGTERM latch is honoured between experiments (and at the
 //    next periodic tick inside one): a final "signal" checkpoint is
@@ -27,10 +28,8 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ckpt/file.hpp"
@@ -44,12 +43,14 @@ struct CheckpointOptions {
   std::string path;
   /// Checkpoint file to resume from (--resume). Empty = fresh start.
   std::string resume_path;
-  /// Mid-run periodic checkpoint interval in virtual ms (0 = boundaries only).
+  /// Periodic tick interval in virtual ms (0 = no ticks). A tick polls the
+  /// interrupt latch and is a kill point; it writes nothing.
   double every_ms = 0.0;
   /// Hang-watchdog window in virtual ms (0 = no watchdog).
   double watchdog_ms = 0.0;
-  /// Test hook (--ckpt-kill-after): _Exit(137) right after the Nth
-  /// checkpoint file write completes. 0 = never.
+  /// Test hook (--ckpt-kill-after): _Exit(137) at the Nth checkpoint point,
+  /// counting file writes (right after the rename lands) and periodic
+  /// ticks. 0 = never.
   int kill_after = 0;
 };
 
@@ -67,34 +68,43 @@ class CheckpointSession {
 
   /// If the next campaign position is a replay, verifies `config` matches
   /// the checkpointed config byte-for-byte and returns the stored result;
-  /// std::nullopt once the replay prefix is exhausted. Also honours the
-  /// interrupt latch.
+  /// std::nullopt once the replay prefix is exhausted, or for a stored run
+  /// that captured observability, which is re-run so its exports and
+  /// stdout come out again. Also honours the interrupt latch.
   [[nodiscard]] std::optional<ExperimentResult> try_replay(const ExperimentConfig& config);
+
+  /// Writes a boundary checkpoint of the completed experiments, if writes
+  /// are enabled. The engine calls it before the first experiment, so every
+  /// later kill point leaves a resumable file.
+  void write_boundary();
 
   /// Appends a freshly executed result and writes the boundary checkpoint.
   /// The result's artifacts must be exported BEFORE commit() (the engine
-  /// commits after its result hook): once the boundary write lands, a
-  /// resume will not re-export them.
+  /// commits after its result hook). The re-run of a stored experiment
+  /// writes nothing; its result must equal the stored one, or
+  /// ckpt::CheckpointError is thrown.
   void commit(const ExperimentConfig& config, const ExperimentResult& result);
 
   /// Between-experiment interrupt point: if SIGINT/SIGTERM was latched,
   /// writes a "signal" campaign checkpoint and throws ckpt::InterruptedError.
   void check_interrupt();
 
-  /// Consumes the resume file's run marker, if it carries one. Throws
-  /// ckpt::CheckpointError when the marker belongs to a different config
-  /// than the experiment about to run.
-  [[nodiscard]] std::optional<ckpt_io::RunState> take_pending_run(
-      const ExperimentConfig& config);
+  /// A periodic tick of the in-flight run: a kill point that writes nothing.
+  void tick();
 
-  /// Mid-run write path (periodic tick / watchdog / signal), called from
-  /// inside run_experiment() with a captured marker, which is stamped with
-  /// the in-flight experiment's campaign index.
-  void write_run_checkpoint(const char* reason, const ExperimentConfig& config,
+  /// Run-stop write path (signal at a tick / watchdog), called from inside
+  /// run_experiment(): the boundary payload under a "run" manifest carrying
+  /// `reason` and the stop's virtual time. A resume re-runs the in-flight
+  /// experiment from its start, so its config is not stored; the parameter
+  /// stays for perfbench's traced replay (perfbench/src/replay.cpp).
+  void write_run_checkpoint(const char* reason, const ExperimentConfig& /*config*/,
                             const ckpt_io::RunState& state);
 
-  /// Checkpoint file writes performed so far (boundary + mid-run).
+  /// Checkpoint file writes performed so far.
   [[nodiscard]] int writes() const { return writes_; }
+  /// Checkpoint points so far (file writes and periodic ticks), the count
+  /// --ckpt-kill-after stops at.
+  [[nodiscard]] int points() const { return points_; }
 
  private:
   struct CompletedBlob {
@@ -104,22 +114,19 @@ class CheckpointSession {
   };
 
   void load_resume_file();
-  void write_campaign(const char* reason);
-  void write_file(ckpt::Manifest manifest, std::initializer_list<std::string_view> payload);
-  void append_campaign_section(ckpt::Writer& w) const;
+  void write_file(const char* kind, const char* reason, double t_virtual_s);
+  void count_point();
   [[nodiscard]] std::uint64_t signature() const;
 
   CheckpointOptions options_;
   std::vector<CompletedBlob> completed_;
   std::size_t cursor_ = 0;
-  std::string pending_run_config_;
-  ckpt_io::RunState pending_run_;  ///< run marker to resume to; empty bytes = none
   int writes_ = 0;
+  int points_ = 0;
 };
 
-/// run_experiment() with checkpoint support: replays to the session's
-/// pending run marker when present, and arms the periodic ticker and hang
-/// watchdog when the session enables them. `session == nullptr` is
+/// run_experiment() with checkpoint support: arms the periodic ticker and
+/// hang watchdog when the session enables them. `session == nullptr` is
 /// exactly the plain run_experiment().
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               CheckpointSession* session,

@@ -110,17 +110,6 @@ void io_result(C& c, T& res) {
   c.io(res.energy_counter_resets);
 }
 
-template <typename C, typename T>
-void io_marker(C& c, T& m) {
-  c.tag("MARK");
-  c.io(m.experiment);
-  c.io(m.t_virtual_s);
-  c.io(m.events);
-  c.io(m.tasks_completed);
-  c.io(m.energy_j);
-  for (auto& word : m.rng) c.io(word);
-}
-
 }  // namespace
 
 void encode_config(ck::Writer& w, const ExperimentConfig& config) { io_config(w, config); }
@@ -143,23 +132,6 @@ ExperimentResult decode_result(ck::Reader& r) {
   ExperimentResult result;
   io_result(r, result);
   return result;
-}
-
-std::string encode_marker(const RunMarker& marker) {
-  ck::Writer w;
-  io_marker(w, marker);
-  return w.take();
-}
-
-RunMarker decode_marker(std::string_view bytes) {
-  if (bytes.size() != kRunMarkerBytes) {
-    throw ck::CheckpointError{"checkpoint run marker is " + std::to_string(bytes.size()) +
-                              " bytes, expected " + std::to_string(kRunMarkerBytes)};
-  }
-  RunMarker marker;
-  ck::Reader r{bytes.data(), bytes.size()};
-  io_marker(r, marker);
-  return marker;
 }
 
 }  // namespace greencap::core::ckpt_io

@@ -1,6 +1,6 @@
 // Encodings of experiment state for checkpoint payloads.
 //
-// Three kinds of record live inside a checkpoint file (docs/CHECKPOINTING.md):
+// Two kinds of record live inside a checkpoint file (docs/CHECKPOINTING.md):
 //
 //  * an ExperimentConfig encoding — the campaign's identity. A resume
 //    re-derives its experiment sequence from the same binary+flags and
@@ -9,48 +9,23 @@
 //
 //  * an ExperimentResult encoding — a completed experiment, replayed on
 //    resume instead of re-run. Every double is stored by bit pattern, so
-//    replayed results reproduce the original artifact bytes exactly;
+//    replayed results reproduce the original artifact bytes exactly.
 //
-//  * a run marker — where a mid-run checkpoint was taken. A run is a pure
-//    function of its config and seed, so a resume re-runs the in-flight
-//    experiment from its start instead of restoring its state, and checks
-//    the marker's digest of cheap state when it reaches the marked tick.
+// Nothing of an in-flight run is stored: a run is a pure function of its
+// config and seed, so a resume re-runs it from its start.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "ckpt/serial.hpp"
 #include "core/experiment.hpp"
 
 namespace greencap::core::ckpt_io {
 
-/// One run checkpoint as the checkpointer hands it to the session: the
-/// encoded RunMarker and the virtual time it was taken at.
+/// Where a run checkpoint was taken: the virtual time of the stopped run.
 struct RunState {
   double t_virtual_s = 0.0;
-  std::string bytes;
 };
-
-/// "MARK": where a run checkpoint was taken, and a digest of the run's
-/// cheap state there, which a replay must reproduce bit for bit.
-struct RunMarker {
-  std::uint64_t experiment = 0;        ///< campaign index of the in-flight experiment
-  double t_virtual_s = 0.0;            ///< virtual clock at the tick
-  std::uint64_t events = 0;            ///< simulator events processed, the tick's own included
-  std::uint64_t tasks_completed = 0;
-  double energy_j = 0.0;               ///< every device meter's joules, GPUs then CPU packages
-  std::array<std::uint64_t, 4> rng{};  ///< the runtime's RNG state
-};
-
-/// The encoded size of every RunMarker: the tag and nine 8-byte fields.
-inline constexpr std::size_t kRunMarkerBytes = 4 + 9 * 8;
-
-[[nodiscard]] std::string encode_marker(const RunMarker& marker);
-/// Throws ckpt::CheckpointError unless `bytes` is exactly one marker.
-[[nodiscard]] RunMarker decode_marker(std::string_view bytes);
 
 void encode_config(ckpt::Writer& w, const ExperimentConfig& config);
 [[nodiscard]] ExperimentConfig decode_config(ckpt::Reader& r);

@@ -100,6 +100,9 @@ std::vector<ExperimentResult> CampaignEngine::run(const std::vector<ExperimentCo
     throw std::invalid_argument{
         "CampaignEngine: checkpoint sessions are serial; run them at jobs == 1"};
   }
+  if (session != nullptr) {
+    session->write_boundary();
+  }
   const std::size_t n = configs.size();
   std::vector<ExperimentResult> results(n);
   std::vector<char> fresh(n, 0);  // run here, not replayed: commit it

@@ -18,9 +18,10 @@
 // threads, emit(i) on the calling thread in index order. run() is that loop
 // with run_experiment as the work and the hook as the emit; for_each_index
 // is it with no emit. Given a checkpoint session, run() is the same loop at
-// jobs == 1: replay or run each index, fire the hook (drivers export there,
-// so artifacts land before the commit), commit fresh results, and honour a
-// latched SIGINT/SIGTERM after the last commit. Sessions require jobs == 1;
+// jobs == 1: write a boundary checkpoint, then replay or run each index,
+// fire the hook (drivers export there, so artifacts land before the
+// commit), commit fresh results, and honour a latched SIGINT/SIGTERM after
+// the last commit. Sessions require jobs == 1;
 // the drivers' flag table diagnoses the combination before anything runs.
 #pragma once
 
@@ -59,8 +60,9 @@ class CampaignEngine {
   /// runs drain, the hook fires for exactly the indices below the lowest
   /// failure, and that failure's exception is rethrown — what a serial
   /// campaign would have done.
-  /// With a session each index is replayed or run, handed to the hook, then
-  /// committed if fresh; after the last commit a latched interrupt throws
+  /// With a session a boundary checkpoint is written first (when the
+  /// session writes), then each index is replayed or run, handed to the
+  /// hook, and committed if fresh; after the last commit a latched interrupt throws
   /// ckpt::InterruptedError. A session at jobs != 1 throws
   /// std::invalid_argument before any run or write.
   std::vector<ExperimentResult> run(const std::vector<ExperimentConfig>& configs,

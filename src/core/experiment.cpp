@@ -103,14 +103,6 @@ std::string calibration_key(const ExperimentConfig& config) {
 template <typename T>
 ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* session,
                            const RunServices& services) {
-  // A resume re-runs the in-flight experiment from its start: a run is a
-  // pure function of its config and seed, and checkpoint ticks never
-  // perturb it. Only the check at the marked tick differs (RunContext).
-  std::optional<ckpt_io::RunState> resume;
-  if (session != nullptr) {
-    resume = session->take_pending_run(config);
-  }
-
   RunContext ctx{config, services};
   rt::Runtime& runtime = ctx.runtime();
 
@@ -221,12 +213,9 @@ ExperimentResult run_typed(const ExperimentConfig& config, CheckpointSession* se
     case Operation::kGelqf: la::submit_gelqf<T>(runtime, lq_codelets, a, *workspace); break;
   }
 
-  // -- mid-run checkpoints ------------------------------------------------------
+  // -- checkpoint ticks and hang watchdog ---------------------------------------
   if (session != nullptr) {
     ctx.attach_checkpointer(*session);
-  }
-  if (resume) {
-    ctx.replay_to(std::move(*resume));
   }
 
   return ctx.finish();

@@ -4,7 +4,6 @@
 #include <string_view>
 #include <utility>
 
-#include "ckpt/file.hpp"
 #include "core/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "hw/presets.hpp"
@@ -251,80 +250,23 @@ void RunContext::attach_checkpointer(CheckpointSession& session) {
   copt.watchdog = sim::SimTime::millis(session.options().watchdog_ms);
   checkpointer_ = std::make_unique<ckpt::Checkpointer>(
       simulator_, copt,
-      [this, &session](const char* reason) { on_checkpoint(session, reason); },
+      [this, &session](const char* reason) {
+        if (std::string_view{reason} == "periodic") {
+          session.tick();
+        } else if (session.writes_enabled()) {
+          session.write_run_checkpoint(reason, result_.config, capture_run_state());
+        }
+      },
       [this] { return runtime_->stats().tasks_completed; });
   runtime_->add_drain_hook([this] { checkpointer_->cancel(); });
   checkpointer_->arm();
 }
 
-ckpt_io::RunState RunContext::capture_run_state() {
-  ckpt_io::RunMarker marker;
-  marker.t_virtual_s = simulator_.now().sec();
-  marker.events = simulator_.executed_events();
-  marker.tasks_completed = runtime_->stats().tasks_completed;
-  for (std::size_t g = 0; g < platform_.gpu_count(); ++g) {
-    marker.energy_j += platform_.gpu(g).energy_joules();
-  }
-  for (std::size_t p = 0; p < platform_.cpu_count(); ++p) {
-    marker.energy_j += platform_.cpu(p).energy_joules();
-  }
-  marker.rng = runtime_->rng().state();
-  return {marker.t_virtual_s, ckpt_io::encode_marker(marker)};
-}
-
-void RunContext::replay_to(ckpt_io::RunState resume) {
-  if (checkpointer_ == nullptr) {
-    throw ckpt::CheckpointError{
-        "the checkpoint was taken mid-run: resume with the same --checkpoint-every-ms / "
-        "--watchdog-ms as the checkpointed run"};
-  }
-  replay_to_ = std::move(resume);
-}
-
-void RunContext::on_checkpoint(CheckpointSession& session, const char* reason) {
-  if (!replay_to_) {
-    if (session.writes_enabled()) {
-      session.write_run_checkpoint(reason, result_.config, capture_run_state());
-    }
-    return;
-  }
-  // Replaying. Up to the marked tick the resume file's marker supersedes
-  // every tick: they write nothing, and an abort re-writes that marker.
-  const ckpt_io::RunMarker want = ckpt_io::decode_marker(replay_to_->bytes);
-  const bool reached = simulator_.executed_events() >= want.events;
-  if (reached) {
-    const ckpt_io::RunMarker have = ckpt_io::decode_marker(capture_run_state().bytes);
-    const std::pair<bool, const char*> checks[] = {
-        {have.events == want.events, "processed-event count"},
-        {have.t_virtual_s == want.t_virtual_s, "virtual time"},
-        {have.tasks_completed == want.tasks_completed, "completed-task count"},
-        {have.energy_j == want.energy_j, "metered energy"},
-        {have.rng == want.rng, "runtime RNG state"},
-    };
-    for (const auto& [same, what] : checks) {
-      if (!same) {
-        throw ckpt::CheckpointError{
-            std::string{"resume diverged from the checkpoint: the replayed run's "} + what +
-            " at the marked tick differs from the marker's — resume with the identical "
-            "binary and command line"};
-      }
-    }
-  }
-  if (std::string_view{reason} != "periodic" && session.writes_enabled()) {
-    session.write_run_checkpoint(reason, result_.config, *replay_to_);
-  }
-  if (reached) {
-    replay_to_.reset();
-  }
-}
+ckpt_io::RunState RunContext::capture_run_state() { return {simulator_.now().sec()}; }
 
 ExperimentResult RunContext::finish() {
   const ExperimentConfig& config = result_.config;
   runtime_->wait_all();
-  if (replay_to_) {
-    throw ckpt::CheckpointError{
-        "resume diverged from the checkpoint: the replayed run ended before its marked tick"};
-  }
   result_.energy = read_energy(simulator_.now()) - start_energy_;
   sampler_.stop();
   result_.stats = runtime_->stats();

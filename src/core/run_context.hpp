@@ -3,7 +3,7 @@
 // RunContext owns every piece of mutable state one experiment needs — the
 // simulated platform and its event queue, the runtime, the power manager,
 // the fault injector, energy trackers, the telemetry sampler, the
-// observability sinks, and the checkpoint hooks. Nothing
+// observability sinks, and the checkpoint ticker. Nothing
 // it touches is process-global, so any number of contexts can execute
 // concurrently on different threads without sharing state; the campaign
 // engine (core/engine.hpp) relies on exactly that.
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ckpt/checkpointer.hpp"
@@ -75,37 +74,23 @@ class RunContext {
   /// the start-of-window energy reading.
   void begin_measurement();
 
-  /// Creates and arms the periodic/watchdog checkpointer writing into
-  /// `session`, if its options ask for mid-run checkpoints. Call after
-  /// task submission.
+  /// Creates and arms the periodic/watchdog checkpointer reporting to
+  /// `session`, if its options ask for ticks or a watchdog. A tick counts
+  /// as a session point and writes nothing; a signal at a tick or a
+  /// watchdog abort writes a run checkpoint. Call after task submission.
   void attach_checkpointer(CheckpointSession& session);
 
-  /// Encodes a run marker (ckpt_io::RunMarker) for the run as it stands:
-  /// its virtual time and processed-event count, and a digest of its cheap
-  /// state. The session stamps the campaign index when it writes the
-  /// marker. Pure read: never advances meters or the clock, so a run with
+  /// Where the run stands, for a run checkpoint: its virtual time. Pure
+  /// read: never advances meters or the clock, so a run with
   /// checkpointing on stays byte-identical.
   [[nodiscard]] ckpt_io::RunState capture_run_state();
 
-  /// Resume: this run re-executes from its start with checkpoint writes
-  /// suppressed until the tick `resume` marks. There its digest must equal
-  /// the marker's, or ckpt::CheckpointError is thrown; later ticks write as
-  /// usual. A signal or watchdog abort before the marked tick re-writes
-  /// `resume` itself. Needs the checkpointer attached.
-  void replay_to(ckpt_io::RunState resume);
-
   /// Drains the DAG, closes the measured window, and fills the result
   /// (energy, stats, fault counts, observability payload). Returns the
-  /// completed result by move; the context is spent afterwards. Throws
-  /// ckpt::CheckpointError when the run ends before a replay reached its
-  /// marked tick.
+  /// completed result by move; the context is spent afterwards.
   ExperimentResult finish();
 
  private:
-  /// Checkpointer callback: writes a marker, or, while replaying, checks
-  /// for the marked tick.
-  void on_checkpoint(CheckpointSession& session, const char* reason);
-
   RunServices services_;
   hw::Platform platform_;
   sim::Simulator simulator_;
@@ -119,8 +104,6 @@ class RunContext {
   sim::SimTime t_begin_;
   hw::EnergyReading start_energy_;
   std::unique_ptr<ckpt::Checkpointer> checkpointer_;
-  /// The marker a resume replays to; empty once reached (or on a fresh run).
-  std::optional<ckpt_io::RunState> replay_to_;
 };
 
 }  // namespace greencap::core

@@ -31,17 +31,21 @@ namespace greencap::rt {
 /// campaign issued. Immutable once built; safe to share across threads.
 struct CalibrationRecord {
   struct Entry {
-    std::string codelet;
+    std::uint32_t codelet;  ///< index into `codelets`
     std::int32_t worker;
     hw::KernelWork work;
     double time_s;
   };
+  /// The distinct codelet names, in the order they were first recorded.
+  std::vector<std::string> codelets;
   std::vector<Entry> entries;
 };
 
 /// Re-issues every recorded measurement into `runtime`'s history model,
-/// in the original order. The target runtime must have at least as many
-/// workers as the recording one (same platform in practice).
+/// in the original order. Each codelet name is interned once, in the
+/// record's order; the entries are recorded by the resulting ids. The
+/// target runtime must have at least as many workers as the recording one
+/// (same platform in practice).
 void replay_calibration(Runtime& runtime, const CalibrationRecord& record);
 
 class Calibrator {

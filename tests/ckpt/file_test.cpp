@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <string_view>
 
 namespace ckpt = greencap::ckpt;
 
@@ -29,13 +28,11 @@ class FileTest : public ::testing::Test {
   std::string write_default() {
     ckpt::Manifest m;
     m.kind = "run";
-    m.reason = "periodic";
+    m.reason = "watchdog";
     m.signature = 0x1122334455667788ULL;
     m.completed = 3;
     m.t_virtual_s = 1.25;
-    // Two pieces, so every test also covers the chained payload CRC.
-    const std::string_view payload{payload_};
-    ckpt::write_checkpoint_file(path_, m, {payload.substr(0, 10), payload.substr(10)});
+    ckpt::write_checkpoint_file(path_, m, payload_);
     return path_;
   }
 
@@ -58,7 +55,7 @@ TEST_F(FileTest, RoundTripPreservesManifestAndPayload) {
   const ckpt::CheckpointFile file = ckpt::read_checkpoint_file(path_);
   EXPECT_EQ(file.version, ckpt::kFormatVersion);
   EXPECT_EQ(file.manifest.kind, "run");
-  EXPECT_EQ(file.manifest.reason, "periodic");
+  EXPECT_EQ(file.manifest.reason, "watchdog");
   EXPECT_EQ(file.manifest.signature, 0x1122334455667788ULL);
   EXPECT_EQ(file.manifest.completed, 3u);
   EXPECT_EQ(file.manifest.t_virtual_s, 1.25);
@@ -72,7 +69,7 @@ TEST_F(FileTest, BytesEqualHeaderPayloadAndWholeFileCrc) {
   write_default();
   ckpt::Manifest m;
   m.kind = "run";
-  m.reason = "periodic";
+  m.reason = "watchdog";
   m.signature = 0x1122334455667788ULL;
   m.completed = 3;
   m.t_virtual_s = 1.25;

@@ -1,12 +1,12 @@
-// The headline crash-consistency property, in-process: an experiment
-// killed at an arbitrary checkpoint write (the chaos kill hook fires
-// _Exit(137) the instant the rename lands, like SIGKILL) and resumed from
-// the surviving file produces a byte-identical result — including under
-// in-flight fault injection and degradation. A run checkpoint is a marker:
-// the resume re-runs the in-flight experiment from its start and checks
-// the marker's digest at the marked tick. Kill points are exercised via
-// gtest death tests, so the write-then-die happens in a forked child and
-// the parent resumes from the file the child left behind.
+// The headline crash-consistency property, in-process: a campaign killed
+// at an arbitrary checkpoint point (the chaos kill hook fires _Exit(137) at
+// a periodic tick, or the instant a write's rename lands, like SIGKILL) and
+// resumed from the surviving file produces a byte-identical result —
+// including under in-flight fault injection and degradation. Every file
+// holds only completed experiments: the resume re-runs the in-flight one
+// from its start, and needs no tick flags to do so. Kill points are
+// exercised via gtest death tests, so the kill happens in a forked child
+// and the parent resumes from the file the child left behind.
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -14,16 +14,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ckpt/file.hpp"
 #include "ckpt/signal.hpp"
 #include "core/checkpoint_io.hpp"
+#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "obs/trace_export.hpp"
 #include "prof/profile.hpp"
@@ -136,45 +136,41 @@ class ResumeTest : public ::testing::Test {
     return opts;
   }
 
-  /// Death-test body: run with checkpointing armed and the chaos kill
-  /// hook set — must die with _Exit(137) at the Nth checkpoint write.
+  /// Death-test body: run a one-experiment campaign with ticks armed and
+  /// the chaos kill hook set — must die with _Exit(137) at the Nth point.
+  /// Point 1 is the engine's start-of-campaign write, then every tick.
   void run_and_die(const ExperimentConfig& cfg, int kill_after) {
     CheckpointOptions opts = options(false);
     opts.kill_after = kill_after;
     CheckpointSession session{opts};
-    const ExperimentResult result = run_experiment(cfg, &session);
-    session.commit(cfg, result);
+    CampaignEngine engine;
+    (void)engine.run({cfg}, {}, &session);
   }
 
-  /// Resumes from the file the killed child left behind, to completion.
+  /// Resumes the campaign from the file the killed child left behind, to
+  /// completion, without the tick flags of the killed run.
+  std::vector<ExperimentResult> resume_campaign(const std::vector<ExperimentConfig>& configs) {
+    CheckpointOptions opts = options(true);
+    opts.every_ms = 0.0;
+    CheckpointSession session{opts};
+    CampaignEngine engine;
+    return engine.run(configs, {}, &session);
+  }
   ExperimentResult resume(const ExperimentConfig& cfg) {
-    CheckpointSession session{options(true)};
-    if (auto replayed = session.try_replay(cfg)) {
-      return std::move(*replayed);
-    }
-    ExperimentResult result = run_experiment(cfg, &session);
-    session.commit(cfg, result);
-    return result;
+    return resume_campaign(std::vector<ExperimentConfig>{cfg}).front();
   }
 
   void expect_kill_resume_identical(const ExperimentConfig& cfg, int kill_after) {
     const ExperimentResult reference = run_experiment(cfg);
     EXPECT_EXIT(run_and_die(cfg, kill_after), ::testing::ExitedWithCode(137), "");
-    // The child died mid-run; its last write must be a valid mid-run file.
+    // The child died mid-run; its last write was the start-of-campaign file.
     const ck::CheckpointFile file = ck::read_checkpoint_file(path_);
-    EXPECT_EQ(file.manifest.kind, "run");
+    EXPECT_EQ(file.manifest.kind, "campaign");
+    EXPECT_EQ(file.manifest.completed, 0u);
     const ExperimentResult resumed = resume(cfg);
     EXPECT_EQ(result_bytes(resumed), result_bytes(reference))
         << "resume after kill point " << kill_after << " diverged";
     EXPECT_EQ(resumed.degradation.to_string(), reference.degradation.to_string());
-  }
-
-  /// Offset of the run marker in a run checkpoint's payload.
-  static std::size_t marker_at(const std::string& payload) {
-    EXPECT_GE(payload.size(), ckpt_io::kRunMarkerBytes);
-    const std::size_t at = payload.size() - ckpt_io::kRunMarkerBytes;
-    EXPECT_EQ(payload.compare(at, 4, "MARK"), 0);
-    return at;
   }
 
   std::string path_;
@@ -182,21 +178,21 @@ class ResumeTest : public ::testing::Test {
 };
 
 TEST_F(ResumeTest, KilledAtFirstTickResumesByteIdentically) {
-  expect_kill_resume_identical(small_run(false), 1);
+  expect_kill_resume_identical(small_run(false), 2);
 }
 
 TEST_F(ResumeTest, KilledAtLaterTickResumesByteIdentically) {
-  expect_kill_resume_identical(small_run(false), 3);
+  expect_kill_resume_identical(small_run(false), 4);
 }
 
 TEST_F(ResumeTest, ResumeUnderFaultsReplaysPendingEventsIdentically) {
   // Kill points chosen to land before and after the dropout at t=0.05 and
-  // around the capfail retries, so the marked tick sits behind fired and
-  // pending faults alike.
+  // around the capfail retries, so the kill sits behind fired and pending
+  // faults alike.
   const ExperimentConfig cfg = small_run(true);
   const ExperimentResult reference = run_experiment(cfg);
   ASSERT_FALSE(reference.degradation.empty());
-  for (const int kill_after : {1, 4}) {
+  for (const int kill_after : {2, 5}) {
     std::remove(path_.c_str());
     EXPECT_EXIT(run_and_die(cfg, kill_after), ::testing::ExitedWithCode(137), "");
     const ExperimentResult resumed = resume(cfg);
@@ -210,27 +206,93 @@ TEST_F(ResumeTest, ResumeUnderFaultsReplaysPendingEventsIdentically) {
 }
 
 TEST_F(ResumeTest, ObservedFaultedPotrfResumesFromEveryMarker) {
+  // Every kill point before the commit: the start-of-campaign write and
+  // each periodic tick.
   const ExperimentConfig cfg = observed_potrf40();
   every_ms_ = 5000.0;
   const ExperimentResult reference = run_experiment(cfg);
   const std::string want_result = result_bytes(reference);
   const std::string want_obs = observability_bytes(reference);
   ASSERT_FALSE(want_obs.empty());
-  int markers = 0;
+  int points = 0;
   {
     CheckpointSession session{options(false)};
-    (void)run_experiment(cfg, &session);
-    markers = session.writes();
+    CampaignEngine engine;
+    (void)engine.run({cfg}, {}, &session);
+    EXPECT_EQ(session.writes(), 2);
+    points = session.points() - 1;
   }
-  ASSERT_GE(markers, 2);
-  for (int kill_after = 1; kill_after <= markers; ++kill_after) {
-    SCOPED_TRACE("marker " + std::to_string(kill_after) + " of " + std::to_string(markers));
+  ASSERT_GE(points, 3);
+  for (int kill_after = 1; kill_after <= points; ++kill_after) {
+    SCOPED_TRACE("kill point " + std::to_string(kill_after) + " of " + std::to_string(points));
     std::remove(path_.c_str());
     EXPECT_EXIT(run_and_die(cfg, kill_after), ::testing::ExitedWithCode(137), "");
-    ASSERT_EQ(ck::read_checkpoint_file(path_).manifest.kind, "run");
+    ASSERT_EQ(ck::read_checkpoint_file(path_).manifest.completed, 0u);
     const ExperimentResult resumed = resume(cfg);
     EXPECT_EQ(result_bytes(resumed), want_result);
     EXPECT_EQ(observability_bytes(resumed), want_obs);
+  }
+}
+
+TEST_F(ResumeTest, TicksWriteNothing) {
+  const ExperimentConfig cfg = small_run(false);
+  CheckpointSession session{options(false)};
+  (void)run_experiment(cfg, &session);
+  EXPECT_GT(session.points(), 0);
+  EXPECT_EQ(session.writes(), 0);
+  EXPECT_FALSE(std::filesystem::exists(path_));
+}
+
+TEST_F(ResumeTest, InterruptMidRunWritesTheBoundaryPayloadUnderARunManifest) {
+  const std::vector<ExperimentConfig> configs{small_run(false), small_run(true)};
+  const std::vector<ExperimentResult> reference = CampaignEngine{}.run(configs);
+  std::string boundary_payload;
+  {
+    CheckpointSession session{options(false)};
+    session.commit(configs[0], run_experiment(configs[0], &session));
+    boundary_payload = ck::read_checkpoint_file(path_).payload;
+    ck::request_interrupt();
+    EXPECT_THROW((void)run_experiment(configs[1], &session), ck::InterruptedError);
+    ck::clear_interrupt();
+  }
+  const ck::CheckpointFile file = ck::read_checkpoint_file(path_);
+  EXPECT_EQ(file.manifest.kind, "run");
+  EXPECT_EQ(file.manifest.reason, "signal");
+  EXPECT_EQ(file.manifest.completed, 1u);
+  EXPECT_GT(file.manifest.t_virtual_s, 0.0);
+  EXPECT_EQ(file.payload, boundary_payload);
+
+  const std::vector<ExperimentResult> resumed = resume_campaign(configs);
+  ASSERT_EQ(resumed.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(result_bytes(resumed[i]), result_bytes(reference[i])) << "run " << i;
+  }
+}
+
+TEST_F(ResumeTest, CapturedExperimentIsReRunOnResume) {
+  // A stored result keeps no capture, so a resume re-runs the experiment
+  // that captured one: its exports come out again, byte for byte.
+  ExperimentConfig captured = small_run(true);
+  captured.obs.trace = true;
+  captured.obs.metrics = true;
+  captured.obs.telemetry_period_ms = 10.0;
+  const std::vector<ExperimentConfig> configs{captured, small_run(false)};
+  const std::vector<ExperimentResult> reference = CampaignEngine{}.run(configs);
+  {
+    CheckpointSession session{options(false)};
+    (void)CampaignEngine{}.run({configs[0]}, {}, &session);
+  }
+  CheckpointOptions opts = options(true);
+  CheckpointSession session{opts};
+  std::vector<std::string> obs(configs.size());
+  const std::vector<ExperimentResult> resumed = CampaignEngine{}.run(
+      configs, [&](std::size_t i, ExperimentResult& r) { obs[i] = observability_bytes(r); },
+      &session);
+  EXPECT_EQ(session.writes(), 2);  // the start file and the second run's commit
+  EXPECT_FALSE(obs[0].empty());
+  EXPECT_EQ(obs[0], observability_bytes(reference[0]));
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(result_bytes(resumed[i]), result_bytes(reference[i])) << "run " << i;
   }
 }
 
@@ -240,7 +302,7 @@ TEST_F(ResumeTest, CheckpointingItselfDoesNotPerturbTheRun) {
   CheckpointSession session{options(false)};
   const ExperimentResult checkpointed = run_experiment(cfg, &session);
   EXPECT_EQ(result_bytes(checkpointed), result_bytes(plain));
-  EXPECT_GT(session.writes(), 0);
+  EXPECT_GT(session.points(), 0);
 }
 
 TEST_F(ResumeTest, CompletedExperimentReplaysFromBoundaryCheckpoint) {
@@ -302,7 +364,7 @@ TEST_F(ResumeTest, CorruptResumeFileIsRejectedPrecisely) {
 }
 
 TEST_F(ResumeTest, VersionOneFileIsRejected) {
-  // A version-1 file held the full run state. Re-label a run checkpoint as
+  // A version-1 file held the full run state. Re-label a checkpoint as
   // version 1, with valid CRCs, so only the version check can catch it.
   const ExperimentConfig cfg = small_run(false);
   EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
@@ -323,92 +385,22 @@ TEST_F(ResumeTest, VersionOneFileIsRejected) {
   }
 }
 
-TEST_F(ResumeTest, ForgedMarkerDigestFailsTheReplay) {
-  // Each case forges one digest field of the marker and re-writes the file
-  // through write_checkpoint_file, so both CRCs are valid again and only
-  // the replay's check at the marked tick can catch it.
-  const ExperimentConfig cfg = small_run(true);
-  EXPECT_EXIT(run_and_die(cfg, 3), ::testing::ExitedWithCode(137), "");
-  const ck::CheckpointFile original = ck::read_checkpoint_file(path_);
-  ASSERT_EQ(original.manifest.kind, "run");
-  const std::size_t mark = marker_at(original.payload);
-
-  auto flip_low_bit = [](std::size_t offset) {
-    return [offset](std::string& p) { p[offset] = static_cast<char>(p[offset] ^ 0x01); };
-  };
-  const std::vector<std::pair<const char*, std::function<void(std::string&)>>> cases = {
-      {"metered energy", flip_low_bit(mark + 36)},
-      {"completed-task count", flip_low_bit(mark + 28)},
-      {"runtime RNG state", flip_low_bit(mark + 44)},
-  };
-  for (const auto& [what, forge] : cases) {
-    SCOPED_TRACE(what);
-    std::string payload = original.payload;
-    forge(payload);
-    ck::write_checkpoint_file(path_, original.manifest, {payload});
-    try {
-      (void)resume(cfg);
-      ADD_FAILURE() << "the forged marker was accepted";
-    } catch (const ck::CheckpointError& e) {
-      EXPECT_NE(std::string{e.what()}.find(what), std::string::npos) << e.what();
-    }
-  }
-  // The unforged file still resumes.
-  ck::write_checkpoint_file(path_, original.manifest, {original.payload});
-  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
-}
-
-TEST_F(ResumeTest, InvalidRunStateIsRejectedBeforeTheRunContinues) {
-  // Markers that cannot belong to this campaign position or this run.
+TEST_F(ResumeTest, MidRunFileFromAnOlderBuildIsRejected) {
+  // An older build closed a mid-run file's campaign section with a 1 byte
+  // and a run marker. Set that byte in a valid file, CRCs re-computed.
   const ExperimentConfig cfg = small_run(false);
-  EXPECT_EXIT(run_and_die(cfg, 2), ::testing::ExitedWithCode(137), "");
-  const ck::CheckpointFile original = ck::read_checkpoint_file(path_);
-  ASSERT_EQ(original.manifest.kind, "run");
-  const std::size_t mark = marker_at(original.payload);
-  auto set_u64 = [](std::size_t offset, std::uint64_t value) {
-    return [offset, value](std::string& p) { std::memcpy(p.data() + offset, &value, 8); };
-  };
-
-  const std::vector<std::pair<const char*, std::function<void(std::string&)>>> cases = {
-      {"marker for another experiment", set_u64(mark + 4, 1)},
-      {"marked tick past the end of the run", set_u64(mark + 20, std::uint64_t{1} << 40)},
-      {"trailing bytes after the marker", [](std::string& p) { p.push_back('\0'); }},
-      {"truncated marker", [](std::string& p) { p.pop_back(); }},
-  };
-  for (const auto& [what, mutate] : cases) {
-    SCOPED_TRACE(what);
-    std::string payload = original.payload;
-    mutate(payload);
-    ck::write_checkpoint_file(path_, original.manifest, {payload});
-    EXPECT_THROW((void)resume(cfg), ck::CheckpointError);
-  }
-  // Resuming a mid-run checkpoint without the ticks that mark it.
-  ck::write_checkpoint_file(path_, original.manifest, {original.payload});
-  every_ms_ = 0.0;
-  EXPECT_THROW((void)resume(cfg), ck::CheckpointError);
-  every_ms_ = 10.0;
-  // The undamaged file still resumes.
-  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
-}
-
-TEST_F(ResumeTest, SignalDuringTheReplayedPrefixKeepsTheResumeFilesMarker) {
-  const ExperimentConfig cfg = small_run(false);
-  EXPECT_EXIT(run_and_die(cfg, 3), ::testing::ExitedWithCode(137), "");
-  const ck::CheckpointFile killed = ck::read_checkpoint_file(path_);
-  const std::string marker = killed.payload.substr(marker_at(killed.payload));
-
-  ck::request_interrupt();
-  {
+  EXPECT_EXIT(run_and_die(cfg, 1), ::testing::ExitedWithCode(137), "");
+  const ck::CheckpointFile file = ck::read_checkpoint_file(path_);
+  std::string payload = file.payload;
+  ASSERT_EQ(payload.back(), '\0');
+  payload.back() = '\1';
+  ck::write_checkpoint_file(path_, file.manifest, payload);
+  try {
     CheckpointSession session{options(true)};
-    EXPECT_THROW((void)run_experiment(cfg, &session), ck::InterruptedError);
+    FAIL() << "a checkpoint with a run marker was accepted";
+  } catch (const ck::CheckpointError& e) {
+    EXPECT_NE(std::string{e.what()}.find("older build"), std::string::npos) << e.what();
   }
-  ck::clear_interrupt();
-  const ck::CheckpointFile interrupted = ck::read_checkpoint_file(path_);
-  EXPECT_EQ(interrupted.manifest.kind, "run");
-  EXPECT_EQ(interrupted.manifest.reason, "signal");
-  EXPECT_EQ(interrupted.payload.substr(marker_at(interrupted.payload)), marker);
-
-  EXPECT_EQ(result_bytes(resume(cfg)), result_bytes(run_experiment(cfg)));
 }
 
 }  // namespace

@@ -62,7 +62,8 @@ TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
     // rather than finding a finished entry.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     rt::CalibrationRecord record;
-    record.entries.push_back({"dgemm", 3, hw::KernelWork{}, 0.125});
+    record.codelets.emplace_back("dgemm");
+    record.entries.push_back({0, 3, hw::KernelWork{}, 0.125});
     return record;
   };
   constexpr int kThreads = 8;
@@ -81,7 +82,7 @@ TEST(CalibrationCache, SameKeyAcrossThreadsSharesOneSnapshot) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
   }
   ASSERT_EQ(seen[0]->entries.size(), 1u);
-  EXPECT_EQ(seen[0]->entries[0].codelet, "dgemm");
+  EXPECT_EQ(seen[0]->codelets.at(seen[0]->entries[0].codelet), "dgemm");
   EXPECT_EQ(seen[0]->entries[0].worker, 3);
   EXPECT_DOUBLE_EQ(seen[0]->entries[0].time_s, 0.125);
 }

@@ -194,7 +194,8 @@ class EngineSession : public ::testing::Test {
     std::remove(path_.c_str());
   }
 
-  /// Boundary checkpoints only: one write per committed experiment.
+  /// Boundary checkpoints only: one write at the start of the campaign and
+  /// one per committed experiment.
   [[nodiscard]] CheckpointOptions boundary_only() const {
     CheckpointOptions options;
     options.path = path_;
@@ -223,12 +224,23 @@ TEST_F(EngineSession, HookRunsBeforeTheCommit) {
   (void)engine.run(
       configs,
       [&](std::size_t index, ExperimentResult&) {
-        EXPECT_EQ(session.writes(), static_cast<int>(index));
+        EXPECT_EQ(session.writes(), static_cast<int>(index) + 1);
         ++hooks;
       },
       &session);
   EXPECT_EQ(hooks, configs.size());
-  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()));
+  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()) + 1);
+}
+
+TEST_F(EngineSession, TicksAreKillPointsThatWriteNothing) {
+  const std::vector<ExperimentConfig> configs = campaign();
+  CheckpointOptions options = boundary_only();
+  options.every_ms = 10.0;
+  CheckpointSession session{options};
+  CampaignEngine engine;
+  (void)engine.run(configs, {}, &session);
+  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()) + 1);
+  EXPECT_GT(session.points(), session.writes());
 }
 
 TEST_F(EngineSession, ResumeReplaysThePrefixThroughTheHookBitForBit) {
@@ -252,7 +264,7 @@ TEST_F(EngineSession, ResumeReplaysThePrefixThroughTheHookBitForBit) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(hooked[i], result_bytes(fresh[i])) << "run " << i;
   }
-  EXPECT_EQ(session.writes(), 1);  // only the third run was fresh
+  EXPECT_EQ(session.writes(), 2);  // the start file, then the third run, the only fresh one
 }
 
 TEST_F(EngineSession, ParallelSessionThrowsBeforeAnyWrite) {
@@ -287,7 +299,7 @@ TEST_F(EngineSession, InterruptDuringTheLastRunCommitsEveryResultThenThrows) {
   EXPECT_EQ(file.manifest.kind, "campaign");
   EXPECT_EQ(file.manifest.reason, "signal");
   EXPECT_EQ(file.manifest.completed, configs.size());
-  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()) + 1);
+  EXPECT_EQ(session.writes(), static_cast<int>(configs.size()) + 2);
 }
 
 }  // namespace

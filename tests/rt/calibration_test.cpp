@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hw/presets.hpp"
 #include "la/flops.hpp"
 
@@ -57,6 +60,49 @@ TEST_F(CalibrationTest, ModelMatchesOracle) {
   ASSERT_TRUE(modelled.has_value());
   EXPECT_DOUBLE_EQ(modelled->sec(),
                    rt.oracle_exec_time(cl_, gemm_work(5760), gpu_worker).sec());
+}
+
+TEST_F(CalibrationTest, ReplayIntoAModelWithOtherIdsIsBitIdentical) {
+  // The record holds each codelet name once; the replay interns them into
+  // the target model, which here already knows them under other ids.
+  Codelet trsm = cl_;
+  trsm.name = "dtrsm";
+  trsm.klass = hw::KernelClass::kTrsm;
+  const std::vector<hw::KernelWork> works{gemm_work(2880), gemm_work(5760)};
+  Runtime recorded{platform_, sim_, RuntimeOptions{}};
+  CalibrationRecord record;
+  Calibrator calibrator{recorded};
+  calibrator.set_record_sink(&record);
+  calibrator.calibrate(cl_, works);
+  calibrator.calibrate(trsm, works);
+  calibrator.calibrate(cl_, {gemm_work(1440)});
+  EXPECT_EQ(record.codelets, (std::vector<std::string>{"dgemm", "dtrsm"}));
+  ASSERT_FALSE(record.entries.empty());
+  EXPECT_EQ(record.entries.back().codelet, 0u);
+
+  sim::Simulator other_sim;
+  Runtime target{platform_, other_sim, RuntimeOptions{}};
+  HistoryPerfModel& model = target.perf_model();
+  (void)model.intern("dpotrf");
+  (void)model.intern("dtrsm");
+  (void)model.intern("dgemm");
+  ASSERT_NE(model.id_of("dgemm"), recorded.perf_model().id_of("dgemm"));
+  replay_calibration(target, record);
+
+  EXPECT_EQ(model.entry_count(), recorded.perf_model().entry_count());
+  for (const char* name : {"dgemm", "dtrsm"}) {
+    for (const double nb : {1440.0, 2880.0, 5760.0}) {
+      for (std::size_t w = 0; w < target.worker_count(); ++w) {
+        const WorkerId id = target.worker(w).id();
+        const auto want = recorded.perf_model().expected(name, id, gemm_work(nb));
+        const auto got = model.expected(name, id, gemm_work(nb));
+        ASSERT_EQ(got.has_value(), want.has_value()) << name << " nb " << nb << " worker " << w;
+        if (want) {
+          EXPECT_EQ(got->sec(), want->sec()) << name << " nb " << nb << " worker " << w;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(CalibrationTest, RecalibrationSeesNewPowerCaps) {

@@ -3,15 +3,18 @@
 
 Drives a checkpoint-aware GreenCap binary (a bench figure or the CLI)
 through seeded kill points and proves the headline crash-consistency
-property: a campaign killed at the Nth checkpoint write (--ckpt-kill-after
-N fires _Exit(137) the instant the rename lands, like SIGKILL) and then
-resumed — as many times as it takes — produces artifacts BYTE-IDENTICAL
-to an uninterrupted run, and identical stdout.
+property: a campaign killed at its Nth checkpoint point (--ckpt-kill-after
+N fires _Exit(137) like SIGKILL, at a periodic tick or the instant a
+file write's rename lands; point 1 is the start-of-campaign write) and then
+resumed — without --checkpoint-every-ms, as many times as it takes —
+produces artifacts BYTE-IDENTICAL to an uninterrupted run, and identical
+stdout.
 
 For every kill point the suite also validates the surviving checkpoint
-file with tools/check_checkpoint.py, and once per run it corrupts a
-checkpoint (bit flip, then truncation) and asserts the resume rejects it
-with a nonzero exit instead of continuing from garbage.
+file with tools/check_checkpoint.py and reports its completed-experiment
+count, and once per run it corrupts a checkpoint (bit flip, then
+truncation) and asserts the resume rejects it with a nonzero exit instead
+of continuing from garbage.
 
 Each kill point runs in its own directory, so the reference run and the
 kill points run concurrently (at most os.cpu_count() at a time); results
@@ -21,7 +24,7 @@ Stdlib only. Exit 0 when every kill point round-trips, 1 otherwise.
 
 Example (the CI invocation):
   chaos_killpoints.py --binary build/bench/fig3_double_configs \
-      --kill-points 1,2,3,5,8 --every-ms 5000 \
+      --kill-points 1,2,3,5,8,10,14 --every-ms 5000 \
       -- --quick --summary-json summary.json
 """
 
@@ -71,6 +74,7 @@ class KillOutcome:
     """What one kill point left behind; `resumed` is None on failure."""
     failures: list[str] = field(default_factory=list)
     kept: Path | None = None
+    survivor: str = ""  # check_checkpoint.py's summary of the surviving file
     resumes: int = 0
     resumed: subprocess.CompletedProcess | None = None
     artifacts: list[Path] = field(default_factory=list)
@@ -78,17 +82,18 @@ class KillOutcome:
 
 def run_kill_point(args: argparse.Namespace, binary: Path, root: Path,
                    kill: int) -> KillOutcome:
-    """Kills the run at the `kill`th checkpoint write, validates and keeps
-    the surviving file, then resumes until the run completes."""
+    """Kills the run at the `kill`th checkpoint point, validates and keeps
+    the surviving file, then resumes, without the tick flag, until the run
+    completes."""
     out = KillOutcome()
     kdir = root / f"kill{kill}"
     kdir.mkdir()
     kill_args, out.artifacts = artifact_args(args.args, kdir)
     ckpt = kdir / "campaign.gckp"
-    base = [str(binary), *kill_args, "--checkpoint", str(ckpt),
-            "--checkpoint-every-ms", args.every_ms]
+    base = [str(binary), *kill_args, "--checkpoint", str(ckpt)]
 
-    proc = run([*base, "--ckpt-kill-after", str(kill)], kdir)
+    proc = run([*base, "--checkpoint-every-ms", args.every_ms,
+                "--ckpt-kill-after", str(kill)], kdir)
     if proc.returncode != KILL_EXIT:
         out.failures.append(
             f"kill={kill}: expected exit {KILL_EXIT} from the kill hook, "
@@ -104,6 +109,7 @@ def run_kill_point(args: argparse.Namespace, binary: Path, root: Path,
             f"kill={kill}: surviving checkpoint failed validation:\n"
             f"{check.stderr}")
         return out
+    out.survivor = check.stdout.strip().split(": OK — ", 1)[-1]
     out.kept = root / f"kept_{kill}.gckp"
     shutil.copyfile(ckpt, out.kept)
 
@@ -126,7 +132,8 @@ def main() -> int:
     parser.add_argument("--binary", type=Path, required=True,
                         help="checkpoint-aware GreenCap binary to drive")
     parser.add_argument("--kill-points", default="1,2,3,5,8",
-                        help="comma-separated --ckpt-kill-after values (>=5 for CI)")
+                        help="comma-separated --ckpt-kill-after values: checkpoint "
+                             "points, counting file writes and periodic ticks")
     parser.add_argument("--every-ms", default="5000",
                         help="--checkpoint-every-ms virtual period")
     parser.add_argument("--checker", type=Path,
@@ -186,8 +193,8 @@ def main() -> int:
                         f"kill={kill}: artifact {kill_art.name} is not "
                         f"byte-identical to the reference")
             if ok:
-                print(f"kill={kill}: OK after {out.resumes} resume(s) — "
-                      f"{len(out.artifacts)} artifact(s) byte-identical")
+                print(f"kill={kill}: OK after {out.resumes} resume(s) from "
+                      f"{out.survivor} — {len(out.artifacts)} artifact(s) byte-identical")
 
         # Corrupt-checkpoint rejection: a resume must refuse a bit-flipped
         # or truncated file with a nonzero exit, never run from garbage.

@@ -13,13 +13,11 @@ alone (src/ckpt/file.hpp):
     draft-07 subset validator as tools/check_profile.py)
   * cross-section invariants: the payload opens with the campaign section
     tag "CAMP" whose experiment count equals the manifest's `completed`;
-    campaign checkpoints carry t_virtual_s == 0 and a boundary/signal/final
-    reason, run checkpoints a periodic/watchdog/signal/final reason
+    campaign checkpoints carry t_virtual_s == 0 and a boundary/signal
+    reason, run checkpoints a signal/watchdog reason
   * the payload's framing to its last byte: the campaign section's
-    length-prefixed records, then a campaign checkpoint's closing 0 flag,
-    or a run checkpoint's 1 flag, in-flight config and run marker, whose
-    fixed layout (tag, fields, size) comes from the schema's x-run-marker;
-    the marker names the manifest's experiment index and virtual time
+    length-prefixed records, then the closing 0 byte that ends every
+    payload (a 1 byte there was an older build's run marker)
 
 Exit status 0 on success, 1 on any violation (one FAIL line each).
 """
@@ -37,8 +35,8 @@ from pathlib import Path
 MAGIC = b"GCKP"
 VERSION = 2
 HEADER = struct.Struct("<4sIQ")  # magic, version, manifest length
-CAMPAIGN_REASONS = {"boundary", "signal", "final"}
-RUN_REASONS = {"periodic", "watchdog", "signal", "final"}
+CAMPAIGN_REASONS = {"boundary", "signal"}
+RUN_REASONS = {"signal", "watchdog"}
 
 
 def _type_ok(value, expected: str) -> bool:
@@ -167,7 +165,7 @@ def parse_container(raw: bytes) -> tuple[dict | None, bytes, list[str]]:
     return manifest, payload, problems
 
 
-def check_invariants(manifest: dict, payload: bytes, marker_layout: dict) -> list[str]:
+def check_invariants(manifest: dict, payload: bytes) -> list[str]:
     problems: list[str] = []
 
     if manifest["payload_bytes"] != len(payload):
@@ -206,66 +204,39 @@ def check_invariants(manifest: dict, payload: bytes, marker_layout: dict) -> lis
             f"but the campaign section holds {count}"
         )
         return problems
-    problems += check_framing(manifest, payload, marker_layout)
+    problems += check_framing(manifest, payload)
     return problems
 
 
-def check_framing(manifest: dict, payload: bytes, marker_layout: dict) -> list[str]:
+def check_framing(manifest: dict, payload: bytes) -> list[str]:
     """Walks the payload after the campaign count: every length prefix must
-    fit, and the bytes must end exactly where the layout says."""
+    fit, and the closing 0 byte must be the payload's last."""
     at = 12
 
-    def length_prefixed() -> bytes | None:
+    def length_prefixed() -> bool:
         nonlocal at
         if at + 8 > len(payload):
-            return None
+            return False
         (n,) = struct.unpack_from("<Q", payload, at)
         if n > len(payload) - at - 8:
-            return None
+            return False
         at += 8 + n
-        return payload[at - n : at]
+        return True
 
     for i in range(manifest["completed"]):
-        if length_prefixed() is None or length_prefixed() is None \
-                or at + 1 > len(payload):
+        if not length_prefixed() or not length_prefixed() or at + 1 > len(payload):
             return [f"campaign section truncated in experiment #{i}"]
         at += 1
     if at + 1 > len(payload):
-        return ["payload ends before the run-marker flag"]
-    has_marker = payload[at]
-    at += 1
-    if manifest["kind"] == "campaign":
-        if has_marker != 0:
-            return [f"campaign checkpoint has run-marker flag {has_marker} (expected 0)"]
-        if at != len(payload):
-            return [f"{len(payload) - at} trailing bytes after the campaign section"]
-        return []
-    if has_marker != 1:
-        return [f"run checkpoint has run-marker flag {has_marker} (expected 1)"]
-    config = length_prefixed()
-    if config is None or config[:4] != b"CFG1":
-        return ["run checkpoint's in-flight config is truncated or untagged"]
-
-    fields = marker_layout["fields"]
-    fmt = "<4s" + "".join("Q" if kind == "u64" else "d" for _, kind in fields)
-    size = struct.calcsize(fmt)
-    if len(payload) - at != size:
-        return [f"run marker is {len(payload) - at} bytes, expected {size} "
-                f"(truncated or trailing bytes)"]
-    tag, *values = struct.unpack_from(fmt, payload, at)
-    if tag != marker_layout["tag"].encode():
-        return [f"run marker has tag {tag!r} (expected {marker_layout['tag']!r})"]
-    marker = {name: value for (name, _), value in zip(fields, values)}
-    problems = []
-    if marker["experiment"] != manifest["completed"]:
-        problems.append(f"run marker is for experiment #{marker['experiment']} but "
-                        f"{manifest['completed']} experiments completed")
-    if marker["t_virtual_s"] != manifest["t_virtual_s"]:
-        problems.append(f"run marker t_virtual_s {marker['t_virtual_s']} != manifest "
-                        f"{manifest['t_virtual_s']}")
-    if marker["events"] == 0:
-        problems.append("run marker claims zero processed events")
-    return problems
+        return ["payload ends before its closing byte"]
+    if payload[at] == 1:
+        return ["payload carries a run marker (closing byte 1), written mid-run by an "
+                "older build"]
+    if payload[at] != 0:
+        return [f"payload's closing byte is {payload[at]} (expected 0)"]
+    if at + 1 != len(payload):
+        return [f"{len(payload) - at - 1} trailing bytes after the campaign section"]
+    return []
 
 
 def main() -> int:
@@ -294,7 +265,7 @@ def main() -> int:
         validator.check(manifest, schema, "$")
         problems += validator.errors
         if not validator.errors:  # invariants assume the shape is right
-            problems += check_invariants(manifest, payload, schema["x-run-marker"])
+            problems += check_invariants(manifest, payload)
             if args.expect_kind and manifest["kind"] != args.expect_kind:
                 problems.append(
                     f"expected a {args.expect_kind} checkpoint, got {manifest['kind']!r}"

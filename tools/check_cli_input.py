@@ -42,6 +42,7 @@ BAD_INPUT = [
     (["--scheduler", "bogus"], "--scheduler"),
     (["--cpu-cap", "3:0.5"], "--cpu-cap"),  # 32-AMD-4-A100 has one CPU package
     (["--n", "23040", "--nb", "2000"], "--n"),  # n is not a multiple of nb
+    (["--resume", "missing.gckp"], "--resume"),  # used to exit 1: cannot open file
 ]
 # The JSON form follows the spec form's value rules: no fractional gpu/count.
 JSON_PLAN = '{"events":[{"kind":"capfail","gpu":1.7,"count":2.5}]}'
@@ -49,6 +50,7 @@ BENCH_BAD_INPUT = [
     (["--faults", "garbage"], "--faults"),
     (["--faults", "capfail@gpu9:count=2"], "--faults"),  # no platform has gpu9
     (["--faults", "dropout@gpu3:t=1"], "--faults"),  # the 2-GPU rows lack gpu3
+    (["--resume", "."], "--resume"),  # a directory, not a checkpoint file
 ]
 OUTPUTS = ["--metrics-json", "metrics.json", "--checkpoint", "run.gckp"]
 
